@@ -280,9 +280,11 @@ def sliding_integral(
         )
     if len(T) == 0:
         return np.zeros(b.shape)
-    if len(T) <= 4096 and len(T) * b.size <= 2_000_000:
+    # the choice depends on T alone, so F(b) does not depend on how the b
+    # are batched
+    if len(T) <= 4096:
         return _sliding_direct(p, T.to_floats(), a, b)
-    return _sliding_by_parts(p, _coverage_for(T), a, b)
+    return _sliding_by_parts(p, T, a, b)
 
 
 def _sliding_direct(p: Profile, ends: np.ndarray, a: float, b: np.ndarray) -> np.ndarray:
@@ -295,47 +297,18 @@ def _sliding_direct(p: Profile, ends: np.ndarray, a: float, b: np.ndarray) -> np
     return out
 
 
-# interval sets are immutable, so coverage tables are cached per object;
-# the bound keeps memory finite when many large sets flow through
-_COVERAGE_CACHE: dict = {}
-_COVERAGE_ORDER: list = []
-
-
-def _coverage_for(T: IntervalSet) -> "_Coverage":
-    key = id(T)
-    hit = _COVERAGE_CACHE.get(key)
-    if hit is not None and hit[0] is T:
-        return hit[1]
-    cov = _Coverage(T.to_floats())
-    _COVERAGE_CACHE[key] = (T, cov)
-    _COVERAGE_ORDER.append(key)
-    while len(_COVERAGE_ORDER) > 8:
-        old = _COVERAGE_ORDER.pop(0)
-        _COVERAGE_CACHE.pop(old, None)
-    return cov
-
-
 class _Coverage:
-    """C(x) = lambda(T ∩ (-inf, x]) and its antiderivative Q, vectorized."""
+    """Q(x) = ∫_{-inf}^x C(t) dt for the cumulative measure C of a set."""
 
-    def __init__(self, ends: np.ndarray):
-        xs = ends.ravel()
-        cvals = np.empty(xs.size)
-        cum = np.concatenate([[0.0], np.cumsum(ends[:, 1] - ends[:, 0])])
-        cvals[0::2] = cum[:-1]
-        cvals[1::2] = cum[1:]
+    def __init__(self, T: IntervalSet):
+        xs, c = T.cumulative_knots()
         slopes = np.zeros(xs.size - 1)
         slopes[0::2] = 1.0  # inside intervals C has slope 1, outside 0
-        widths = np.diff(xs)
-        areas = widths * (cvals[:-1] + cvals[1:]) / 2.0
+        areas = np.diff(xs) * (c[:-1] + c[1:]) / 2.0
         self.xs = xs
-        self.c = cvals
+        self.c = c
         self.q = np.concatenate([[0.0], np.cumsum(areas)])
         self.slopes = slopes
-        self.total = float(cum[-1])
-
-    def C(self, x):
-        return np.interp(x, self.xs, self.c)
 
     def Q(self, x):
         x = np.asarray(x, dtype=np.float64)
@@ -345,10 +318,10 @@ class _Coverage:
         below = x <= self.xs[0]
         above = x >= self.xs[-1]
         val = np.where(below, 0.0, val)
-        return np.where(above, self.q[-1] + (x - self.xs[-1]) * self.total, val)
+        return np.where(above, self.q[-1] + (x - self.xs[-1]) * self.c[-1], val)
 
 
-def _sliding_by_parts(p: Profile, cover: "_Coverage", a: float, b: np.ndarray) -> np.ndarray:
+def _sliding_by_parts(p: Profile, T: IntervalSet, a: float, b: np.ndarray) -> np.ndarray:
     """F(b) = -∫ C(x) d/dx[p((x-b)/a)] dx; needs only O(knots) evaluations
     of the coverage antiderivative per b, independent of |T|."""
     xs = p.xs
@@ -367,10 +340,10 @@ def _sliding_by_parts(p: Profile, cover: "_Coverage", a: float, b: np.ndarray) -
     jv = np.array(jumps_v)
 
     knots = b[:, None] + a * xs[None, :]
-    Q = cover.Q(knots.ravel()).reshape(knots.shape)
+    Q = _Coverage(T).Q(knots.ravel()).reshape(knots.shape)
     piece_term = -(slopes[None, :] / a) * (Q[:, 1:] - Q[:, :-1])
     jump_pts = b[:, None] + a * jx[None, :]
-    jump_term = -jv[None, :] * cover.C(jump_pts.ravel()).reshape(jump_pts.shape)
+    jump_term = -jv[None, :] * T.cumulative_f(jump_pts.ravel()).reshape(jump_pts.shape)
     return piece_term.sum(axis=1) + jump_term.sum(axis=1)
 
 

@@ -5,7 +5,7 @@ random sample, verify (monotonicity | injectivity), search
 two-set-counterexample, and report.  All randomness flows from --seed; for
 fixed arguments the emitted artifacts are byte-identical.
 
-Exit codes: 0 success, 1 usage error, 2 a verification check failed,
+Exit codes: 0 success, 1 usage error or invalid input, 2 a verification check failed,
 3 a check was indeterminate at the available accuracy.
 """
 
@@ -23,7 +23,7 @@ from .construct import (
     translate_test_set,
     union_test_set,
 )
-from .dyadic import Dyadic, parse_or_snap
+from .dyadic import Dyadic, common_numerators, parse_or_snap
 from .errors import IndeterminateError, CheckFailedError, ReconsetError
 from .gridsets import (
     grid_summary,
@@ -37,6 +37,7 @@ from .profiles import Profile
 from .shapes import Ball, Direction, radon_profile, shape_from_json
 from .verify import (
     IntervalFamilyGrid,
+    _dyadic_range,
     interval_counterexample,
     injectivity_report,
     monotonicity_report,
@@ -206,12 +207,11 @@ def verify_monotonicity(test_path, shape, grid, output, emit_plot_data):
     if not isinstance(E, IntervalUnion):
         raise click.UsageError("monotonicity verification needs a 1-D shape")
     lo, hi, step = (_dyadic_arg(g) for g in grid)
-    xs = []
-    x = lo
-    while x <= hi:
-        xs.append(x)
-        x = x + step
-    vals = [float(E.S.translate(x).intersect(T).measure()) for x in xs]
+    xs = _dyadic_range(lo, hi, step)
+    # lambda((E+x) ∩ T) = Σ_k C(x + b_k) - C(x + a_k) over E's components [a_k, b_k)
+    nums, e = common_numerators([x + end for x in xs for pair in E.S for end in pair])
+    c, _, e = T.cumulative_nums(nums, e)
+    vals = ((c[1::2] - c[0::2]).reshape(len(xs), -1).sum(axis=1) * 2.0**-e).tolist()
     rep = monotonicity_report(vals)
     out = {"kind": "monotonicity_report"}
     out.update(rep.to_json())
@@ -231,9 +231,8 @@ def verify_monotonicity(test_path, shape, grid, output, emit_plot_data):
 @click.option("--x", "x_", nargs=3, required=True, type=str, help="x lo hi step")
 @click.option("--length", "l_", nargs=3, required=True, type=str, help="L lo hi step")
 @click.option("--tests", multiple=True, required=True, type=click.Path(exists=True))
-@click.option("--threads", default=1, show_default=True)
 @click.option("-o", "--output", type=click.Path(), default=None)
-def verify_injectivity(x_, l_, tests, threads, output):
+def verify_injectivity(x_, l_, tests, output):
     """Pairwise separation of interval-family measure vectors (exact)."""
     grid = IntervalFamilyGrid.of(
         _dyadic_arg(x_[0]), _dyadic_arg(x_[1]), _dyadic_arg(x_[2]),
@@ -245,7 +244,7 @@ def verify_injectivity(x_, l_, tests, threads, output):
             loaded.append(load_grid_set(t))
         else:
             loaded.append(rio.load_interval_set(t)[0])
-    rep = injectivity_report(grid, loaded, threads=threads)
+    rep = injectivity_report(grid, loaded)
     out = {"kind": "verification_report"}
     out.update(rep.to_json())
     if output:
@@ -335,7 +334,7 @@ def main(argv=None):
     except IndeterminateError as e:
         click.echo(f"indeterminate: {e}", err=True)
         return 3
-    except ReconsetError as e:
+    except (ReconsetError, ValueError) as e:
         click.echo(f"error: {e}", err=True)
         return 1
 

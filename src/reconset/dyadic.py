@@ -194,6 +194,12 @@ def as_dyadic(value) -> Dyadic:
     raise TypeError(f"cannot interpret {value!r} as a dyadic rational")
 
 
+def common_numerators(values) -> tuple[list, int]:
+    """Numerators of dyadic values over their least common power of two."""
+    exp = max((v.exp for v in values), default=0)
+    return [v.num << (exp - v.exp) for v in values], exp
+
+
 def snap(value, exponent: int) -> tuple[Dyadic, Fraction]:
     """Round ``value`` to the nearest multiple of ``2**-exponent``.
 

@@ -26,7 +26,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .dyadic import Dyadic, as_dyadic
+from .dyadic import Dyadic
+from .intervals import IntervalSet
 
 
 def _is_pow2(n: int) -> bool:
@@ -57,10 +58,6 @@ class RandomLevels:
 
     def box_units(self) -> tuple:
         return tuple(b - a for a, b in zip(self.box_lo, self.box_hi))
-
-    def tail_bound(self) -> float:
-        """Mass budget of truncated levels; reported as verification slack."""
-        return 0.0  # levels beyond the last are not represented at all
 
 
 def validate_levels(n, g, p, box_lo=(0,), box_hi=(1,)) -> RandomLevels:
@@ -186,52 +183,20 @@ class GridSet:
     # -- exact 1-D interval intersections --------------------------------------
 
     @cached_property
-    def _prefix_1d(self) -> np.ndarray:
+    def runs(self) -> IntervalSet:
+        """A 1-D set as an interval set: its runs of selected finest cells."""
         if self.levels.d != 1:
             raise ValueError("interval intersections need a 1-D grid set")
-        flat = self.parity.ravel().astype(np.int64)
-        return np.concatenate([[0], np.cumsum(flat)])
-
-    def interval_counts(self, fine_lo, fine_hi) -> np.ndarray:
-        """Cube counts of A over [lo, hi) given integer fine-grid endpoints.
-
-        Vectorized exact path for families whose parameter grid lands on the
-        fine grid: the measure is count / n^d with no partial cells.
-        """
-        prefix = self._prefix_1d
-        return prefix[np.asarray(fine_hi)] - prefix[np.asarray(fine_lo)]
+        edges = np.diff(np.concatenate([[0], self.parity.view(np.int8), [0]]))
+        j = self.levels.finest.bit_length() - 1
+        lo = self.levels.box_lo[0] << j
+        return IntervalSet.from_arrays(
+            lo + np.flatnonzero(edges == 1), lo + np.flatnonzero(edges == -1), j
+        )
 
     def intersect_interval_measure(self, lo, hi) -> Dyadic:
         """lambda(A ∩ [lo, hi)) exactly, for dyadic endpoints."""
-        lo = as_dyadic(lo)
-        hi = as_dyadic(hi)
-        if not lo < hi:
-            return Dyadic(0)
-        n = self.levels.finest
-        j = n.bit_length() - 1
-        blo = as_dyadic(self.levels.box_lo[0])
-        bhi = as_dyadic(self.levels.box_hi[0])
-        lo = max(lo, blo)
-        hi = min(hi, bhi)
-        if not lo < hi:
-            return Dyadic(0)
-        # positions scaled to fine-grid units: u = (x - box_lo) * n, exact
-        ulo = (lo - blo) * Dyadic(n)
-        uhi = (hi - blo) * Dyadic(n)
-        prefix = self._prefix_1d
-        i0, i1 = ulo.floor(), uhi.floor()
-        total = Dyadic(0)
-        if i0 == i1:
-            if self.parity.ravel()[i0]:
-                total = (uhi - ulo) * Dyadic(1, j)
-            return total
-        full = Dyadic(int(prefix[i1] - prefix[i0 + 1]), 0)
-        total = full * Dyadic(1, j)
-        if self.parity.ravel()[i0]:
-            total = total + (Dyadic(i0 + 1) - ulo) * Dyadic(1, j)
-        if i1 < self.parity.size and self.parity.ravel()[i1]:
-            total = total + (uhi - Dyadic(i1)) * Dyadic(1, j)
-        return total
+        return self.runs.measure_between(lo, hi)
 
 
 def assemble(levels: RandomLevels, selections) -> GridSet:

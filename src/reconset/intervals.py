@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dyadic import Dyadic, as_dyadic
+from .dyadic import Dyadic, as_dyadic, common_numerators
 from .errors import ExactnessOverflowError
 
 # int64 guard: |numerator| must stay clear of 2**63 through one alignment shift
@@ -25,7 +25,7 @@ _MAX_BITS = 58
 
 
 def _check_bits(arr: np.ndarray, bits: int = _MAX_BITS, what: str = "endpoint"):
-    if arr.size and int(np.max(np.abs(arr))) >> bits:
+    if arr.size and int(np.max(np.abs(arr))) >> max(bits, 0):
         raise ExactnessOverflowError(
             f"{what} magnitude exceeds 2**{bits}; reduce exponents or coordinates"
         )
@@ -72,12 +72,13 @@ class Window:
 class IntervalSet:
     """Normalized finite union of disjoint half-open dyadic intervals."""
 
-    __slots__ = ("_nums", "_exp")
+    __slots__ = ("_nums", "_exp", "_prefix")
 
     def __init__(self, pairs=()):
         """Build from (lo, hi) pairs; degenerate pairs dropped, overlaps merged."""
         lows, highs, exp = _pairs_to_arrays(pairs)
         self._nums, self._exp = _normalize_arrays(lows, highs, exp)
+        self._prefix = None
 
     # -- raw constructors ------------------------------------------------
 
@@ -87,6 +88,7 @@ class IntervalSet:
         obj = cls.__new__(cls)
         obj._nums = nums
         obj._exp = exp
+        obj._prefix = None
         return obj
 
     @classmethod
@@ -165,13 +167,88 @@ class IntervalSet:
         """Exact total length, Σ (hi - lo)."""
         if not self:
             return Dyadic(0)
-        d = self._nums[:, 1] - self._nums[:, 0]
-        # diffs are positive and bounded by the global span, so the int64 sum
-        # is safe given the construction guard; verify cheaply anyway
-        total = int(np.sum(d, dtype=np.int64))
-        if total < 0 or total < int(np.max(d)):
-            raise ExactnessOverflowError("measure sum overflowed int64")
-        return Dyadic(total, self._exp)
+        return Dyadic(int(self._prefix_sums()[-1]), self._exp)
+
+    def _prefix_sums(self) -> np.ndarray:
+        """P[k] = measure of the first k intervals, as numerators at the set's
+        exponent; built on first use and kept with the (immutable) set."""
+        if self._prefix is None:
+            d = self._nums[:, 1] - self._nums[:, 0]
+            prefix = np.zeros(d.size + 1, dtype=np.int64)
+            np.cumsum(d, out=prefix[1:])
+            # diffs are positive and bounded by the global span, so the int64
+            # sum is safe given the construction guard; verify cheaply anyway
+            if d.size and (prefix[-1] < 0 or prefix[-1] < np.max(d)):
+                raise ExactnessOverflowError("measure sum overflowed int64")
+            self._prefix = prefix
+        return self._prefix
+
+    def cumulative_nums(self, nums, exp: int) -> tuple[np.ndarray, np.ndarray, int]:
+        """Exact C(x) = λ(S ∩ (-inf, x]) at the dyadic points x = nums / 2**exp.
+
+        Returns (values, inside, e): the numerators of C(x) at exponent
+        e = max(exp, self.exponent) and whether each x lies in S.  A point is
+        located by floor(x * 2**self.exponent), which is exact against the
+        set's lows at any exponent.
+        """
+        try:
+            x = np.asarray(nums, dtype=np.int64)
+        except OverflowError as err:
+            raise ExactnessOverflowError(f"numerators exceed int64: {err}") from None
+        if not self:
+            return np.zeros_like(x), np.zeros(x.shape, dtype=bool), exp
+        shift = exp - self._exp
+        if shift >= 0:
+            k = np.searchsorted(self._nums[:, 0], x >> shift, side="right")
+        else:
+            _check_bits(x, 62 + shift, "aligned point")
+            x = x << -shift
+            k = np.searchsorted(self._nums[:, 0], x, side="right")
+        prefix = self._prefix_sums()[k]
+        high = self._nums[np.maximum(k - 1, 0), 1]
+        if shift > 0:
+            _check_bits(prefix, 62 - shift, "aligned measure")
+            _check_bits(high, 62 - shift, "aligned endpoint")
+            prefix, high = prefix << shift, high << shift
+        over = np.where(k > 0, np.maximum(high - x, 0), 0)
+        return prefix - over, over > 0, max(exp, self._exp)
+
+    def cumulative(self, x) -> Dyadic:
+        """Exact C(x) = λ(S ∩ (-inf, x]) at one dyadic point."""
+        x = as_dyadic(x)
+        v, _, e = self.cumulative_nums([x.num], x.exp)
+        return Dyadic(int(v[0]), e)
+
+    def piece(self, x) -> tuple[int, Dyadic]:
+        """(slope, intercept) of C on its affine piece at x: C = slope*x + c.
+
+        Slopes are 1 inside the set and 0 outside; the pieces are told apart
+        by their intercepts alone.
+        """
+        x = as_dyadic(x)
+        v, inside, e = self.cumulative_nums([x.num], x.exp)
+        if inside[0]:
+            return 1, Dyadic(int(v[0]), e) - x
+        return 0, Dyadic(int(v[0]), e)
+
+    def measure_between(self, lo, hi) -> Dyadic:
+        """Exact λ(S ∩ [lo, hi)) for dyadic lo, hi; zero when hi <= lo."""
+        lo, hi = as_dyadic(lo), as_dyadic(hi)
+        if not lo < hi:
+            return Dyadic(0)
+        v, _, e = self.cumulative_nums(*common_numerators([lo, hi]))
+        return Dyadic(int(v[1] - v[0]), e)
+
+    def cumulative_knots(self) -> tuple[np.ndarray, np.ndarray]:
+        """Float knots (x, C(x)) of the piecewise-linear C at every endpoint."""
+        prefix = self._prefix_sums().astype(np.float64) * 2.0 ** (-self._exp)
+        return self.to_floats().ravel(), np.repeat(prefix, 2)[1:-1]
+
+    def cumulative_f(self, x) -> np.ndarray:
+        """Float view of C at float points, interpolated between the knots."""
+        if not self:
+            return np.zeros_like(np.asarray(x, dtype=np.float64))
+        return np.interp(x, *self.cumulative_knots())
 
     # -- set operations -----------------------------------------------------
 
@@ -194,18 +271,7 @@ class IntervalSet:
         return IntervalSet.point_window(window).difference(self)
 
     def contains_point(self, x) -> bool:
-        if not self:
-            return False
-        x = as_dyadic(x)
-        xf = x.as_fraction()
-        import bisect
-
-        lows = [Dyadic(int(n), self._exp).as_fraction() for n in self._nums[:, 0]]
-        idx = bisect.bisect_right(lows, xf) - 1
-        if idx < 0:
-            return False
-        hi = Dyadic(int(self._nums[idx, 1]), self._exp).as_fraction()
-        return xf < hi
+        return self.piece(x)[0] == 1
 
     # -- affine image ---------------------------------------------------------
 

@@ -264,10 +264,6 @@ class StepProfile:
         if np.any(np.diff(self.edges) <= 0):
             raise ValueError("edges must be strictly ascending")
 
-    @staticmethod
-    def zero() -> "StepProfile":
-        return StepProfile([0.0, 1.0], [0.0])
-
     @property
     def support(self) -> tuple[float, float]:
         return float(self.edges[0]), float(self.edges[-1])

@@ -186,32 +186,10 @@ def tiled_quantizer(target, delta: ShellBudget, window: Window):
 # -- residual evaluation (guarantee checks) ---------------------------------
 
 
-def coverage_before(endpoints: np.ndarray, x):
-    """lambda(T ∩ (-inf, x]) for T given as sorted float (N, 2) endpoints."""
-    x = np.asarray(x, dtype=np.float64)
-    scalar = x.ndim == 0
-    x = np.atleast_1d(x)
-    if endpoints.size == 0:
-        out = np.zeros_like(x)
-        return float(out[0]) if scalar else out
-    lows = endpoints[:, 0]
-    highs = endpoints[:, 1]
-    cum = np.concatenate([[0.0], np.cumsum(highs - lows)])
-    idx = np.searchsorted(lows, x, side="right")
-    out = cum[idx]
-    prev = idx - 1
-    valid = prev >= 0
-    overshoot = np.zeros_like(x)
-    overshoot[valid] = np.maximum(0.0, highs[prev[valid]] - x[valid])
-    out = out - overshoot
-    return float(out[0]) if scalar else out
-
-
 def quantizer_residual(T: IntervalSet, target, origin: float, points) -> np.ndarray:
     """D(x) = ∫_origin^x (chi_T - phi) at each point, vectorized."""
     pts = np.atleast_1d(np.asarray(points, dtype=np.float64))
-    ends = T.to_floats()
-    cover = coverage_before(ends, pts) - coverage_before(ends, np.array(origin))
+    cover = T.cumulative_f(pts) - T.cumulative_f(origin)
     phi_int = np.asarray(target.integrate_phi(np.full(pts.shape, origin), pts))
     return cover - phi_int
 

@@ -637,24 +637,37 @@ def _grid_profile(shape: GridShape, theta: Direction) -> Profile:
 # -- intersection measures ----------------------------------------------------------
 
 
+def intersection_measures(
+    shape, poses, V: SlabTestSet, resolution: int = 256, profile: Profile | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """lambda^d((rE+x) ∩ V) for each pose, with quadrature error bounds.
+
+    One sliding integral per magnification covers all poses sharing it.
+    Exact (error 0) for the full-space sentinel: r^d * lambda^d(E).
+    """
+    rs = [pose.magnification for pose in poses]
+    if V.full_space:
+        return np.array([r**shape.d * volume(shape) for r in rs]), np.zeros(len(rs))
+    if profile is None:
+        profile = radon_profile(shape, V.theta, resolution)
+    values = np.empty(len(rs))
+    errors = np.empty(len(rs))
+    for r in dict.fromkeys(rs):
+        idx = [i for i, ri in enumerate(rs) if ri == r]
+        b = [V.theta.dot(poses[i].translation) for i in idx]
+        vals = sliding_integral(profile, V.T, r, b, V.window)
+        values[idx] = np.maximum(r ** (shape.d - 1) * vals, 0.0)
+        # |error| = r^(d-1) |∫_T Δ((t-b)/r) dt| <= r^d ||Δ||_1
+        errors[idx] = r**shape.d * profile.l1_error
+    return values, errors
+
+
 def intersection_measure_detailed(
     shape, pose: Pose, V: SlabTestSet, resolution: int = 256, profile: Profile | None = None
 ) -> tuple[float, float]:
-    """lambda^d((rE+x) ∩ V) with its quadrature error bound.
-
-    Exact (error 0) for the full-space sentinel: r^d * lambda^d(E).
-    """
-    r = pose.magnification
-    if V.full_space:
-        return r ** shape.d * volume(shape), 0.0
-    if profile is None:
-        profile = radon_profile(shape, V.theta, resolution)
-    b = V.theta.dot(pose.translation)
-    vals = sliding_integral(profile, V.T, r, [b], V.window)
-    value = r ** (shape.d - 1) * float(vals[0])
-    # |error| = r^(d-1) |∫_T Δ((t-b)/r) dt| <= r^d ||Δ||_1
-    err = r**shape.d * profile.l1_error
-    return max(value, 0.0), err
+    """lambda^d((rE+x) ∩ V) with its quadrature error bound."""
+    values, errors = intersection_measures(shape, [pose], V, resolution, profile)
+    return float(values[0]), float(errors[0])
 
 
 def intersection_measure(

@@ -11,17 +11,16 @@ collision.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
 
-from .dyadic import Dyadic, as_dyadic, snap
+from .dyadic import Dyadic, as_dyadic, common_numerators, snap
 from .errors import SearchBudgetError, WindowExceededError
 from .gridsets import GridSet, RandomLevels, sample_grid_set
 from .intervals import IntervalSet, Window
-from .shapes import Pose, SlabTestSet, intersection_measure_detailed, radon_profile
+from .shapes import Pose, SlabTestSet, intersection_measures, radon_profile
 
 
 # -- family grids -----------------------------------------------------------------
@@ -100,43 +99,52 @@ class TranslateFamilyGrid:
 # -- measure vectors ----------------------------------------------------------------
 
 
-def measure_vector(instance, tests, profiles=None) -> tuple[np.ndarray, np.ndarray]:
-    """Component i = measure of the instance against test i.
+def measure_vector(instances, tests, profiles=None) -> tuple[np.ndarray, np.ndarray]:
+    """Entry (i, j) = measure of instance i against test j.
 
-    Returns (values, error_bounds); exact paths report zero error.  The
-    instance is either an (x, L) dyadic pair denoting [x, x+L), or a
-    (shape, Pose) pair for slab tests.
+    Returns the (instances x tests) values and error bounds; exact paths
+    report zero error.  Instances are (x, L) dyadic pairs denoting [x, x+L),
+    or (shape, Pose) pairs sharing one shape for slab tests, whose profiles
+    (one per test) may be passed in.  Interval and grid tests take
+    C(x+L) - C(x) from the exact cumulative measure C of the test; slab tests
+    take one sliding integral per magnification.
     """
-    values = []
-    errors = []
-    for idx, t in enumerate(tests):
-        if isinstance(t, IntervalSet):
-            x, L = instance
-            E = IntervalSet([(x, x + L)])
-            values.append(float(E.intersect(t).measure()))
-            errors.append(0.0)
-        elif isinstance(t, GridSet):
-            x, L = instance
-            _check_box_contains(t.levels, x, x + L)
-            values.append(float(t.intersect_interval_measure(x, x + L)))
-            errors.append(0.0)
-        elif isinstance(t, SlabTestSet):
-            shape, pose = instance
-            prof = profiles[idx] if profiles else None
-            v, e = intersection_measure_detailed(shape, pose, t, profile=prof)
-            values.append(v)
-            errors.append(e)
-        else:
+    values = np.zeros((len(instances), len(tests)))
+    errors = np.zeros_like(values)
+    if not instances:
+        return values, errors
+    ends = None
+    for j, t in enumerate(tests):
+        if isinstance(t, SlabTestSet):
+            shape = instances[0][0]
+            if any(s is not shape for s, _ in instances):
+                raise ValueError("slab instances must share one shape")
+            prof = profiles[j] if profiles else None
+            poses = [pose for _, pose in instances]
+            values[:, j], errors[:, j] = intersection_measures(shape, poses, t, profile=prof)
+            continue
+        if not isinstance(t, (IntervalSet, GridSet)):
             raise TypeError(f"unknown test type {type(t).__name__}")
-    return np.asarray(values), np.asarray(errors)
+        if ends is None:
+            nums, e = common_numerators([d for x, L in instances for d in (x, x + L)])
+            ends = np.asarray(nums)
+        if isinstance(t, GridSet):
+            _check_box_contains(t.levels, ends, e)
+            t = t.runs
+        c, _, ce = t.cumulative_nums(ends, e)
+        values[:, j] = (c[1::2] - c[0::2]) * 2.0**-ce
+    return values, errors
 
 
-def _check_box_contains(levels: RandomLevels, lo: Dyadic, hi: Dyadic):
-    blo = as_dyadic(levels.box_lo[0])
-    bhi = as_dyadic(levels.box_hi[0])
-    if lo < blo or bhi < hi:
+def _check_box_contains(levels: RandomLevels, ends: np.ndarray, e: int):
+    """Every [lo, hi) of the interleaved endpoint numerators lies in the box."""
+    outside = (ends[0::2] < levels.box_lo[0] << e) | (ends[1::2] > levels.box_hi[0] << e)
+    if np.any(outside):
+        i = 2 * int(np.argmax(outside))
+        lo, hi = Dyadic(int(ends[i]), e), Dyadic(int(ends[i + 1]), e)
         raise WindowExceededError(
-            f"instance [{lo}, {hi}) outside the grid box [{blo}, {bhi})",
+            f"instance [{lo}, {hi}) outside the grid box "
+            f"[{levels.box_lo[0]}, {levels.box_hi[0]})",
             required_lo=float(lo),
             required_hi=float(hi),
         )
@@ -183,7 +191,6 @@ class VerificationReport:
     quadrature_error: float
     grid: dict = field(default_factory=dict)
     seeds: dict = field(default_factory=dict)
-    runtime: float = 0.0
 
     @property
     def passed(self) -> bool:
@@ -200,7 +207,6 @@ class VerificationReport:
             "quadrature_error": self.quadrature_error,
             "grid": self.grid,
             "seeds": self.seeds,
-            "runtime": self.runtime,
             "passed": self.passed,
         }
 
@@ -241,37 +247,23 @@ def pairwise_min_linf(matrix: np.ndarray, threshold: float = 0.0):
     return best, witness, collisions
 
 
-def injectivity_report(grid, tests, resolution: int = 256, threads: int = 1) -> VerificationReport:
+def injectivity_report(grid, tests, resolution: int = 256) -> VerificationReport:
     """Pairwise separation of the measure-vector map over a finite family.
 
     Exact tests demand strict separation; quadrature-backed tests flag the
     report indeterminate when the minimum separation does not clear 10x the
-    reported error.  With threads > 1 the measure rows are computed
-    concurrently and merged by grid index, so the report is unchanged.
+    reported error.
     """
-    t0 = time.time()
     instances = grid.instances()
     profiles = None
     if instances and isinstance(instances[0], Pose):
-        shape = grid.shape
         profiles = [
-            None
-            if t.full_space
-            else radon_profile(shape, t.theta, resolution)
+            None if t.full_space else radon_profile(grid.shape, t.theta, resolution)
             for t in tests
         ]
-        work = [((shape, pose), tests, profiles) for pose in instances]
-    else:
-        work = [(inst, tests, None) for inst in instances]
-    if threads > 1 and len(work) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(lambda args: measure_vector(*args), work))
-    else:
-        rows = [measure_vector(*args) for args in work]
-    matrix = np.stack([r[0] for r in rows])
-    qerr = float(np.max(np.stack([r[1] for r in rows]))) if rows else 0.0
+        instances = [(grid.shape, pose) for pose in instances]
+    matrix, errors = measure_vector(instances, tests, profiles)
+    qerr = float(np.max(errors)) if errors.size else 0.0
     best, witness, collisions = pairwise_min_linf(matrix)
     indeterminate = qerr > 0 and best <= 10.0 * qerr and not collisions
     return VerificationReport(
@@ -283,7 +275,6 @@ def injectivity_report(grid, tests, resolution: int = 256, threads: int = 1) -> 
         indeterminate=indeterminate,
         quadrature_error=qerr,
         grid=grid.describe() if hasattr(grid, "describe") else {},
-        runtime=time.time() - t0,
     )
 
 
@@ -307,55 +298,6 @@ class CounterexamplePair:
             "b_discrepancy": float(self.b_discrepancy),
             "grid_used": self.grid_used,
         }
-
-
-class _Cumulative:
-    """Exact piecewise-linear cumulative measure of an interval set.
-
-    Slopes are 0/1 with dyadic breakpoints, so every evaluation at a dyadic
-    point is exact dyadic arithmetic.
-    """
-
-    def __init__(self, S: IntervalSet):
-        self.breaks: list[Dyadic] = []
-        self.cum: list[Dyadic] = []  # cumulative measure at each break
-        acc = Dyadic(0)
-        for lo, hi in S:
-            self.breaks.append(lo)
-            self.cum.append(acc)
-            acc = acc + (hi - lo)
-            self.breaks.append(hi)
-            self.cum.append(acc)
-        self.total = acc
-        self._breaks_f = np.array([float(b) for b in self.breaks])
-        self._cum_f = np.array([float(c) for c in self.cum])
-
-    def value_f(self, x: np.ndarray) -> np.ndarray:
-        if not self.breaks:
-            return np.zeros_like(np.asarray(x, dtype=np.float64))
-        return np.interp(x, self._breaks_f, self._cum_f)
-
-    def piece(self, x: Dyadic) -> tuple[int, Dyadic]:
-        """(slope, intercept) of the cumulative at x: value = slope*x + c."""
-        import bisect
-
-        if not self.breaks:
-            return 0, Dyadic(0)
-        xf = x.as_fraction()
-        keys = [b.as_fraction() for b in self.breaks]
-        i = bisect.bisect_right(keys, xf) - 1
-        if i < 0:
-            return 0, Dyadic(0)
-        if i >= len(self.breaks) - 1:
-            return 0, self.total
-        inside = i % 2 == 0  # pieces alternate inside/outside starting inside
-        if inside:
-            return 1, self.cum[i] - self.breaks[i]
-        return 0, self.cum[i]
-
-    def value(self, x: Dyadic) -> Dyadic:
-        s, c = self.piece(x)
-        return c + (x * Dyadic(s) if s else Dyadic(0))
 
 
 def interval_counterexample(
@@ -387,20 +329,15 @@ def interval_counterexample(
         W = hi + min_length + Dyadic(4)
     else:
         W = max(abs(window.lo), abs(window.hi))
-    CA, CB = _Cumulative(A), _Cumulative(B)
     sep_needed = max(100.0 * tol, 2.0 ** -20)
 
     grid = initial_grid
     for _ in range(max_rounds):
-        pair = _search_on_grid(CA, CB, float(W), min_length, grid, sep_needed)
+        pair = _search_on_grid(A, B, float(W), min_length, grid, sep_needed)
         if pair is not None:
             (z1, z2) = pair
-            a1 = CA.value(z1[1]) - CA.value(z1[0])
-            a2 = CA.value(z2[1]) - CA.value(z2[0])
-            b1 = CB.value(z1[1]) - CB.value(z1[0])
-            b2 = CB.value(z2[1]) - CB.value(z2[0])
-            da = (a1 - a2).as_fraction()
-            db = (b1 - b2).as_fraction()
+            da = (_increment(A, z1) - _increment(A, z2)).as_fraction()
+            db = (_increment(B, z1) - _increment(B, z2)).as_fraction()
             if abs(da) <= tol and abs(db) <= tol:
                 return CounterexamplePair(z1, z2, da, db, grid)
         grid *= 4
@@ -410,7 +347,12 @@ def interval_counterexample(
     )
 
 
-def _search_on_grid(CA, CB, W, min_length, grid, sep_needed):
+def _increment(S: IntervalSet, z) -> Dyadic:
+    """C(y) - C(x) for z = (x, y), with C the cumulative measure of S."""
+    return S.cumulative(z[1]) - S.cumulative(z[0])
+
+
+def _search_on_grid(A, B, W, min_length, grid, sep_needed):
     lo, hi = -W + 1.0, W - 1.0
     xs = np.linspace(lo, hi, grid)
     step = xs[1] - xs[0]
@@ -418,8 +360,8 @@ def _search_on_grid(CA, CB, W, min_length, grid, sep_needed):
     mask = (Y - X) > float(min_length) + 2.0 * step
     pts_x = X[mask]
     pts_y = Y[mask]
-    fa = CA.value_f(pts_y) - CA.value_f(pts_x)
-    fb = CB.value_f(pts_y) - CB.value_f(pts_x)
+    fa = A.cumulative_f(pts_y) - A.cumulative_f(pts_x)
+    fb = B.cumulative_f(pts_y) - B.cumulative_f(pts_x)
     bucket = 2.0 * step + 1e-12
     keys = np.stack(
         [np.floor(fa / bucket).astype(np.int64), np.floor(fb / bucket).astype(np.int64)],
@@ -450,8 +392,8 @@ def _search_on_grid(CA, CB, W, min_length, grid, sep_needed):
                 if checked > 200_000:
                     return None
                 res = _exact_resolve(
-                    CA,
-                    CB,
+                    A,
+                    B,
                     (pts_x[i], pts_y[i]),
                     (pts_x[j], pts_y[j]),
                     step,
@@ -463,7 +405,7 @@ def _search_on_grid(CA, CB, W, min_length, grid, sep_needed):
     return None
 
 
-def _exact_resolve(CA, CB, z1, z2, step, min_length, sep_needed):
+def _exact_resolve(A, B, z1, z2, step, min_length, sep_needed):
     """Solve f(z1') = f(z2') exactly near the float candidates.
 
     Each coordinate is confined to its current affine piece of the relevant
@@ -480,13 +422,13 @@ def _exact_resolve(CA, CB, z1, z2, step, min_length, sep_needed):
     offs_a = []
     offs_b = []
     for c in pinned:
-        sa, ca = CA.piece(c)
-        sb, cb = CB.piece(c)
+        sa, ca = A.piece(c)
+        sb, cb = B.piece(c)
         slopes_a.append(sa)
         slopes_b.append(sb)
         offs_a.append(ca)
         offs_b.append(cb)
-    # equations: (CA(y1) - CA(x1)) - (CA(y2) - CA(x2)) = 0, same for B
+    # equations: (C_A(y1) - C_A(x1)) - (C_A(y2) - C_A(x2)) = 0, same for B
     # coefficients for (x1, y1, x2, y2)
     rows = [
         [-slopes_a[0], slopes_a[1], slopes_a[2], -slopes_a[3]],
@@ -541,14 +483,14 @@ def _exact_resolve(CA, CB, z1, z2, step, min_length, sep_needed):
         if any(v is None for v in vals):
             continue
         cand = _validate_candidate(
-            CA, CB, vals, pinned, step, min_length, sep_needed
+            A, B, vals, pinned, step, min_length, sep_needed
         )
         if cand is not None:
             return cand
     return None
 
 
-def _validate_candidate(CA, CB, vals, pinned, step, min_length, sep_needed):
+def _validate_candidate(A, B, vals, pinned, step, min_length, sep_needed):
     dys = []
     for v in vals:
         if v.denominator & (v.denominator - 1):
@@ -560,19 +502,17 @@ def _validate_candidate(CA, CB, vals, pinned, step, min_length, sep_needed):
         if abs(float(d) - float(p)) > 1.6 * step:
             return None
     for c, ref in ((x1, pinned[0]), (y1, pinned[1]), (x2, pinned[2]), (y2, pinned[3])):
-        for C in (CA, CB):
-            if C.piece(c) != C.piece(ref):
+        for S in (A, B):
+            if S.piece(c) != S.piece(ref):
                 return None
     if not (min_length < float(y1 - x1) and min_length < float(y2 - x2)):
         return None
     sep = max(abs(float(x1 - x2)), abs(float(y1 - y2)))
     if sep < sep_needed:
         return None
-    a1 = CA.value(y1) - CA.value(x1)
-    a2 = CA.value(y2) - CA.value(x2)
-    b1 = CB.value(y1) - CB.value(x1)
-    b2 = CB.value(y2) - CB.value(x2)
-    if a1 != a2 or b1 != b2:
+    if _increment(A, (x1, y1)) != _increment(A, (x2, y2)):
+        return None
+    if _increment(B, (x1, y1)) != _increment(B, (x2, y2)):
         return None
     return (x1, y1), (x2, y2)
 
@@ -618,21 +558,15 @@ def monte_carlo_reconstruction(
     """
     if trials < 0 or copies < 1:
         raise ValueError("need trials >= 0 and copies >= 1")
-    n = levels.finest
-    d = levels.d
     if separation is None:
-        separation = 1.0 / (4.0 * float(n) ** d)
+        separation = 1.0 / (4.0 * float(levels.finest) ** levels.d)
     instances = grid.instances()
-    fine = _fine_endpoints(grid, levels)
     per_trial = []
     successes = 0
     for t in range(trials):
         trial_seeds = [(seed * 1_000_003 + t) * 1_009 + c for c in range(copies)]
-        counts = np.empty((len(instances), copies), dtype=np.int64)
-        for c, s in enumerate(trial_seeds):
-            gs = sample_grid_set(levels, s)
-            counts[:, c] = gs.interval_counts(fine[:, 0], fine[:, 1])
-        matrix = counts.astype(np.float64) / float(n) ** d
+        tests = [sample_grid_set(levels, s) for s in trial_seeds]
+        matrix, _ = measure_vector(instances, tests)
         best, witness, collisions = pairwise_min_linf(
             matrix, threshold=separation * (1 - 1e-12)
         )
@@ -645,24 +579,3 @@ def monte_carlo_reconstruction(
     return MonteCarloReport(
         trials, successes, rate, copies, separation, per_trial, seed
     )
-
-
-def _fine_endpoints(grid: IntervalFamilyGrid, levels: RandomLevels) -> np.ndarray:
-    n = levels.finest
-    blo = as_dyadic(levels.box_lo[0])
-    bhi = as_dyadic(levels.box_hi[0])
-    out = []
-    for x, L in grid.instances():
-        if x < blo or bhi < x + L:
-            raise WindowExceededError(
-                f"family member [{x}, {x+L}) outside box [{blo}, {bhi})"
-            )
-        ulo = (x - blo) * Dyadic(n)
-        uhi = (x + L - blo) * Dyadic(n)
-        if not (ulo.is_integer and uhi.is_integer):
-            raise ValueError(
-                "family grid must land on the fine grid for the vectorized "
-                f"path (got [{x}, {x+L}) at resolution 1/{n})"
-            )
-        out.append((ulo.num, uhi.num))
-    return np.asarray(out, dtype=np.int64)

@@ -166,22 +166,21 @@ def test_sliding_window_exceeded():
 
 
 def test_sliding_direct_and_by_parts_agree():
-    from reconset.analysis import _Coverage, _sliding_by_parts, _sliding_direct
+    from reconset.analysis import _sliding_by_parts, _sliding_direct
 
     rng = np.random.default_rng(3)
     edges = np.sort(rng.uniform(-5, 5, size=40))
     T = IntervalSet([(float(a), float(b)) for a, b in edges.reshape(-1, 2)])
     ends = T.to_floats()
-    cover = _Coverage(ends)
     b = np.linspace(-2, 2, 17)
     p = Profile.from_knots([-1, -0.25, 0.5, 1], [0, 0.5, 2, 0])
     direct = _sliding_direct(p, ends, 1.5, b)
-    parts = _sliding_by_parts(p, cover, 1.5, b)
+    parts = _sliding_by_parts(p, T, 1.5, b)
     assert np.allclose(direct, parts, atol=1e-11)
     # and with a jumpy profile
     q = Profile.step([-1, 0, 1], [1.0, 0.25])
     direct = _sliding_direct(q, ends, 2.0, b)
-    parts = _sliding_by_parts(q, cover, 2.0, b)
+    parts = _sliding_by_parts(q, T, 2.0, b)
     assert np.allclose(direct, parts, atol=1e-11)
 
 

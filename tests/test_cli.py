@@ -163,3 +163,35 @@ def test_slab_artifact_roundtrip(tmp_path):
     assert back.theta == slabs[0].theta
     assert back.T == slabs[0].T
     assert back.window == slabs[0].window
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["random", "sample", "--n", "15", "--g", "1", "--p", "0.5", "-o", "x.npz"],
+        ["random", "sample", "--n", "16", "--g", "4", "--p", "0.5", "--seed", "-3",
+         "-o", "x.npz"],
+        ["report", "--input", "inverted.json"],
+    ],
+    ids=["n-not-power-of-two", "negative-seed", "inverted-interval"],
+)
+def test_library_value_error_exit_one(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "inverted.json").write_text(
+        '{"kind":"interval_set","intervals":[[3,0,1,0]]}'
+    )
+    assert run(argv) == 1
+    out = capsys.readouterr()
+    assert "Traceback" not in out.out + out.err
+    assert out.err.startswith("error: ")
+
+
+def test_injectivity_report_byte_identical(tmp_path):
+    T = tmp_path / "T.json"
+    assert run(["construct", "interval-union", "--lengths", "1",
+                "--window", "0", "8", "--rho", "1/16", "-o", str(T)]) == 0
+    reports = [tmp_path / "r1.json", tmp_path / "r2.json"]
+    for rep in reports:
+        assert run(["verify", "injectivity", "--x", "0", "1", "1/4",
+                    "--length", "1", "1", "1", "--tests", str(T), "-o", str(rep)]) == 0
+    assert reports[0].read_bytes() == reports[1].read_bytes()

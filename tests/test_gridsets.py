@@ -118,8 +118,10 @@ def test_interval_measure_exact():
     assert gs.intersect_interval_measure(0, Dyadic(1, 5)) == Dyadic(1, 5)
     # straddling: [5/16, 9/16): cubes 5,6,7,8 -> 5 and 8 selected
     assert gs.intersect_interval_measure(Dyadic(5, 4), Dyadic(9, 4)) == Dyadic(2, 4)
-    with_counts = gs.interval_counts([0, 5], [16, 9])
-    assert with_counts.tolist() == [7, 2]
+    # the same counts from the exact prefix-measure kernel, in 1/16 units
+    c, _, e = gs.runs.cumulative_nums([0, 5, 16, 9], 4)
+    assert e == 4
+    assert (c[2:] - c[:2]).tolist() == [7, 2]
 
 
 def test_required_copies_examples():

@@ -185,6 +185,30 @@ def test_boolean_matches_brute_force(s, t, op):
     assert got_pairs == merged
 
 
+# points on grids both finer and coarser than the sets' exponents (0..5)
+query_point = st.builds(
+    Dyadic,
+    st.integers(min_value=-(1 << 14), max_value=1 << 14),
+    st.integers(min_value=0, max_value=10),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(interval_sets(), query_point, query_point)
+def test_prefix_measure_matches_boolean_oracle(t, x, y):
+    if y < x:
+        x, y = y, x
+    expect = IntervalSet([(x, y)]).intersect(t).measure()
+    assert t.measure_between(x, y) == expect
+    assert t.cumulative(y) - t.cumulative(x) == expect
+    e = max(x.exp, y.exp)
+    c, inside, ce = t.cumulative_nums([x.num << (e - x.exp), y.num << (e - y.exp)], e)
+    assert Dyadic(int(c[1] - c[0]), ce) == expect
+    assert bool(inside[0]) == brute_membership(t, x.as_fraction()) == t.contains_point(x)
+    # the float view agrees wherever floats are exact
+    assert t.cumulative_f(float(x)) == float(t.cumulative(x))
+
+
 @settings(max_examples=40, deadline=None)
 @given(interval_sets(10), interval_sets(10))
 def test_inclusion_exclusion(s, t):

@@ -8,7 +8,15 @@ from reconset.errors import SearchBudgetError, WindowExceededError
 from reconset.gridsets import validate_levels, sample_grid_set
 from reconset.intervals import IntervalSet, Window
 from reconset.profiles import Profile
-from reconset.shapes import Ball, Direction, Pose, SlabTestSet, slab_lift
+from reconset.shapes import (
+    Ball,
+    Direction,
+    Pose,
+    SlabTestSet,
+    intersection_measure_detailed,
+    radon_profile,
+    slab_lift,
+)
 from reconset.verify import (
     IntervalFamilyGrid,
     TranslateFamilyGrid,
@@ -26,35 +34,34 @@ from reconset.verify import (
 
 def test_measure_vector_halfline():
     T = IntervalSet([(0, 100)])
-    vals, errs = measure_vector((Dyadic(0), Dyadic(1)), [T])
-    assert vals.tolist() == [1.0]
-    assert errs.tolist() == [0.0]
+    vals, errs = measure_vector([(Dyadic(0), Dyadic(1))], [T])
+    assert vals.tolist() == [[1.0]]
+    assert errs.tolist() == [[0.0]]
 
 
 def test_measure_vector_slab_square():
     from reconset.shapes import Box
 
     V = slab_lift(Direction((1.0, 0.0)), IntervalSet([(0, 1)]), Window.of(-4, 4))
-    vals, errs = measure_vector((Box((0.0, 0.0), (1.0, 1.0)), Pose.identity(2)), [V])
-    assert vals[0] == pytest.approx(1.0, abs=1e-12)
+    vals, errs = measure_vector([(Box((0.0, 0.0), (1.0, 1.0)), Pose.identity(2))], [V])
+    assert vals[0, 0] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_measure_vector_matches_sliding_integral_exactly():
     # cross-oracle: interval family against a semigroup test set
     T = union_test_set([1], Window.of(0, 8), Dyadic(1, 4))
     chi = Profile.indicator(0.0, 1.0)
-    for i in range(0, 33):
-        x = Dyadic(i, 3)
-        direct, _ = measure_vector((x, Dyadic(1)), [T])
-        slid = sliding_integral(chi, T, 1.0, [float(x)], Window.of(-2, 10))
-        assert direct[0] == slid[0]  # exact equality of the two paths
+    xs = [Dyadic(i, 3) for i in range(0, 33)]
+    direct, _ = measure_vector([(x, Dyadic(1)) for x in xs], [T])
+    slid = sliding_integral(chi, T, 1.0, [float(x) for x in xs], Window.of(-2, 10))
+    assert np.array_equal(direct[:, 0], slid)  # exact equality of the two paths
 
 
 def test_measure_vector_gridset_window_guard():
     lv = validate_levels((16,), (4,), (0.5,), (0,), (1,))
     gs = sample_grid_set(lv, 1)
     with pytest.raises(WindowExceededError):
-        measure_vector((Dyadic(1, 1), Dyadic(1)), [gs])
+        measure_vector([(Dyadic(1, 1), Dyadic(1))], [gs])
 
 
 # -- monotonicity -------------------------------------------------------------------
@@ -131,6 +138,25 @@ def test_injectivity_translate_family_disk_smoke():
     assert rep.min_separation > 0
 
 
+def test_slab_measure_vector_matches_per_pose():
+    # one sliding integral per (test, magnification) equals one per pose,
+    # bit for bit, on the family above plus a magnified copy of it
+    disk = Ball((0.0, 0.0), 1.0)
+    T = IntervalSet([(Dyadic(-3), Dyadic(0))])
+    tests = [
+        slab_lift(Direction((1.0, 0.0)), T, Window.of(-6, 6)),
+        slab_lift(Direction((0.0, 1.0)), T, Window.of(-6, 6)),
+    ]
+    poses = TranslateFamilyGrid(disk, (-0.5, -0.5), (0.5, 0.5), (5, 5)).instances()
+    poses += [Pose(p.translation, 1.5) for p in poses]
+    profiles = [radon_profile(disk, V.theta, 128) for V in tests]
+    values, errors = measure_vector([(disk, p) for p in poses], tests, profiles)
+    for i, pose in enumerate(poses):
+        for j, V in enumerate(tests):
+            v, e = intersection_measure_detailed(disk, pose, V, profile=profiles[j])
+            assert values[i, j] == v and errors[i, j] == e
+
+
 # -- interval counterexample -------------------------------------------------------------
 
 
@@ -199,8 +225,13 @@ def test_monte_carlo_more_copies_separate_better():
     assert many.rate >= one.rate
 
 
-def test_monte_carlo_requires_grid_alignment():
+def test_monte_carlo_off_grid_family():
+    # x steps by 1/4096 on a 1/1024 grid: partial cells are measured exactly
     lv = small_levels()
     grid = IntervalFamilyGrid.of(0, Dyadic(1), Dyadic(1, 12), 1, 1, 1)
-    with pytest.raises(ValueError, match="fine grid"):
-        monte_carlo_reconstruction(grid, lv, copies=1, trials=1, seed=0)
+    rep = monte_carlo_reconstruction(grid, lv, copies=2, trials=2, seed=0)
+    assert rep.trials == 2
+    for trial in rep.per_trial:
+        tests = [sample_grid_set(lv, s) for s in trial["seeds"]]
+        matrix, _ = measure_vector(grid.instances(), tests)
+        assert trial["min_separation"] == pairwise_min_linf(matrix)[0]
