@@ -14,9 +14,7 @@ from .analysis import (
     ac_diagnostic,
     concavity_check,
     convolution_identity_check,
-    k_upper,
     sliding_integral,
-    variation_and_derivative,
 )
 from .construct import (
     FamilyOptions,
@@ -51,7 +49,7 @@ from .gridsets import (
     sample_level,
     validate_levels,
 )
-from .intervals import IntervalSet, Window, boolean, normalize
+from .intervals import IntervalSet, Window, boolean
 from .profiles import Profile, StepProfile
 from .quantize import ShellBudget, greedy_quantizer, tiled_quantizer
 from .shapes import (
@@ -65,13 +63,10 @@ from .shapes import (
     Simplex,
     SlabTestSet,
     diameter_direction,
-    intersection_measure,
     intersection_measure_detailed,
     radon_profile,
     shape_from_json,
     shape_to_json,
-    slab_lift,
-    volume,
 )
 from .targets import AffineTarget, Logistic, LogSquaredDecay
 from .verify import (

@@ -17,16 +17,7 @@ import numpy as np
 
 from .errors import WindowExceededError
 from .intervals import IntervalSet, Window
-from .profiles import Profile, SignedPiecewiseLinear, StepProfile
-
-
-# -- variation and weak derivative -------------------------------------------
-
-
-def variation_and_derivative(p: Profile) -> tuple[float, StepProfile]:
-    """Total variation of p (exact from breakpoints) and its slope step
-    function, a weak derivative when p is continuous."""
-    return p.total_variation(), p.derivative_step()
+from .profiles import Profile, StepProfile
 
 
 # -- K(eps, f) upper bounds ---------------------------------------------------
@@ -94,13 +85,6 @@ class VariationEnvelope:
         state = _best_chain_state(self._chain, eps)
         if state is not None:
             yield _chain_witness(self.g, self._chain, state), "merge"
-
-
-def k_upper(g: StepProfile, eps: float, envelope: VariationEnvelope | None = None) -> KBound:
-    """Upper bound for K(eps, g); see :class:`VariationEnvelope`."""
-    if envelope is None:
-        envelope = VariationEnvelope(g)
-    return envelope.bound(eps)
 
 
 def _least_truncation_threshold(g: StepProfile, eps: float) -> float | None:

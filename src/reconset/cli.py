@@ -14,7 +14,6 @@ from __future__ import annotations
 import sys
 
 import click
-import numpy as np
 
 from . import io as rio
 from .construct import (
@@ -32,7 +31,7 @@ from .gridsets import (
     save_grid_set,
     validate_levels,
 )
-from .intervals import IntervalSet, Window
+from .intervals import Window
 from .profiles import Profile
 from .shapes import Ball, Direction, radon_profile, shape_from_json
 from .verify import (
@@ -292,19 +291,16 @@ def search_counterexample(a_path, b_path, min_length, tol, output):
 def report_cmd(input_path, csv_path):
     """Summarize an artifact; optionally re-emit tabular data as CSV."""
     obj = rio.read_json(input_path)
-    kind = obj.get("kind", "unknown")
+    # a bare list is an interval set, as the interval-set loader reads it
+    kind = obj.get("kind", "unknown") if isinstance(obj, dict) else "interval_set"
     click.echo(f"kind: {kind}")
     if kind == "interval_set":
-        T = IntervalSet.from_json(obj["intervals"])
+        T, _ = rio.decode_interval_set(obj, input_path)
         click.echo(f"intervals: {len(T)}; measure: {T.measure()}")
         if csv_path:
-            rio.write_csv(
-                csv_path,
-                ["num_lo", "exp_lo", "num_hi", "exp_hi"],
-                obj["intervals"],
-            )
+            rio.write_csv(csv_path, ["num_lo", "exp_lo", "num_hi", "exp_hi"], T.to_json())
     elif kind == "profile":
-        p = Profile.from_json(obj)
+        p = rio.decode_profile(obj, input_path)
         click.echo(f"pieces: {p.piece_count}; mass: {p.integral():.6g}")
         if csv_path:
             rio.write_csv(csv_path, ["breakpoint", "value"], p.to_csv_rows())
@@ -334,7 +330,7 @@ def main(argv=None):
     except IndeterminateError as e:
         click.echo(f"indeterminate: {e}", err=True)
         return 3
-    except (ReconsetError, ValueError) as e:
+    except (ReconsetError, ValueError, OSError) as e:
         click.echo(f"error: {e}", err=True)
         return 1
 

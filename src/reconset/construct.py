@@ -25,18 +25,19 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, fields
+from typing import ClassVar
 
 import numpy as np
 
 from .analysis import VariationEnvelope, ac_diagnostic
-from .dyadic import Dyadic, as_dyadic
+from .dyadic import Dyadic, as_dyadic, snap
 from .errors import (
     GrowthCertificateError,
     InfeasibleResolutionError,
     SearchBudgetError,
 )
-from .intervals import IntervalSet, Window, boolean
+from .intervals import IntervalSet, Window
 from .profiles import Profile
 from .quantize import ShellBudget, shell_index, tiled_quantizer
 from .shapes import (
@@ -48,7 +49,6 @@ from .shapes import (
     SlabTestSet,
     diameter_direction,
     radon_profile,
-    slab_lift,
 )
 from .targets import Logistic, LogSquaredDecay, target_from_json
 
@@ -214,8 +214,6 @@ class Normalization:
         if mass <= 0:
             raise ValueError("profile must have positive mass")
         lo, hi = f.support
-        from .dyadic import snap
-
         c, _ = snap((lo + hi) / 2.0, SNAP_EXPONENT)
         w_needed = max(hi - float(c), float(c) - lo)
         w, err = snap(w_needed, SNAP_EXPONENT)
@@ -244,6 +242,10 @@ def _internal_window(window: Window, norm: Normalization) -> Window:
     return Window.of(int(math.floor(lo)), int(math.ceil(hi)))
 
 
+# every shell budget h(k) stays at or below this cap
+H_CAP = 0.499
+
+
 @dataclass
 class ShellRow:
     k: int
@@ -255,49 +257,85 @@ class ShellRow:
     n: int | None = None
 
     def to_json(self):
-        return {
-            "k": self.k,
-            "phi_min": self.phi_min,
-            "eps": self.eps,
-            "k_bound": self.k_bound,
-            "h": self.h,
-            "delta": self.delta,
-            "n": self.n,
-        }
+        return asdict(self)
 
-    @staticmethod
-    def from_json(o):
-        return ShellRow(o["k"], o["phi_min"], o["eps"], o["k_bound"], o["h"], o["delta"], o["n"])
+    @classmethod
+    def from_json(cls, o):
+        return cls(**o)
 
 
 @dataclass
-class TranslateCertificate:
-    """Budgets of a translate construction, re-verifiable offline."""
+class _ShellFrame:
+    """The recipe both profile constructions share.  ``of`` normalizes the
+    profile, builds the K(eps, f') oracle of its derivative and finds the
+    window's shells; the construction supplies one row per shell
+    k = 0..max_shell+1 with its unclamped h(k), and ``build`` does the rest."""
+
+    norm: Normalization
+    env: VariationEnvelope
+    window: Window  # as requested
+    eff: Window  # integer hull in normalized coordinates
+    max_shell: int
+
+    @staticmethod
+    def of(f: Profile, window: Window) -> "_ShellFrame":
+        norm = Normalization.of(f)
+        env = VariationEnvelope(norm.internal_profile(f).derivative_step())
+        eff = _internal_window(window, norm)
+        max_shell = max(shell_index(c) for c in range(eff.lo.num, eff.hi.num))
+        return _ShellFrame(norm, env, window, eff, max_shell)
+
+    def build(self, phi, rows: list, cert_cls, **extra):
+        """Clamp h(k) = min(h(k-1), h(k)), set delta(k) = ratio * h(k+1),
+        quantize phi with those per-shell budgets, record each shell's
+        resolution n(k), and map T back to the input frame.  Returns T and
+        its certificate of class `cert_cls`, with `extra` as its own fields."""
+        h_prev = H_CAP
+        for r in rows:
+            r.h = h_prev = min(h_prev, r.h)
+        for r, nxt in zip(rows, rows[1:]):
+            r.delta = cert_cls.DELTA_RATIO * nxt.h
+        cells = range(self.eff.lo.num, self.eff.hi.num)
+        T_int, resolutions = tiled_quantizer(
+            phi, ShellBudget(tuple(r.delta for r in rows[:-1])), self.eff
+        )
+        for r in rows[:-1]:
+            ns = [resolutions[c] for c in cells if shell_index(c) == r.k]
+            r.n = max(ns) if ns else None
+        c, w = self.norm.center, self.norm.halfwidth
+        T = T_int.affine(w, c)
+        eff_window = Window(c + Dyadic(self.eff.lo.num) * w, c + Dyadic(self.eff.hi.num) * w)
+        cert = cert_cls(phi.describe(), self.norm, self.window, eff_window, rows, len(T), **extra)
+        return T, cert
+
+
+@dataclass
+class ShellCertificate:
+    """What both profile constructions record, and the shell checks they share.
+
+    Subclasses add their own fields and checks; ``DELTA_RATIO`` is the
+    construction's delta(k) / h(k+1).
+    """
+
+    KIND: ClassVar[str]
+    DELTA_RATIO: ClassVar[float]
 
     phi: dict
     normalization: Normalization
     requested_window: Window
     effective_window: Window
-    shells: list
-    guarantee_lower_bound: float
+    shells: list  # ShellRow per shell k
     interval_count: int
 
-    def recheck(self) -> list[str]:
+    def shell_problems(self) -> list[str]:
+        """h non-increasing, delta(k) <= ratio * h(k+1) and n(k) > 4/delta(k)."""
         problems = []
-        target = target_from_json(self.phi)
         rows = {r.k: r for r in self.shells}
         for r in self.shells:
-            if abs(r.eps - r.phi_min / 4.0) > 1e-12 * max(r.phi_min, 1.0):
-                problems.append(f"shell {r.k}: eps != phi_min/4")
-            if r.h * 4.0 * r.k_bound > r.phi_min * (1 + 1e-12):
-                problems.append(f"shell {r.k}: h * 4K exceeds min phi'")
-            got = target.dphi_min(-(r.k + 2.0), r.k + 2.0)
-            if got < r.phi_min * (1 - 1e-9):
-                problems.append(f"shell {r.k}: recorded phi_min too large")
             if r.delta is not None:
                 nxt = rows.get(r.k + 1)
-                if nxt is not None and r.delta > nxt.h / 2.0 * (1 + 1e-12):
-                    problems.append(f"shell {r.k}: delta > h(k+1)/2")
+                if nxt is not None and r.delta > self.DELTA_RATIO * nxt.h * (1 + 1e-12):
+                    problems.append(f"shell {r.k}: delta > {self.DELTA_RATIO:g} h(k+1)")
                 if r.n is not None and not (r.n > 4.0 / r.delta):
                     problems.append(f"shell {r.k}: n not above 4/delta")
         hs = [r.h for r in sorted(self.shells, key=lambda r: r.k)]
@@ -306,27 +344,52 @@ class TranslateCertificate:
         return problems
 
     def to_json(self):
-        return {
-            "kind": "translate",
-            "phi": self.phi,
-            "normalization": self.normalization.to_json(),
-            "requested_window": self.requested_window.to_json(),
-            "effective_window": self.effective_window.to_json(),
-            "shells": [r.to_json() for r in self.shells],
-            "guarantee_lower_bound": self.guarantee_lower_bound,
-            "interval_count": self.interval_count,
-        }
+        out = {"kind": self.KIND}
+        for f in fields(self):
+            v = getattr(self, f.name)
+            if f.name == "shells":
+                v = [r.to_json() for r in v]
+            out[f.name] = v.to_json() if hasattr(v, "to_json") else v
+        return out
 
     @staticmethod
-    def from_json(o):
-        return TranslateCertificate(
+    def _shared_from_json(o) -> tuple:
+        return (
             o["phi"],
             Normalization.from_json(o["normalization"]),
             Window.from_json(o["requested_window"]),
             Window.from_json(o["effective_window"]),
             [ShellRow.from_json(r) for r in o["shells"]],
-            o["guarantee_lower_bound"],
             o["interval_count"],
+        )
+
+
+@dataclass
+class TranslateCertificate(ShellCertificate):
+    """Budgets of a translate construction, re-verifiable offline."""
+
+    KIND = "translate"
+    DELTA_RATIO = 0.5
+
+    guarantee_lower_bound: float
+
+    def recheck(self) -> list[str]:
+        problems = []
+        target = target_from_json(self.phi)
+        for r in self.shells:
+            if abs(r.eps - r.phi_min / 4.0) > 1e-12 * max(r.phi_min, 1.0):
+                problems.append(f"shell {r.k}: eps != phi_min/4")
+            if r.h * 4.0 * r.k_bound > r.phi_min * (1 + 1e-12):
+                problems.append(f"shell {r.k}: h * 4K exceeds min phi'")
+            got = target.dphi_min(-(r.k + 2.0), r.k + 2.0)
+            if got < r.phi_min * (1 - 1e-9):
+                problems.append(f"shell {r.k}: recorded phi_min too large")
+        return problems + self.shell_problems()
+
+    @staticmethod
+    def from_json(o):
+        return TranslateCertificate(
+            *ShellCertificate._shared_from_json(o), o["guarantee_lower_bound"]
         )
 
 
@@ -342,70 +405,39 @@ def translate_test_set(
     The guarantee target (f * chi_T)' >= min phi'/4 on each shell is recorded
     and meant to be verified numerically by the harness.
     """
-    norm = Normalization.of(f)
-    p = norm.internal_profile(f)
-    env = VariationEnvelope(p.derivative_step())
+    frame = _ShellFrame.of(f, window)
     phi = Logistic(rate=rate)
-    eff = _internal_window(window, norm)
-    max_shell = max(shell_index(c) for c in range(eff.lo.num, eff.hi.num))
-
     rows = []
-    h_prev = 0.499
-    for k in range(max_shell + 2):
+    for k in range(frame.max_shell + 2):
         phi_min = phi.dphi_min(-(k + 2.0), k + 2.0)
         eps = phi_min / 4.0
-        kb = env.bound(eps).variation_bound
-        h = min(h_prev, phi_min / (4.0 * max(kb, 1e-12)), 0.499)
-        rows.append(ShellRow(k, phi_min, eps, kb, h))
-        h_prev = h
-    for k in range(max_shell + 1):
-        rows[k].delta = rows[k + 1].h / 2.0
-    delta = ShellBudget(tuple(r.delta for r in rows[: max_shell + 1]))
-    T_int, resolutions = tiled_quantizer(phi, delta, eff)
-    for k in range(max_shell + 1):
-        cells = [c for c in range(eff.lo.num, eff.hi.num) if shell_index(c) == k]
-        rows[k].n = max(resolutions[c] for c in cells) if cells else None
-
-    T = T_int.affine(norm.halfwidth, norm.center)
-    cert = TranslateCertificate(
-        phi=phi.describe(),
-        normalization=norm,
-        requested_window=window,
-        effective_window=Window(
-            norm.center + Dyadic(eff.lo.num) * norm.halfwidth,
-            norm.center + Dyadic(eff.hi.num) * norm.halfwidth,
-        ),
-        shells=rows,
+        kb = frame.env.bound(eps).variation_bound
+        rows.append(ShellRow(k, phi_min, eps, kb, phi_min / (4.0 * max(kb, 1e-12))))
+    return frame.build(
+        phi, rows, TranslateCertificate,
         guarantee_lower_bound=min(r.phi_min for r in rows) / 4.0,
-        interval_count=len(T),
     )
-    return T, cert
 
 
 # -- magnification construction ----------------------------------------------------
 
 
+# the eps points at which the growth of K(eps, f') is fitted
+GROWTH_EPS = (1e-1, 3e-2, 1e-2, 3e-3, 1e-3)
+
+
 @dataclass
 class MagnifyConfig:
-    """Verification horizon and growth-certificate policy.
-
-    The regime constants c2, c3, C3 are computed from the target's
-    derivative extrema and the K bounds (never guessed); pre-set values are
-    accepted only for re-verification runs.
-    """
+    """Verification horizon [1, a_max] and the largest growth-fit slope
+    accepted.  The regime constants c2, c3 and C3 are always computed from
+    the target's derivative and the K bounds."""
 
     a_max: float = 8.0
     slope_max: float = 10.0
-    eps_grid: tuple = (1e-1, 3e-2, 1e-2, 3e-3, 1e-3)
-    c2: float | None = None
-    c3: float | None = None
-    C3: float | None = None
 
     def __post_init__(self):
         if self.a_max < 1.0:
             raise ValueError("a_max must be at least 1")
-        if len(self.eps_grid) < 3:
-            raise ValueError("growth certificate needs at least 3 eps points")
 
 
 @dataclass
@@ -417,19 +449,11 @@ class GrowthFit:
     slope_max: float
 
     def to_json(self):
-        return {
-            "eps_grid": list(self.eps_grid),
-            "k_bounds": list(self.k_bounds),
-            "slope": self.slope,
-            "intercept": self.intercept,
-            "slope_max": self.slope_max,
-        }
+        return asdict(self)
 
-    @staticmethod
-    def from_json(o):
-        return GrowthFit(
-            tuple(o["eps_grid"]), tuple(o["k_bounds"]), o["slope"], o["intercept"], o["slope_max"]
-        )
+    @classmethod
+    def from_json(cls, o):
+        return cls(**o)
 
 
 def growth_certificate(env: VariationEnvelope, eps_grid, slope_max: float) -> GrowthFit:
@@ -457,25 +481,22 @@ def growth_certificate(env: VariationEnvelope, eps_grid, slope_max: float) -> Gr
 
 
 @dataclass
-class MagnifyCertificate:
-    phi: dict
-    normalization: Normalization
-    requested_window: Window
-    effective_window: Window
+class MagnifyCertificate(ShellCertificate):
+    """Budgets of a magnification construction, re-verifiable offline.
+
+    Shell 0 records phi_min = c2 and eps = c2/12; shells k >= 1 record the
+    regime-2 numerator and eps.
+    """
+
+    KIND = "magnify"
+    DELTA_RATIO = 1.0
+
     a_max: float
     c2: float
     c3: float
     C3: float
     h0: float
     growth: GrowthFit
-    shells: list  # ShellRow with phi_min = regime-2 numerator, eps = regime-2 eps
-    interval_count: int
-
-    def guarantee_lower_bound(self, a: float, x: float = 0.0) -> float:
-        """Proof target for (f_a * chi_T)'(x) at scale a within the horizon."""
-        if abs(x) <= 2 * a:
-            return self.c2 / (12.0 * a * math.log(3.0 * a) ** 2)
-        return self.c3 / (8.0 * abs(x) * math.log(2.0 * abs(x)) ** 2)
 
     def recheck(self) -> list[str]:
         problems = []
@@ -483,60 +504,22 @@ class MagnifyCertificate:
             problems.append("growth slope exceeds bound")
         if not (0 < self.h0 < 1):
             problems.append("h(0) outside (0,1)")
-        if abs(self.h0 - min(self.c2 / (24.0 * self.C3), 0.499)) > 1e-12:
+        if abs(self.h0 - min(self.c2 / (24.0 * self.C3), H_CAP)) > 1e-12:
             problems.append("h(0) != c2/(24 C3)")
-        hs = [r.h for r in sorted(self.shells, key=lambda r: r.k)]
-        if any(b > a * (1 + 1e-12) for a, b in zip(hs, hs[1:])):
-            problems.append("h not non-increasing")
-        rows = {r.k: r for r in self.shells}
         for r in self.shells:
             if r.k == 0:
                 continue
             x = 2.0 * (r.k + 1.0)
-            lhs = r.h * r.k_bound
             rhs = self.c3 / (16.0 * x * math.log(2.0 * x) ** 2)
-            if lhs > rhs * (1 + 1e-9):
+            if r.h * r.k_bound > rhs * (1 + 1e-9):
                 problems.append(f"shell {r.k}: h*K exceeds regime-2 budget")
-            if r.delta is not None:
-                nxt = rows.get(r.k + 1)
-                if nxt is not None and r.delta > nxt.h * (1 + 1e-12):
-                    problems.append(f"shell {r.k}: delta > h(k+1)")
-                if r.n is not None and not (r.n > 4.0 / r.delta):
-                    problems.append(f"shell {r.k}: n not above 4/delta")
-        return problems
-
-    def to_json(self):
-        return {
-            "kind": "magnify",
-            "phi": self.phi,
-            "normalization": self.normalization.to_json(),
-            "requested_window": self.requested_window.to_json(),
-            "effective_window": self.effective_window.to_json(),
-            "a_max": self.a_max,
-            "c2": self.c2,
-            "c3": self.c3,
-            "C3": self.C3,
-            "h0": self.h0,
-            "growth": self.growth.to_json(),
-            "shells": [r.to_json() for r in self.shells],
-            "interval_count": self.interval_count,
-        }
+        return problems + self.shell_problems()
 
     @staticmethod
     def from_json(o):
         return MagnifyCertificate(
-            o["phi"],
-            Normalization.from_json(o["normalization"]),
-            Window.from_json(o["requested_window"]),
-            Window.from_json(o["effective_window"]),
-            o["a_max"],
-            o["c2"],
-            o["c3"],
-            o["C3"],
-            o["h0"],
-            GrowthFit.from_json(o["growth"]),
-            [ShellRow.from_json(r) for r in o["shells"]],
-            o["interval_count"],
+            *ShellCertificate._shared_from_json(o),
+            o["a_max"], o["c2"], o["c3"], o["C3"], o["h0"], GrowthFit.from_json(o["growth"]),
         )
 
 
@@ -552,94 +535,59 @@ def magnify_test_set(
     C3 = max_a K(c2/(12 ln^2 3a), f') ln^2(3a)/a,  h(0) = c2/(24 C3),
     and shell budgets h(k) from the far regime; delta(k) = h(k+1).
     Raises GrowthCertificateError when K(eps, f') is not certifiably
-    subexponential on the declared eps grid.
+    subexponential on the eps grid GROWTH_EPS.
     """
     if cfg is None:
         cfg = MagnifyConfig()
-    norm = Normalization.of(f)
-    p = norm.internal_profile(f)
-    env = VariationEnvelope(p.derivative_step())
-    fit = growth_certificate(env, cfg.eps_grid, cfg.slope_max)
+    frame = _ShellFrame.of(f, window)
+    env = frame.env
+    fit = growth_certificate(env, GROWTH_EPS, cfg.slope_max)
     phi = LogSquaredDecay()
-    eff = _internal_window(window, norm)
-    max_shell = max(shell_index(c) for c in range(eff.lo.num, eff.hi.num))
 
     a_grid = np.geomspace(1.0, cfg.a_max, 65)
     ln3a = np.log(3.0 * a_grid) ** 2
-    c2 = cfg.c2
-    if c2 is None:
-        c2 = float(np.min(3.0 * a_grid * ln3a * phi.dphi(3.0 * a_grid)))
-    x_hi = 2.0 * (max_shell + 2.0)
+    c2 = float(np.min(3.0 * a_grid * ln3a * phi.dphi(3.0 * a_grid)))
+    x_hi = 2.0 * (frame.max_shell + 2.0)
     x_grid = np.geomspace(2.0, max(x_hi, 4.0), 129)
     ln2x = np.log(2.0 * x_grid) ** 2
-    c3 = cfg.c3
-    if c3 is None:
-        c3 = float(np.min(2.0 * x_grid * ln2x * phi.dphi(1.5 * x_grid)))
-    C3 = cfg.C3
-    if C3 is None:
-        C3 = 0.0
-        for a, l2 in zip(a_grid, ln3a):
-            kb = env.bound(c2 / (12.0 * l2)).variation_bound
-            C3 = max(C3, kb * l2 / a)
-    h0 = min(c2 / (24.0 * C3), 0.499)
+    c3 = float(np.min(2.0 * x_grid * ln2x * phi.dphi(1.5 * x_grid)))
+    C3 = 0.0
+    for a, l2 in zip(a_grid, ln3a):
+        kb = env.bound(c2 / (12.0 * l2)).variation_bound
+        C3 = max(C3, kb * l2 / a)
+    h0 = min(c2 / (24.0 * C3), H_CAP)
 
     rows = [ShellRow(0, c2, c2 / 12.0, env.bound(c2 / 12.0).variation_bound, h0)]
-    h_prev = h0
-    for k in range(1, max_shell + 2):
+    for k in range(1, frame.max_shell + 2):
         x = 2.0 * (k + 1.0)
         l2 = math.log(2.0 * x) ** 2
         eps2 = c3 / (8.0 * x * l2)
         kb = env.bound(eps2).variation_bound
-        h = min(h_prev, c3 / (16.0 * x * l2) / max(kb, 1e-12))
-        rows.append(ShellRow(k, c3 / (2.0 * x * l2), eps2, kb, h))
-        h_prev = h
-    for k in range(max_shell + 1):
-        rows[k].delta = rows[k + 1].h
-    delta = ShellBudget(tuple(r.delta for r in rows[: max_shell + 1]))
-    T_int, resolutions = tiled_quantizer(phi, delta, eff)
-    for k in range(max_shell + 1):
-        cells = [c for c in range(eff.lo.num, eff.hi.num) if shell_index(c) == k]
-        rows[k].n = max(resolutions[c] for c in cells) if cells else None
-
-    T = T_int.affine(norm.halfwidth, norm.center)
-    cert = MagnifyCertificate(
-        phi=phi.describe(),
-        normalization=norm,
-        requested_window=window,
-        effective_window=Window(
-            norm.center + Dyadic(eff.lo.num) * norm.halfwidth,
-            norm.center + Dyadic(eff.hi.num) * norm.halfwidth,
-        ),
-        a_max=cfg.a_max,
-        c2=c2,
-        c3=c3,
-        C3=C3,
-        h0=h0,
-        growth=fit,
-        shells=rows,
-        interval_count=len(T),
+        rows.append(ShellRow(k, c3 / (2.0 * x * l2), eps2, kb, c3 / (16.0 * x * l2) / max(kb, 1e-12)))
+    return frame.build(
+        phi, rows, MagnifyCertificate, a_max=cfg.a_max, c2=c2, c3=c3, C3=C3, h0=h0, growth=fit
     )
-    return T, cert
 
 
 # -- slab families over R^d ---------------------------------------------------------
 
 
+SCREEN_CANDIDATES = 64  # seeded directions tried after the axes
+SCREEN_CUTOFFS = (16.0, 32.0, 64.0, 128.0, 256.0)  # spectral diagnostic cutoffs
+SCREEN_PLATEAU = 1.05  # growth across the last two cutoffs that still counts as a plateau
+SCREEN_MIN_SINGULAR = 0.2  # least singular value of the accepted directions
+DIAMETER_SQUEEZE = 0.125
+
+
 @dataclass
 class FamilyOptions:
-    """Tuning for direction screening and the lifted windows."""
+    """The translation range, the magnification horizon [1, a_max], the
+    profile sampling resolution and the screening seed of a slab family."""
 
     translate_radius: float = 1.0  # translations stay in [-r, r]^d
     a_max: float = 8.0
     resolution: int = 64
     seed: int = 0
-    candidates: int = 64
-    plateau_ratio: float = 1.05
-    cutoffs: tuple = (16.0, 32.0, 64.0, 128.0, 256.0)
-    screening_power: float | None = None  # default d-1, the integrability exponent
-    independence_min: float = 0.2
-    rate: float = 0.5
-    squeeze: float = 0.125
 
 
 def _direction_candidates(d: int, count: int, seed: int):
@@ -714,14 +662,14 @@ def family_test_sets(
     accepted: list[SlabTestSet] = []
     accepted_dirs: list[np.ndarray] = []
     tried = 0
-    for cand in _direction_candidates(d, options.candidates, options.seed):
+    for cand in _direction_candidates(d, SCREEN_CANDIDATES, options.seed):
         if len(accepted) == d:
             break
         tried += 1
         theta = cand
         if mode == "magnify" and _is_convex(shape) and not isinstance(shape, Ball):
             try:
-                theta = diameter_direction(shape, options.squeeze, cand)
+                theta = diameter_direction(shape, DIAMETER_SQUEEZE, cand)
             except ValueError:
                 pass
         tv = theta.as_array()
@@ -730,15 +678,15 @@ def family_test_sets(
         if accepted_dirs:
             m = np.stack(accepted_dirs + [tv])
             sv = np.linalg.svd(m, compute_uv=False)
-            if sv[-1] < options.independence_min:
+            if sv[-1] < SCREEN_MIN_SINGULAR:
                 continue
         try:
             profile = radon_profile(shape, theta, options.resolution)
         except NotImplementedError:
             continue
-        power = options.screening_power if options.screening_power is not None else d - 1.0
-        tails = ac_diagnostic(profile, power, options.cutoffs)
-        if tails[-1] / max(tails[-2], 1e-300) >= options.plateau_ratio:
+        # d-1 is the integrability exponent of the finiteness criterion
+        tails = ac_diagnostic(profile, d - 1.0, SCREEN_CUTOFFS)
+        if tails[-1] / max(tails[-2], 1e-300) >= SCREEN_PLATEAU:
             continue
         s0, s1 = profile.support
         rad = max(abs(s0), abs(s1))
@@ -746,7 +694,7 @@ def family_test_sets(
         try:
             if mode == "translate":
                 win = Window.of(-int(math.ceil(bmax + rad + 1)), int(math.ceil(bmax + rad + 1)))
-                T, cert = translate_test_set(profile, win, rate=options.rate)
+                T, cert = translate_test_set(profile, win)
             else:
                 reach = options.a_max * rad + bmax
                 win = Window.of(-int(math.ceil(reach + 1)), int(math.ceil(reach + 1)))

@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+from contextlib import contextmanager
+
 
 class ReconsetError(Exception):
     """Base class for all library errors."""
@@ -52,3 +54,15 @@ class CheckFailedError(ReconsetError):
 
 class IndeterminateError(ReconsetError):
     """A check could not be decided at the available accuracy (CLI exit 3)."""
+
+
+@contextmanager
+def decoding(kind: str, source=None):
+    """Turn a structural error met while decoding a `kind` artifact (a
+    missing key, a value of the wrong type or shape) into a ValueError that
+    names the artifact's source."""
+    try:
+        yield
+    except (AttributeError, IndexError, KeyError, TypeError) as e:
+        where = f"{source}: " if source is not None else ""
+        raise ValueError(f"{where}malformed {kind} artifact: {e!r}") from None

@@ -50,13 +50,6 @@ class Window:
     def span(self) -> Dyadic:
         return self.hi - self.lo
 
-    def contains(self, x) -> bool:
-        x = as_dyadic(x)
-        return self.lo <= x and x <= self.hi
-
-    def contains_range(self, lo, hi) -> bool:
-        return self.contains(lo) and self.contains(hi)
-
     def to_json(self):
         return [self.lo.num, self.lo.exp, self.hi.num, self.hi.exp]
 
@@ -105,10 +98,6 @@ class IntervalSet:
             raise ExactnessOverflowError(f"numerators exceed int64: {e}") from None
         nums, e = _normalize_arrays(lows, highs, exp)
         return cls._raw(nums, e)
-
-    @classmethod
-    def point_window(cls, window: Window) -> "IntervalSet":
-        return cls([(window.lo, window.hi)])
 
     # -- basic views -------------------------------------------------------
 
@@ -265,10 +254,10 @@ class IntervalSet:
         return boolean(self, other, "difference")
 
     def restrict(self, window: Window) -> "IntervalSet":
-        return self.intersect(IntervalSet.point_window(window))
+        return self.intersect(IntervalSet([(window.lo, window.hi)]))
 
     def complement_within(self, window: Window) -> "IntervalSet":
-        return IntervalSet.point_window(window).difference(self)
+        return IntervalSet([(window.lo, window.hi)]).difference(self)
 
     def contains_point(self, x) -> bool:
         return self.piece(x)[0] == 1
@@ -327,14 +316,15 @@ def _pairs_to_arrays(pairs):
         exp = max(exp, d.exp)
     for d in highs_d:
         exp = max(exp, d.exp)
-    lows = np.array([d.num << (exp - d.exp) for d in lows_d], dtype=object)
-    highs = np.array([d.num << (exp - d.exp) for d in highs_d], dtype=object)
-    mx = max(int(np.max(np.abs(lows))), int(np.max(np.abs(highs))), 1)
-    if mx >> _MAX_BITS:
+    # sized before shifting: far-apart exponents would otherwise build the
+    # huge shifted integer first
+    if any(d.num and d.num.bit_length() + exp - d.exp > _MAX_BITS for d in lows_d + highs_d):
         raise ExactnessOverflowError(
             f"endpoints need more than 2**{_MAX_BITS} at exponent {exp}"
         )
-    return lows.astype(np.int64), highs.astype(np.int64), exp
+    lows = np.array([d.num << (exp - d.exp) for d in lows_d], dtype=np.int64)
+    highs = np.array([d.num << (exp - d.exp) for d in highs_d], dtype=np.int64)
+    return lows, highs, exp
 
 
 def _normalize_arrays(lows: np.ndarray, highs: np.ndarray, exp: int):
@@ -437,8 +427,3 @@ def _membership(nums: np.ndarray, points: np.ndarray) -> np.ndarray:
     lo = np.searchsorted(nums[:, 0], points, side="right")
     hi = np.searchsorted(nums[:, 1], points, side="right")
     return lo - hi == 1
-
-
-def normalize(pairs) -> IntervalSet:
-    """Public name for the normalizing constructor."""
-    return IntervalSet(pairs)

@@ -10,6 +10,7 @@ import csv
 import json
 from pathlib import Path
 
+from .errors import decoding
 from .intervals import IntervalSet, Window
 from .profiles import Profile
 
@@ -32,13 +33,18 @@ def interval_set_artifact(T: IntervalSet, window: Window | None = None, meta: di
 
 
 def load_interval_set(path) -> tuple[IntervalSet, Window | None]:
-    obj = read_json(path)
-    if isinstance(obj, list):
-        return IntervalSet.from_json(obj), None
-    if obj.get("kind") not in (None, "interval_set"):
-        raise ValueError(f"{path}: expected an interval-set artifact")
-    window = Window.from_json(obj["window"]) if obj.get("window") else None
-    return IntervalSet.from_json(obj["intervals"]), window
+    return decode_interval_set(read_json(path), path)
+
+
+def decode_interval_set(obj, path) -> tuple[IntervalSet, Window | None]:
+    """An interval-set artifact, or a bare list of intervals, read from `path`."""
+    with decoding("interval_set", path):
+        if isinstance(obj, list):
+            return IntervalSet.from_json(obj), None
+        if obj.get("kind") not in (None, "interval_set"):
+            raise ValueError(f"{path}: expected an interval-set artifact")
+        window = Window.from_json(obj["window"]) if obj.get("window") else None
+        return IntervalSet.from_json(obj["intervals"]), window
 
 
 def slab_artifact(slab) -> dict:
@@ -60,15 +66,16 @@ def load_slab(path):
     from .shapes import Direction, SlabTestSet
 
     obj = read_json(path)
-    if obj.get("kind") != "slab":
-        raise ValueError(f"{path}: expected a slab artifact")
-    if obj.get("full_space"):
-        return SlabTestSet.full()
-    return SlabTestSet(
-        Direction(tuple(obj["theta"])),
-        IntervalSet.from_json(obj["intervals"]),
-        Window.from_json(obj["window"]),
-    )
+    with decoding("slab", path):
+        if obj.get("kind") != "slab":
+            raise ValueError(f"{path}: expected a slab artifact")
+        if obj.get("full_space"):
+            return SlabTestSet.full()
+        return SlabTestSet(
+            Direction(tuple(obj["theta"])),
+            IntervalSet.from_json(obj["intervals"]),
+            Window.from_json(obj["window"]),
+        )
 
 
 def profile_artifact(p: Profile, meta: dict | None = None) -> dict:
@@ -80,10 +87,15 @@ def profile_artifact(p: Profile, meta: dict | None = None) -> dict:
 
 
 def load_profile(path) -> Profile:
-    obj = read_json(path)
-    if obj.get("kind") not in (None, "profile"):
-        raise ValueError(f"{path}: expected a profile artifact")
-    return Profile.from_json(obj)
+    return decode_profile(read_json(path), path)
+
+
+def decode_profile(obj, path) -> Profile:
+    """A profile artifact read from `path`."""
+    with decoding("profile", path):
+        if obj.get("kind") not in (None, "profile"):
+            raise ValueError(f"{path}: expected a profile artifact")
+        return Profile.from_json(obj)
 
 
 def write_csv(path, header, rows):

@@ -22,6 +22,7 @@ import numpy as np
 
 from .analysis import sliding_integral
 from .dyadic import Dyadic
+from .errors import decoding
 from .intervals import IntervalSet, Window
 from .profiles import Profile
 
@@ -297,15 +298,6 @@ class GridShape:
 Shape = Ball | Box | Polygon | Simplex | IntervalUnion | GridShape
 
 
-def dimension(shape) -> int:
-    return shape.d
-
-
-def volume(shape) -> float:
-    """Exact d-dimensional measure of the unposed shape."""
-    return shape.volume()
-
-
 def shape_translate(shape, v):
     """The translated shape E + v (for covariance tests and posed families)."""
     v = tuple(float(x) for x in v)
@@ -351,11 +343,6 @@ class SlabTestSet:
         else:
             if self.theta is None or self.T is None or self.window is None:
                 raise ValueError("slab needs a direction, a set and a window")
-
-
-def slab_lift(theta: Direction, T: IntervalSet, window: Window) -> SlabTestSet:
-    """Wrap (theta, T, window) as the slab {a : <a,theta> in T}."""
-    return SlabTestSet(theta, T, window)
 
 
 # -- section-measure profiles ----------------------------------------------------
@@ -647,7 +634,7 @@ def intersection_measures(
     """
     rs = [pose.magnification for pose in poses]
     if V.full_space:
-        return np.array([r**shape.d * volume(shape) for r in rs]), np.zeros(len(rs))
+        return np.array([r**shape.d * shape.volume() for r in rs]), np.zeros(len(rs))
     if profile is None:
         profile = radon_profile(shape, V.theta, resolution)
     values = np.empty(len(rs))
@@ -668,12 +655,6 @@ def intersection_measure_detailed(
     """lambda^d((rE+x) ∩ V) with its quadrature error bound."""
     values, errors = intersection_measures(shape, [pose], V, resolution, profile)
     return float(values[0]), float(errors[0])
-
-
-def intersection_measure(
-    shape, pose: Pose, V: SlabTestSet, resolution: int = 256, profile: Profile | None = None
-) -> float:
-    return intersection_measure_detailed(shape, pose, V, resolution, profile)[0]
 
 
 # -- diameter directions under anisotropic squeeze ------------------------------------
@@ -736,41 +717,13 @@ def diameter_direction(shape, squeeze: float, target: Direction) -> Direction:
             cands.append(tuple(np.round(u, 12)))
         theta_sq = np.asarray(sorted(set(cands))[0])
     elif isinstance(shape, Ball):
-        theta_sq = _ball_diameter_direction(A, d)
+        # the image ellipsoid A·B is longest along the top left singular vector of A
+        theta_sq = np.linalg.svd(A)[0][:, 0]
     else:
         raise ValueError(f"{type(shape).__name__} is not a supported convex body")
 
     back = _canonical_direction(A.T @ theta_sq, target.as_array())
     return Direction.of(back)
-
-
-def _ball_diameter_direction(A: np.ndarray, d: int, restarts: int = 64) -> np.ndarray:
-    """Diameter direction of an ellipsoid A·B by support-function ascent.
-
-    The exact answer is the top singular direction of A; the seeded ascent
-    (64 restarts, tolerance 1e-10) mirrors the generic search and is checked
-    against it in tests.
-    """
-    M = A @ A.T
-    rng = np.random.default_rng(20240)
-    best_u, best_val = None, -np.inf
-    for _ in range(restarts):
-        u = rng.standard_normal(d)
-        u /= np.linalg.norm(u)
-        for _ in range(200):
-            w = M @ u
-            n = np.linalg.norm(w)
-            if n == 0:
-                break
-            w /= n
-            if np.linalg.norm(w - u) < 1e-10 or np.linalg.norm(w + u) < 1e-10:
-                u = w
-                break
-            u = w
-        val = float(u @ M @ u)
-        if val > best_val + 1e-12:
-            best_val, best_u = val, u
-    return best_u
 
 
 # -- JSON -----------------------------------------------------------------------
@@ -799,20 +752,23 @@ def shape_to_json(shape) -> dict:
 
 
 def shape_from_json(obj) -> Shape:
-    if isinstance(obj, (list, tuple)) and len(obj) == 2:
-        # shorthand: [a, b] is the 1-D interval [a, b)
-        return IntervalUnion(IntervalSet([(Dyadic.parse(str(obj[0])), Dyadic.parse(str(obj[1])))]))
-    variant = obj["variant"]
-    if variant == "ball":
-        return Ball(tuple(obj["center"]), obj["radius"])
-    if variant == "box":
-        return Box(tuple(obj["lo"]), tuple(obj["hi"]))
-    if variant == "polygon":
-        return Polygon(tuple(tuple(v) for v in obj["vertices"]))
-    if variant == "simplex":
-        return Simplex(tuple(tuple(v) for v in obj["vertices"]))
-    if variant == "interval_union":
-        return IntervalUnion(IntervalSet.from_json(obj["intervals"]))
-    if variant == "grid":
-        return GridShape(obj["n"], tuple(obj["box_lo"]), tuple(obj["box_hi"]), tuple(obj["cubes"]))
-    raise ValueError(f"unknown shape variant {variant!r}")
+    with decoding("shape"):
+        if isinstance(obj, (list, tuple)) and len(obj) == 2:
+            # shorthand: [a, b] is the 1-D interval [a, b)
+            return IntervalUnion(
+                IntervalSet([(Dyadic.parse(str(obj[0])), Dyadic.parse(str(obj[1])))])
+            )
+        variant = obj["variant"]
+        if variant == "ball":
+            return Ball(tuple(obj["center"]), obj["radius"])
+        if variant == "box":
+            return Box(tuple(obj["lo"]), tuple(obj["hi"]))
+        if variant == "polygon":
+            return Polygon(tuple(tuple(v) for v in obj["vertices"]))
+        if variant == "simplex":
+            return Simplex(tuple(tuple(v) for v in obj["vertices"]))
+        if variant == "interval_union":
+            return IntervalUnion(IntervalSet.from_json(obj["intervals"]))
+        if variant == "grid":
+            return GridShape(obj["n"], tuple(obj["box_lo"]), tuple(obj["box_hi"]), tuple(obj["cubes"]))
+        raise ValueError(f"unknown shape variant {variant!r}")

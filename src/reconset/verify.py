@@ -39,10 +39,9 @@ class IntervalFamilyGrid:
 
     @staticmethod
     def of(x_lo, x_hi, x_step, l_lo, l_hi, l_step) -> "IntervalFamilyGrid":
-        vals = [as_dyadic(v) for v in (x_lo, x_hi, x_step, l_lo, l_hi, l_step)]
-        if not Dyadic(0) < vals[2] or not Dyadic(0) < vals[5]:
-            raise ValueError("steps must be positive")
-        return IntervalFamilyGrid(*vals)
+        return IntervalFamilyGrid(
+            *(as_dyadic(v) for v in (x_lo, x_hi, x_step, l_lo, l_hi, l_step))
+        )
 
     def xs(self) -> list:
         return _dyadic_range(self.x_lo, self.x_hi, self.x_step)
@@ -62,6 +61,9 @@ class IntervalFamilyGrid:
 
 
 def _dyadic_range(lo: Dyadic, hi: Dyadic, step: Dyadic) -> list:
+    """lo, lo + step, ... up to hi inclusive."""
+    if not Dyadic(0) < step:
+        raise ValueError(f"grid step must be positive, got {step}")
     out = []
     v = lo
     while v <= hi:
@@ -554,7 +556,9 @@ def monte_carlo_reconstruction(
 
     A trial succeeds when no pair of family members has all its measure
     differences below the declared resolution separation (default
-    1/(4 n^d)).  Per-trial seeds are logged for replay.
+    1/(4 n^d)).  Copy c of trial t samples with a 64-bit seed hashed from
+    (seed, t, c), so it does not depend on the number of copies and no two
+    (t, c) share it but by hash chance.  Per-trial seeds are logged for replay.
     """
     if trials < 0 or copies < 1:
         raise ValueError("need trials >= 0 and copies >= 1")
@@ -564,7 +568,10 @@ def monte_carlo_reconstruction(
     per_trial = []
     successes = 0
     for t in range(trials):
-        trial_seeds = [(seed * 1_000_003 + t) * 1_009 + c for c in range(copies)]
+        trial_seeds = [
+            int(np.random.SeedSequence((seed, t, c)).generate_state(1, np.uint64)[0])
+            for c in range(copies)
+        ]
         tests = [sample_grid_set(levels, s) for s in trial_seeds]
         matrix, _ = measure_vector(instances, tests)
         best, witness, collisions = pairwise_min_linf(

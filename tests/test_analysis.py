@@ -8,9 +8,7 @@ from reconset.analysis import (
     ac_diagnostic,
     concavity_check,
     convolution_identity_check,
-    k_upper,
     sliding_integral,
-    variation_and_derivative,
 )
 from reconset.errors import WindowExceededError
 from reconset.intervals import IntervalSet, Window
@@ -20,42 +18,43 @@ from reconset.profiles import Profile, StepProfile
 TENT = Profile.tent()
 
 
-# -- variation_and_derivative ---------------------------------------------------
+# -- variation and weak derivative-----------------------------------------------
 
 
 def test_variation_of_tent():
-    var, deriv = variation_and_derivative(TENT)
+    var, deriv = TENT.total_variation(), TENT.derivative_step()
     assert var == 2.0
     assert deriv(-0.5) == 1.0 and deriv(0.5) == -1.0
     assert deriv.total_variation() == 4.0
 
 
 def test_variation_of_constant_zero():
-    var, deriv = variation_and_derivative(Profile.step([0, 1], [0.0]))
+    zero = Profile.step([0, 1], [0.0])
+    var, deriv = zero.total_variation(), zero.derivative_step()
     assert var == 0.0
     assert deriv.total_variation() == 0.0
 
 
-# -- k_upper ---------------------------------------------------------------------
+# -- K(eps, f) upper bounds------------------------------------------------------------
 
 
 def test_k_upper_tent_derivative_bounded():
     g = TENT.derivative_step()
     for eps in (1.0, 0.1, 1e-3, 1e-6):
-        kb = k_upper(g, eps)
+        kb = VariationEnvelope(g).bound(eps)
         assert kb.variation_bound <= 4.0
         assert kb.l1_error < eps
 
 
 def test_k_upper_zero_profile():
     g = StepProfile([0, 1], [0.0])
-    kb = k_upper(g, 0.5)
+    kb = VariationEnvelope(g).bound(0.5)
     assert kb.variation_bound == 0.0
 
 
 def test_k_upper_big_budget_gives_zero():
     g = TENT.derivative_step()  # l1 norm 2
-    kb = k_upper(g, 3.0)
+    kb = VariationEnvelope(g).bound(3.0)
     assert kb.variation_bound == 0.0
 
 
@@ -70,7 +69,7 @@ def sqrt_singularity_step(n=4000):
 def test_k_upper_truncation_rate():
     g = sqrt_singularity_step()
     for eps in (0.1, 0.05, 0.02):
-        kb = k_upper(g, eps)
+        kb = VariationEnvelope(g).bound(eps)
         # truncation calculus: threshold ~ 1/eps, Var ~ 2/eps
         assert kb.variation_bound <= 2.6 / eps
         assert kb.variation_bound >= 0.5 / eps
@@ -89,7 +88,7 @@ def test_k_upper_merge_beats_truncation_on_wiggles():
     rng = np.random.default_rng(7)
     base = np.where(np.arange(200) % 2 == 0, 1.0, 1.02)
     g = StepProfile(np.linspace(0, 1, 201), base + 0.001 * rng.standard_normal(200))
-    kb = k_upper(g, 0.05)
+    kb = VariationEnvelope(g).bound(0.05)
     # truncation cannot fall below ~2*max - wiggle mass; merging flattens it
     assert kb.variation_bound < 2.2
     assert kb.strategy in ("merge", "truncation")
@@ -97,7 +96,7 @@ def test_k_upper_merge_beats_truncation_on_wiggles():
 
 def test_k_upper_rejects_bad_eps():
     with pytest.raises(ValueError):
-        k_upper(TENT.derivative_step(), 0.0)
+        VariationEnvelope(TENT.derivative_step()).bound(0.0)
 
 
 # -- sliding_integral --------------------------------------------------------------

@@ -1,8 +1,17 @@
+import contextlib
+import io
 import json
+import os
+import resource
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+import reconset
 
 from reconset.cli import main
 from reconset.dyadic import Dyadic
@@ -195,3 +204,106 @@ def test_injectivity_report_byte_identical(tmp_path):
         assert run(["verify", "injectivity", "--x", "0", "1", "1/4",
                     "--length", "1", "1", "1", "--tests", str(T), "-o", str(rep)]) == 0
     assert reports[0].read_bytes() == reports[1].read_bytes()
+
+
+def _limit_memory():
+    # a runaway grid loop fails fast on the cap instead of filling the machine
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+@pytest.mark.parametrize("step", ["0", "-1/16"])
+def test_nonpositive_grid_step_exits_one(tmp_path, step):
+    T = tmp_path / "T.json"
+    write_json(T, interval_set_artifact(IntervalSet([(0, 8)])))
+    src = str(Path(reconset.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    p = subprocess.run(
+        [sys.executable, "-m", "reconset.cli", "verify", "monotonicity", "--test", str(T),
+         "--shape", "[0,1]", "--grid", "0", "6", step],
+        capture_output=True, text=True, timeout=60, env=env, preexec_fn=_limit_memory,
+    )
+    assert p.returncode == 1
+    assert p.stderr.startswith("error: ")
+    assert "Traceback" not in p.stdout + p.stderr
+
+
+MALFORMED = {
+    "interval-set-without-intervals": '{"kind":"interval_set"}',
+    "list-of-ints": "[1,2,3]",
+    "profile-without-data": '{"kind":"profile"}',
+    "string": '"hello"',
+}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["report", "--input", "interval-set-without-intervals"],
+        ["report", "--input", "list-of-ints"],
+        ["report", "--input", "profile-without-data"],
+        ["report", "--input", "string"],
+        ["construct", "translate", "--profile", "nosuch.json", "--window", "-4", "4",
+         "-o", "out.json"],
+        ["construct", "translate", "--profile", "string", "--window", "-4", "4",
+         "-o", "out.json"],
+        ["radon", "--shape", '{"variant":"ball"}', "--theta", "1,0", "-o", "out.json"],
+        ["verify", "monotonicity", "--test", "list-of-ints", "--shape", "[0,1]",
+         "--grid", "0", "6", "1/16"],
+        ["search", "two-set-counterexample", "--A", "list-of-ints", "--B", "list-of-ints"],
+    ],
+    ids=["report-interval-set", "report-list", "report-profile", "report-string",
+         "missing-profile-file", "profile-string", "shape-without-center",
+         "monotonicity-list", "counterexample-list"],
+)
+def test_malformed_artifact_exit_one(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    for name, text in MALFORMED.items():
+        (tmp_path / name).write_text(text)
+    assert run(argv) == 1
+    out = capsys.readouterr()
+    assert "Traceback" not in out.out + out.err
+    assert out.err.startswith("error: ")
+
+
+_leaf = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-(2**16), 2**16),
+    st.floats(-1e6, 1e6, allow_nan=False),
+    st.text(max_size=4),
+)
+_json = st.recursive(
+    _leaf,
+    lambda kids: st.lists(kids, max_size=4) | st.dictionaries(st.text(max_size=4), kids, max_size=4),
+    max_leaves=12,
+)
+_rows = st.lists(st.lists(st.integers(-64, 64), min_size=4, max_size=4), max_size=4)
+_floats = st.lists(st.floats(-4, 4, allow_nan=False), max_size=5)
+_artifact = _json | _rows | st.fixed_dictionaries(
+    {"kind": st.sampled_from(["interval_set", "profile", "verification_report", "other"])},
+    optional={
+        "intervals": _rows | _json,
+        "window": _rows | _json,
+        "xs": _floats | _json,
+        "vl": _floats | _json,
+        "vr": _floats | _json,
+        "abs_error": _json,
+    },
+)
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(obj=_artifact, command=st.sampled_from(["report", "monotonicity"]))
+def test_arbitrary_artifact_keeps_exit_contract(tmp_path_factory, obj, command):
+    path = tmp_path_factory.mktemp("fuzz") / "in.json"
+    path.write_text(json.dumps(obj))
+    if command == "report":
+        argv = ["report", "--input", str(path)]
+    else:
+        argv = ["verify", "monotonicity", "--test", str(path), "--shape", "[0,1]",
+                "--grid", "0", "6", "1/16"]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(argv)
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in out.getvalue() + err.getvalue()

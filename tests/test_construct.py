@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -125,6 +126,7 @@ def test_translate_certificate_roundtrip():
     again = TranslateCertificate.from_json(cert.to_json())
     assert again.recheck() == []
     assert again.guarantee_lower_bound == cert.guarantee_lower_bound
+    assert json.dumps(again.to_json(), sort_keys=True) == json.dumps(cert.to_json(), sort_keys=True)
 
 
 def test_translate_asymmetric_support_normalization():
@@ -178,6 +180,64 @@ def test_magnify_certificate_roundtrip(magnify_small):
     again = MagnifyCertificate.from_json(cert.to_json())
     assert again.recheck() == []
     assert again.c2 == cert.c2 and again.C3 == cert.C3
+    assert json.dumps(again.to_json(), sort_keys=True) == json.dumps(cert.to_json(), sort_keys=True)
+
+
+def _scaled(path, factor):
+    """Tamper: multiply the recorded value at `path` inside certificate JSON."""
+
+    def tamper(o):
+        *head, last = path
+        for key in head:
+            o = o[key]
+        o[last] *= factor
+
+    return tamper
+
+
+def _last_shell_h_up(o):
+    o["shells"][-1]["h"] = 10.0 * o["shells"][0]["h"]
+
+
+@pytest.mark.parametrize(
+    "tamper, problem",
+    [
+        (_scaled(("shells", 0, "eps"), 2.0), "shell 0: eps != phi_min/4"),
+        (_scaled(("shells", 0, "k_bound"), 10.0), "shell 0: h * 4K exceeds"),
+        (_scaled(("shells", 0, "phi_min"), 2.0), "shell 0: recorded phi_min too large"),
+        (_scaled(("shells", 0, "delta"), 3.0), "shell 0: delta > 0.5 h(k+1)"),
+        (_scaled(("shells", 0, "n"), 0), "shell 0: n not above 4/delta"),
+        (_last_shell_h_up, "h not non-increasing"),
+    ],
+    ids=["eps", "h-4K", "phi-min", "delta", "n", "h-order"],
+)
+def test_translate_recheck_names_tampered_value(tamper, problem):
+    _, cert = translate_test_set(Profile.tent(), Window.of(-4, 4))
+    o = json.loads(json.dumps(cert.to_json()))
+    tamper(o)
+    problems = TranslateCertificate.from_json(o).recheck()
+    assert any(problem in p for p in problems), problems
+
+
+@pytest.mark.parametrize(
+    "tamper, problem",
+    [
+        (_scaled(("growth", "slope"), 1e9), "growth slope exceeds bound"),
+        (_scaled(("h0",), 1e9), "h(0) outside (0,1)"),
+        (_scaled(("C3",), 2.0), "h(0) != c2/(24 C3)"),
+        (_scaled(("shells", 1, "k_bound"), 1e6), "shell 1: h*K exceeds regime-2 budget"),
+        (_scaled(("shells", 1, "delta"), 3.0), "shell 1: delta > 1 h(k+1)"),
+        (_scaled(("shells", 1, "n"), 0), "shell 1: n not above 4/delta"),
+        (_last_shell_h_up, "h not non-increasing"),
+    ],
+    ids=["slope", "h0-range", "h0-formula", "regime-2", "delta", "n", "h-order"],
+)
+def test_magnify_recheck_names_tampered_value(magnify_small, tamper, problem):
+    _, cert = magnify_small
+    o = json.loads(json.dumps(cert.to_json()))
+    tamper(o)
+    problems = MagnifyCertificate.from_json(o).recheck()
+    assert any(problem in p for p in problems), problems
 
 
 def test_magnify_small_scale_can_fail(disk_profile_small):

@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from reconset.dyadic import Dyadic
-from reconset.intervals import IntervalSet, Window, boolean, normalize
+from reconset.errors import ExactnessOverflowError
+from reconset.intervals import IntervalSet, Window, boolean
 
 
 def iset(*pairs):
@@ -51,9 +52,16 @@ def test_normalize_rejects_inverted():
         iset((3, 1))
 
 
+def test_normalize_far_apart_exponents_overflow_before_shifting():
+    # aligning 1 to exponent 2**45 would need a 4 TiB integer
+    with pytest.raises(ExactnessOverflowError):
+        iset((-1, Dyadic(1, 2**45)))
+    assert iset((0, Dyadic(1, 70))).exponent == 70
+
+
 def test_normalize_idempotent():
     s = iset((0, 1), (2, 3), (Dyadic(5, 1), 4))
-    again = normalize(list(s))
+    again = IntervalSet(list(s))
     assert again == s
 
 

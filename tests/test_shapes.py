@@ -17,14 +17,11 @@ from reconset.shapes import (
     Simplex,
     SlabTestSet,
     diameter_direction,
-    intersection_measure,
     intersection_measure_detailed,
     radon_profile,
     shape_from_json,
     shape_to_json,
     shape_translate,
-    slab_lift,
-    volume,
 )
 
 E1 = Direction((1.0, 0.0))
@@ -117,7 +114,7 @@ def test_fubini_consistency_all_variants():
     ]
     for shape, th in shapes_dirs:
         p = radon_profile(shape, th, resolution=256)
-        assert p.integral() == pytest.approx(volume(shape), rel=1e-6), type(shape)
+        assert p.integral() == pytest.approx(shape.volume(), rel=1e-6), type(shape)
 
 
 def test_translation_covariance():
@@ -153,7 +150,7 @@ def test_grid_profile_axis():
     p = radon_profile(g, E1)
     assert p(0.25) == pytest.approx(0.5)
     assert p(0.75) == pytest.approx(0.5)
-    assert p.integral() == pytest.approx(volume(g))
+    assert p.integral() == pytest.approx(g.volume())
     with pytest.raises(NotImplementedError):
         radon_profile(g, Direction.of((1.0, 1.0)))
 
@@ -171,7 +168,7 @@ def test_interval_union_profile_mirrored():
 
 def test_slab_lift_and_validation():
     T = IntervalSet([(0, 1)])
-    s = slab_lift(E1, T, Window.of(-4, 4))
+    s = SlabTestSet(E1, T, Window.of(-4, 4))
     assert not s.full_space
     with pytest.raises(ValueError):
         Direction((1.0, 1.0))
@@ -181,25 +178,25 @@ def test_slab_lift_and_validation():
 
 def test_intersection_measure_square_examples():
     T = IntervalSet([(0, 1)])
-    V = slab_lift(E1, T, Window.of(-8, 8))
-    v1 = intersection_measure(SQUARE, Pose.identity(2), V)
+    V = SlabTestSet(E1, T, Window.of(-8, 8))
+    v1 = intersection_measure_detailed(SQUARE, Pose.identity(2), V)[0]
     assert v1 == pytest.approx(1.0, abs=1e-12)
-    v2 = intersection_measure(SQUARE, Pose((0.0, 0.0), 2.0), V)
+    v2 = intersection_measure_detailed(SQUARE, Pose((0.0, 0.0), 2.0), V)[0]
     assert v2 == pytest.approx(2.0, abs=1e-12)
 
 
 def test_intersection_measure_full_space():
     F = SlabTestSet.full()
-    assert intersection_measure(DISK, Pose((0.3, 0.4), 2.0), F) == pytest.approx(
+    assert intersection_measure_detailed(DISK, Pose((0.3, 0.4), 2.0), F)[0] == pytest.approx(
         4.0 * math.pi
     )
-    assert intersection_measure(SQUARE, Pose((5.0, 5.0), 3.0), F) == pytest.approx(9.0)
+    assert intersection_measure_detailed(SQUARE, Pose((5.0, 5.0), 3.0), F)[0] == pytest.approx(9.0)
 
 
 def test_intersection_measure_halfplane_offset_disk():
     # disk at (1/2, 0), slab x in [0, 4): covers all but the cap x < 0
     T = IntervalSet([(0, 4)])
-    V = slab_lift(E1, T, Window.of(-8, 8))
+    V = SlabTestSet(E1, T, Window.of(-8, 8))
     val, err = intersection_measure_detailed(
         DISK, Pose((0.5, 0.0), 1.0), V, resolution=2048
     )
@@ -213,16 +210,16 @@ def test_intersection_measure_halfplane_offset_disk():
 
 def test_intersection_measure_window_exceeded():
     T = IntervalSet([(0, 1)])
-    V = slab_lift(E1, T, Window.of(-2, 2))
+    V = SlabTestSet(E1, T, Window.of(-2, 2))
     with pytest.raises(WindowExceededError) as ei:
-        intersection_measure(SQUARE, Pose((5.0, 0.0), 1.0), V)
+        intersection_measure_detailed(SQUARE, Pose((5.0, 0.0), 1.0), V)[0]
     assert ei.value.required_hi > 2
 
 
 def test_intersection_measure_scaling_identity():
     # r^d * vol scaling for the full-space sentinel at several r
     for r in (1.0, 1.5, 3.0):
-        got = intersection_measure(DISK, Pose((0.0, 0.0), r), SlabTestSet.full())
+        got = intersection_measure_detailed(DISK, Pose((0.0, 0.0), r), SlabTestSet.full())[0]
         assert got == pytest.approx(r**2 * math.pi, rel=1e-12)
 
 
@@ -230,9 +227,9 @@ def test_intersection_measure_against_grid_mc():
     # slab in a non-axis direction vs a 2-D Monte Carlo oracle
     th = Direction.of((1.0, 1.0))
     T = IntervalSet([(0, 1)])
-    V = slab_lift(th, T, Window.of(-6, 6))
+    V = SlabTestSet(th, T, Window.of(-6, 6))
     pose = Pose((0.25, -0.125), 1.0)
-    val = intersection_measure(DISK, pose, V, resolution=1024)
+    val = intersection_measure_detailed(DISK, pose, V, resolution=1024)[0]
     rng = np.random.default_rng(42)
     pts = rng.uniform(-1, 1, size=(2_000_000, 2))
     inside = np.sum(pts**2, axis=1) <= 1.0
@@ -302,12 +299,12 @@ def test_shape_shorthand_interval():
 
 
 def test_volumes():
-    assert volume(DISK) == pytest.approx(math.pi)
-    assert volume(Ball((0, 0, 0), 2.0)) == pytest.approx(4 / 3 * math.pi * 8)
-    assert volume(SQUARE) == 1.0
-    assert volume(Polygon(((0, 0), (2, 0), (1, 2)))) == pytest.approx(2.0)
-    assert volume(Simplex(((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)))) == pytest.approx(1 / 6)
-    assert volume(GridShape(2, (0, 0), (1, 1), cubes=(0,))) == 0.25
+    assert DISK.volume() == pytest.approx(math.pi)
+    assert Ball((0, 0, 0), 2.0).volume() == pytest.approx(4 / 3 * math.pi * 8)
+    assert SQUARE.volume() == 1.0
+    assert Polygon(((0, 0), (2, 0), (1, 2))).volume() == pytest.approx(2.0)
+    assert Simplex(((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1))).volume() == pytest.approx(1 / 6)
+    assert GridShape(2, (0, 0), (1, 1), cubes=(0,)).volume() == 0.25
 
 
 def test_pose_validation():
@@ -327,5 +324,5 @@ def test_polygon_validation():
 
 
 def test_empty_slab_measures_zero():
-    V = slab_lift(E2, IntervalSet([]), Window.of(-4, 4))
-    assert intersection_measure(SQUARE, Pose.identity(2), V) == 0.0
+    V = SlabTestSet(E2, IntervalSet([]), Window.of(-4, 4))
+    assert intersection_measure_detailed(SQUARE, Pose.identity(2), V)[0] == 0.0

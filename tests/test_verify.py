@@ -15,7 +15,6 @@ from reconset.shapes import (
     SlabTestSet,
     intersection_measure_detailed,
     radon_profile,
-    slab_lift,
 )
 from reconset.verify import (
     IntervalFamilyGrid,
@@ -42,7 +41,7 @@ def test_measure_vector_halfline():
 def test_measure_vector_slab_square():
     from reconset.shapes import Box
 
-    V = slab_lift(Direction((1.0, 0.0)), IntervalSet([(0, 1)]), Window.of(-4, 4))
+    V = SlabTestSet(Direction((1.0, 0.0)), IntervalSet([(0, 1)]), Window.of(-4, 4))
     vals, errs = measure_vector([(Box((0.0, 0.0), (1.0, 1.0)), Pose.identity(2))], [V])
     assert vals[0, 0] == pytest.approx(1.0, abs=1e-12)
 
@@ -129,8 +128,8 @@ def test_injectivity_permutation_invariant():
 def test_injectivity_translate_family_disk_smoke():
     disk = Ball((0.0, 0.0), 1.0)
     T = IntervalSet([(Dyadic(-3), Dyadic(0))])
-    V1 = slab_lift(Direction((1.0, 0.0)), T, Window.of(-6, 6))
-    V2 = slab_lift(Direction((0.0, 1.0)), T, Window.of(-6, 6))
+    V1 = SlabTestSet(Direction((1.0, 0.0)), T, Window.of(-6, 6))
+    V2 = SlabTestSet(Direction((0.0, 1.0)), T, Window.of(-6, 6))
     grid = TranslateFamilyGrid(disk, (-0.5, -0.5), (0.5, 0.5), (5, 5))
     rep = injectivity_report(grid, [V1, V2], resolution=128)
     # the halfline-style slab measures are strictly monotone in each coordinate
@@ -144,8 +143,8 @@ def test_slab_measure_vector_matches_per_pose():
     disk = Ball((0.0, 0.0), 1.0)
     T = IntervalSet([(Dyadic(-3), Dyadic(0))])
     tests = [
-        slab_lift(Direction((1.0, 0.0)), T, Window.of(-6, 6)),
-        slab_lift(Direction((0.0, 1.0)), T, Window.of(-6, 6)),
+        SlabTestSet(Direction((1.0, 0.0)), T, Window.of(-6, 6)),
+        SlabTestSet(Direction((0.0, 1.0)), T, Window.of(-6, 6)),
     ]
     poses = TranslateFamilyGrid(disk, (-0.5, -0.5), (0.5, 0.5), (5, 5)).instances()
     poses += [Pose(p.translation, 1.5) for p in poses]
@@ -235,3 +234,17 @@ def test_monte_carlo_off_grid_family():
         tests = [sample_grid_set(lv, s) for s in trial["seeds"]]
         matrix, _ = measure_vector(grid.instances(), tests)
         assert trial["min_separation"] == pairwise_min_linf(matrix)[0]
+
+
+def test_monte_carlo_trial_seeds_distinct():
+    # 1,010 copies: with seeds (seed*1_000_003 + t)*1_009 + c, trial 0 copy
+    # 1009 and trial 1 copy 0 would share a seed
+    lv = validate_levels((2,), (1,), (0.5,))
+    grid = IntervalFamilyGrid.of(0, 0, 1, 1, 1, 1)
+    rep = monte_carlo_reconstruction(grid, lv, copies=1010, trials=2, seed=0)
+    seeds = [s for trial in rep.per_trial for s in trial["seeds"]]
+    assert len(set(seeds)) == len(seeds) == 2020
+    assert all(0 <= s < 2**64 for s in seeds)
+    # a copy's seed does not depend on how many copies a trial draws
+    one = monte_carlo_reconstruction(grid, lv, copies=1, trials=2, seed=0)
+    assert [t["seeds"] for t in one.per_trial] == [t["seeds"][:1] for t in rep.per_trial]
