@@ -14,6 +14,7 @@ operations refuse queries outside it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -29,6 +30,13 @@ def _check_bits(arr: np.ndarray, bits: int = _MAX_BITS, what: str = "endpoint"):
         raise ExactnessOverflowError(
             f"{what} magnitude exceeds 2**{bits}; reduce exponents or coordinates"
         )
+
+
+def _as_int64(values) -> np.ndarray:
+    try:
+        return np.asarray(values, dtype=np.int64)
+    except OverflowError as e:
+        raise ExactnessOverflowError(f"numerators exceed int64: {e}") from None
 
 
 @dataclass(frozen=True)
@@ -51,12 +59,13 @@ class Window:
         return self.hi - self.lo
 
     def to_json(self):
-        return [self.lo.num, self.lo.exp, self.hi.num, self.hi.exp]
+        nums, exp = common_numerators([self.lo, self.hi])
+        return _encode_rows(_as_int64([nums]), exp)[0]
 
     @staticmethod
     def from_json(obj) -> "Window":
-        nl, el, nh, eh = obj
-        return Window(Dyadic(nl, el), Dyadic(nh, eh))
+        (lo,), (hi,), exp = _decode_rows([obj])
+        return Window(Dyadic(int(lo), exp), Dyadic(int(hi), exp))
 
     def __str__(self):
         return f"[{self.lo}, {self.hi})"
@@ -69,8 +78,11 @@ class IntervalSet:
 
     def __init__(self, pairs=()):
         """Build from (lo, hi) pairs; degenerate pairs dropped, overlaps merged."""
-        lows, highs, exp = _pairs_to_arrays(pairs)
-        self._nums, self._exp = _normalize_arrays(lows, highs, exp)
+        rows = []
+        for lo, hi in pairs:
+            lo, hi = as_dyadic(lo), as_dyadic(hi)
+            rows.append([lo.num, lo.exp, hi.num, hi.exp])
+        self._nums, self._exp = _normalize_arrays(*_decode_rows(rows))
         self._prefix = None
 
     # -- raw constructors ------------------------------------------------
@@ -91,12 +103,7 @@ class IntervalSet:
     @classmethod
     def from_arrays(cls, lows, highs, exp: int) -> "IntervalSet":
         """Build from integer numerator arrays at a common exponent."""
-        try:
-            lows = np.asarray(lows, dtype=np.int64)
-            highs = np.asarray(highs, dtype=np.int64)
-        except OverflowError as e:
-            raise ExactnessOverflowError(f"numerators exceed int64: {e}") from None
-        nums, e = _normalize_arrays(lows, highs, exp)
+        nums, e = _normalize_arrays(_as_int64(lows), _as_int64(highs), exp)
         return cls._raw(nums, e)
 
     # -- basic views -------------------------------------------------------
@@ -180,10 +187,7 @@ class IntervalSet:
         located by floor(x * 2**self.exponent), which is exact against the
         set's lows at any exponent.
         """
-        try:
-            x = np.asarray(nums, dtype=np.int64)
-        except OverflowError as err:
-            raise ExactnessOverflowError(f"numerators exceed int64: {err}") from None
+        x = _as_int64(nums)
         if not self:
             return np.zeros_like(x), np.zeros(x.shape, dtype=bool), exp
         shift = exp - self._exp
@@ -287,44 +291,76 @@ class IntervalSet:
 
     def to_json(self):
         """Array of [num_lo, exp_lo, num_hi, exp_hi] in canonical form."""
-        out = []
-        for lo, hi in self:
-            out.append([lo.num, lo.exp, hi.num, hi.exp])
-        return out
+        return _encode_rows(self._nums, self._exp)
 
     @staticmethod
     def from_json(obj) -> "IntervalSet":
-        pairs = []
-        for nl, el, nh, eh in obj:
-            pairs.append((Dyadic(nl, el), Dyadic(nh, eh)))
-        return IntervalSet(pairs)
+        return IntervalSet.from_arrays(*_decode_rows(obj))
 
 
-# -- internals ------------------------------------------------------------
+# -- row codec --------------------------------------------------------------
+#
+# An interval is stored as the row [num_lo, exp_lo, num_hi, exp_hi], each
+# endpoint num / 2**exp in canonical dyadic form (see dyadic.Dyadic).  Rows are
+# read and written as int64 arrays; every shift is sized before it is made, so
+# a hostile exponent raises ExactnessOverflowError instead of building a huge
+# integer.
+
+_POW2 = np.uint64(1) << np.arange(64, dtype=np.uint64)
 
 
-def _pairs_to_arrays(pairs):
-    lows_d = []
-    highs_d = []
-    for lo, hi in pairs:
-        lows_d.append(as_dyadic(lo))
-        highs_d.append(as_dyadic(hi))
-    if not lows_d:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64), 0
-    exp = 0
-    for d in lows_d:
-        exp = max(exp, d.exp)
-    for d in highs_d:
-        exp = max(exp, d.exp)
-    # sized before shifting: far-apart exponents would otherwise build the
-    # huge shifted integer first
-    if any(d.num and d.num.bit_length() + exp - d.exp > _MAX_BITS for d in lows_d + highs_d):
+def _bit_length(a: np.ndarray) -> np.ndarray:
+    """Exact bit length of |a| for any int64 array (2**63 for -2**63)."""
+    return np.searchsorted(_POW2, np.abs(a).view(np.uint64), side="right")
+
+
+def _canonical(nums: np.ndarray, exps: np.ndarray):
+    """Canonical form of each nums/2**exps: a negative exponent folded into the
+    numerator, trailing zero bits stripped while the exponent is positive, and
+    zero written as (0, 0)."""
+    nonzero = nums != 0
+    fold = nonzero & (exps < 0)
+    if np.any(exps[fold] < _bit_length(nums[fold]) - _MAX_BITS):
+        raise ExactnessOverflowError(f"an endpoint exceeds 2**{_MAX_BITS}")
+    nums = nums << np.where(fold, -np.maximum(exps, -_MAX_BITS), 0)
+    exps = np.where(nonzero, np.maximum(exps, 0), 0)
+    trailing = _bit_length(nums & -nums) - 1
+    strip = np.where(nonzero, np.minimum(trailing, exps), 0)
+    return nums >> strip, exps - strip
+
+
+def _encode_rows(nums: np.ndarray, exp: int) -> list:
+    """Canonical rows of (N, 2) numerators at one exponent."""
+    n, e = _canonical(nums, np.full(nums.shape, exp, dtype=np.int64))
+    return np.stack([n[:, 0], e[:, 0], n[:, 1], e[:, 1]], axis=1).tolist()
+
+
+def _decode_rows(rows):
+    """Low and high numerators at their common exponent, and that exponent,
+    from rows given as lists of four integers."""
+    if not (isinstance(rows, list) and set(map(type, rows)) <= {list}
+            and set(map(len, rows)) <= {4}):
+        raise ValueError("interval rows must be [num_lo, exp_lo, num_hi, exp_hi] lists")
+    if not set(map(type, chain.from_iterable(rows))) <= {int}:
+        raise ValueError("interval row entries must be integers")
+    try:
+        flat = np.fromiter(chain.from_iterable(rows), np.int64, 4 * len(rows))
+    except OverflowError:
+        raise ExactnessOverflowError("interval row entries exceed int64") from None
+    flat = flat.reshape(-1, 4)
+    nums, exps = _canonical(flat[:, 0::2], flat[:, 1::2])
+    # align: the common exponent, each shift sized before it is made
+    exp = int(exps.max(initial=0))
+    shift = np.where(nums != 0, exp - exps, 0)
+    if np.any(shift > _MAX_BITS - _bit_length(nums)):
         raise ExactnessOverflowError(
             f"endpoints need more than 2**{_MAX_BITS} at exponent {exp}"
         )
-    lows = np.array([d.num << (exp - d.exp) for d in lows_d], dtype=np.int64)
-    highs = np.array([d.num << (exp - d.exp) for d in highs_d], dtype=np.int64)
-    return lows, highs, exp
+    nums = nums << shift
+    return nums[:, 0], nums[:, 1], exp
+
+
+# -- internals ------------------------------------------------------------
 
 
 def _normalize_arrays(lows: np.ndarray, highs: np.ndarray, exp: int):

@@ -10,6 +10,10 @@ consecutive tiny blocks, accurate to ~1e-13.  The logistic has a closed-form
 antiderivative; the slow-decay target integrates its derivative with
 fixed-order Gauss-Legendre panels (machine precision at these widths) and a
 cumulative table at integer points.
+
+The logistic itself is evaluated as 1 / (1 + exp(-z)) with the C library exp
+(``math.exp``), point by point: certificate floats (phi_min, eps, h) depend on
+its last bit, and numpy's vectorized exp rounds differently on some inputs.
 """
 
 from __future__ import annotations
@@ -18,7 +22,6 @@ import math
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import expit
 
 
 @lru_cache(maxsize=8)
@@ -72,6 +75,13 @@ class AffineTarget:
         return {"variant": "affine", "slope": self.slope, "intercept": self.intercept}
 
 
+def _expit(z: float) -> float:
+    try:
+        return 1.0 / (1.0 + math.exp(-z))
+    except OverflowError:  # exp(-z) beyond the float range: phi underflows to 0
+        return 0.0
+
+
 class Logistic:
     """phi(x) = 1 / (1 + exp(-rate x)); strictly increasing into (0, 1)."""
 
@@ -81,7 +91,10 @@ class Logistic:
         self.rate = float(rate)
 
     def phi(self, x):
-        return expit(self.rate * np.asarray(x, dtype=np.float64))
+        z = self.rate * np.asarray(x, dtype=np.float64)
+        # a Python loop, not a ufunc: numpy would turn the overflow flag that
+        # math.exp leaves behind into a RuntimeWarning
+        return np.array([_expit(v) for v in z.ravel().tolist()]).reshape(z.shape)[()]
 
     def dphi(self, x):
         p = self.phi(x)

@@ -207,24 +207,51 @@ def test_injectivity_report_byte_identical(tmp_path):
 
 
 def _limit_memory():
-    # a runaway grid loop fails fast on the cap instead of filling the machine
+    # a runaway loop or allocation fails fast on the cap instead of filling the machine
     resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+def _python(*args, **kwargs):
+    """A fresh interpreter that imports reconset from this checkout."""
+    src = str(Path(reconset.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, timeout=60, env=env, **kwargs
+    )
+
+
+def _capped_cli_exits_one(*argv):
+    p = _python("-m", "reconset.cli", *argv, preexec_fn=_limit_memory)
+    assert p.returncode == 1
+    assert p.stderr.startswith("error: ")
+    assert "Traceback" not in p.stdout + p.stderr
 
 
 @pytest.mark.parametrize("step", ["0", "-1/16"])
 def test_nonpositive_grid_step_exits_one(tmp_path, step):
     T = tmp_path / "T.json"
     write_json(T, interval_set_artifact(IntervalSet([(0, 8)])))
-    src = str(Path(reconset.__file__).parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    p = subprocess.run(
-        [sys.executable, "-m", "reconset.cli", "verify", "monotonicity", "--test", str(T),
-         "--shape", "[0,1]", "--grid", "0", "6", step],
-        capture_output=True, text=True, timeout=60, env=env, preexec_fn=_limit_memory,
-    )
-    assert p.returncode == 1
-    assert p.stderr.startswith("error: ")
-    assert "Traceback" not in p.stdout + p.stderr
+    _capped_cli_exits_one("verify", "monotonicity", "--test", str(T),
+                          "--shape", "[0,1]", "--grid", "0", "6", step)
+
+
+@pytest.mark.parametrize("command", ["report", "monotonicity"])
+def test_huge_window_exponent_exits_one(tmp_path, command):
+    # the endpoint 2**(2**35) is a 4 GiB integer when shifted before it is sized
+    T = tmp_path / "T.json"
+    T.write_text('{"kind":"interval_set","intervals":[[0,0,8,0]],"window":[1,-34359738368,2,0]}')
+    if command == "report":
+        _capped_cli_exits_one("report", "--input", str(T))
+    else:
+        _capped_cli_exits_one("verify", "monotonicity", "--test", str(T),
+                              "--shape", "[0,1]", "--grid", "0", "6", "1/16")
+
+
+def test_cli_import_loads_no_scipy():
+    p = _python("-c", "import sys, reconset.cli; "
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    assert p.returncode == 0, p.stderr
+    assert p.stdout.strip() == "[]"
 
 
 MALFORMED = {
@@ -232,6 +259,8 @@ MALFORMED = {
     "list-of-ints": "[1,2,3]",
     "profile-without-data": '{"kind":"profile"}',
     "string": '"hello"',
+    "float-entries": '{"kind":"interval_set","intervals":[[1.5,0,3,0]]}',
+    "string-entries": '{"kind":"interval_set","intervals":[["1",0,"3",0]]}',
 }
 
 
@@ -242,6 +271,8 @@ MALFORMED = {
         ["report", "--input", "list-of-ints"],
         ["report", "--input", "profile-without-data"],
         ["report", "--input", "string"],
+        ["report", "--input", "float-entries"],
+        ["report", "--input", "string-entries"],
         ["construct", "translate", "--profile", "nosuch.json", "--window", "-4", "4",
          "-o", "out.json"],
         ["construct", "translate", "--profile", "string", "--window", "-4", "4",
@@ -252,6 +283,7 @@ MALFORMED = {
         ["search", "two-set-counterexample", "--A", "list-of-ints", "--B", "list-of-ints"],
     ],
     ids=["report-interval-set", "report-list", "report-profile", "report-string",
+         "report-float-entries", "report-string-entries",
          "missing-profile-file", "profile-string", "shape-without-center",
          "monotonicity-list", "counterexample-list"],
 )
@@ -268,7 +300,7 @@ def test_malformed_artifact_exit_one(tmp_path, monkeypatch, capsys, argv):
 _leaf = st.one_of(
     st.none(),
     st.booleans(),
-    st.integers(-(2**16), 2**16),
+    st.integers(-(2**70), 2**70),
     st.floats(-1e6, 1e6, allow_nan=False),
     st.text(max_size=4),
 )
@@ -277,7 +309,10 @@ _json = st.recursive(
     lambda kids: st.lists(kids, max_size=4) | st.dictionaries(st.text(max_size=4), kids, max_size=4),
     max_leaves=12,
 )
-_rows = st.lists(st.lists(st.integers(-64, 64), min_size=4, max_size=4), max_size=4)
+_rows = st.lists(
+    st.lists(st.integers(-64, 64) | st.integers(-(2**70), 2**70), min_size=4, max_size=4),
+    max_size=4,
+)
 _floats = st.lists(st.floats(-4, 4, allow_nan=False), max_size=5)
 _artifact = _json | _rows | st.fixed_dictionaries(
     {"kind": st.sampled_from(["interval_set", "profile", "verification_report", "other"])},

@@ -253,7 +253,86 @@ def test_json_roundtrip():
     assert js == [[-3, 2, 1, 1], [2, 0, 3, 0]]
     assert IntervalSet.from_json(js) == s
     w = Window.of(Dyadic(-1, 1), 4)
+    assert w.to_json() == [-1, 1, 4, 0]
     assert Window.from_json(w.to_json()) == w
+
+
+def test_json_non_canonical_rows():
+    # rows at a fixed exponent, as the benchmark writes them, and a negative
+    # exponent folded into the numerator
+    assert IntervalSet.from_json([[64, 6, 96, 6], [-6, 6, 0, 6]]) == iset(
+        (Dyadic(-3, 5), 0), (1, Dyadic(3, 1))
+    )
+    assert IntervalSet.from_json([[3, -2, 13, 0], [0, 100, 1, 0]]) == iset((0, 1), (12, 13))
+    assert Window.from_json([4, 2, 3, -1]) == Window.of(1, 6)
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [[[1.5, 0, 3, 0]], [["1", 0, "3", 0]], [[True, 0, 1, 0]], [[1, 0, 3]],
+     {"a": [1, 0, 3, 0]}, 5],
+)
+def test_json_rejects_non_integer_rows(rows):
+    with pytest.raises(ValueError):
+        IntervalSet.from_json(rows)
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [[[1, -(2**35), 2, 0]], [[-1, 0, 1, 2**35]], [[2**70, 70, 3, 0]], [[-(2**63), 0, 0, 0]]],
+)
+def test_json_sizes_every_shift(rows):
+    with pytest.raises(ExactnessOverflowError):
+        IntervalSet.from_json(rows)
+    with pytest.raises(ExactnessOverflowError):
+        Window.from_json(rows[0])
+
+
+@st.composite
+def wide_sets(draw):
+    """Sets at exponents 0-58 with negative numerators and zero endpoints."""
+    exp = draw(st.integers(min_value=0, max_value=58))
+    num = st.integers(min_value=-(2**57), max_value=2**57) | st.just(0)
+    ends = sorted(draw(st.lists(num, max_size=16, unique=True)))
+    return IntervalSet.from_arrays(ends[0:-1:2], ends[1::2], exp)
+
+
+@settings(max_examples=300, deadline=None)
+@given(wide_sets())
+def test_row_codec_matches_per_endpoint_encoding(t):
+    rows = t.to_json()
+    assert rows == [[lo.num, lo.exp, hi.num, hi.exp] for lo, hi in t]
+    assert all(type(v) is int for row in rows for v in row)
+    assert IntervalSet.from_json(rows) == t
+
+
+_row_end = st.builds(
+    lambda num, exp: (num, exp),
+    st.integers(min_value=-(2**20), max_value=2**20) | st.just(0),
+    st.integers(min_value=-8, max_value=64),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(_row_end, _row_end), max_size=8))
+def test_row_codec_decodes_like_dyadic_endpoints(ends):
+    # oracle: one Dyadic per endpoint, sized at the common exponent, then a
+    # merge of the half-open intervals
+    ends = [(a, b) if Dyadic(*a) <= Dyadic(*b) else (b, a) for a, b in ends]
+    rows = [[*a, *b] for a, b in ends]
+    pairs = [(Dyadic(*a), Dyadic(*b)) for a, b in ends]
+    exp = max((d.exp for pair in pairs for d in pair), default=0)
+    if any(d.num and d.num.bit_length() + exp - d.exp > 58 for pair in pairs for d in pair):
+        with pytest.raises(ExactnessOverflowError):
+            IntervalSet.from_json(rows)
+        return
+    merged = []
+    for lo, hi in sorted(p for p in pairs if p[0] < p[1]):
+        if merged and lo <= merged[-1][1]:
+            merged[-1][1] = max(merged[-1][1], hi)
+        else:
+            merged.append([lo, hi])
+    assert [list(p) for p in IntervalSet.from_json(rows)] == merged
 
 
 def test_float_view_exact():

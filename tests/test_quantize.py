@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -197,3 +198,15 @@ def test_windowed_integral_norm_obeys_shell_bound():
         ks = range(max(0, int(abs(x)) - int(a) - 1), 4)
         bound = 2.0 * max(delta(min(k, 3)) for k in ks)
         assert norm <= bound + 1e-9
+
+
+def test_logistic_matches_expit_bit_for_bit():
+    # certificate floats depend on the last bit of phi; |z| > 709 overflows exp
+    special = pytest.importorskip("scipy.special")
+    x = np.concatenate([np.linspace(-2000.0, 2000.0, 200_001), [-np.inf, np.inf, -0.0]])
+    for rate in (0.25, 0.5, 0.7, 1.0, 3.0):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = Logistic(rate).phi(x)
+        assert got.tobytes() == special.expit(rate * x).tobytes()
+        assert Logistic(rate).phi(x[7]) == special.expit(rate * x[7])
