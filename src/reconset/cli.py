@@ -37,6 +37,7 @@ from .shapes import Ball, Direction, radon_profile, shape_from_json
 from .verify import (
     IntervalFamilyGrid,
     _dyadic_range,
+    check_span,
     interval_counterexample,
     injectivity_report,
     monotonicity_report,
@@ -55,6 +56,8 @@ def _dyadic_arg(text: str, what: str = "value") -> Dyadic:
             f"note: {what} {text} snapped to {value} (error {float(err):.3g})",
             err=True,
         )
+    if value.exp > 64:
+        raise ValueError(f"{what} {text} is finer than 2^-64, which no int64 kernel resolves")
     return value
 
 
@@ -199,7 +202,7 @@ def verify():
 @click.option("--emit-plot-data", type=click.Path(), default=None)
 def verify_monotonicity(test_path, shape, grid, output, emit_plot_data):
     """Exact strict-increase check of x -> lambda((E+x) ∩ T)."""
-    T, _ = rio.load_interval_set(test_path)
+    T, window = rio.load_interval_set(test_path)
     E = _load_shape(shape)
     from .shapes import IntervalUnion
 
@@ -209,6 +212,9 @@ def verify_monotonicity(test_path, shape, grid, output, emit_plot_data):
     xs = _dyadic_range(lo, hi, step)
     # lambda((E+x) ∩ T) = Σ_k C(x + b_k) - C(x + a_k) over E's components [a_k, b_k)
     nums, e = common_numerators([x + end for x in xs for pair in E.S for end in pair])
+    if window is not None and nums:
+        need = (Dyadic(min(nums), e), Dyadic(max(nums), e))
+        check_span(need, window, f"the window of {test_path}")
     c, _, e = T.cumulative_nums(nums, e)
     vals = ((c[1::2] - c[0::2]).reshape(len(xs), -1).sum(axis=1) * 2.0**-e).tolist()
     rep = monotonicity_report(vals)
@@ -237,12 +243,16 @@ def verify_injectivity(x_, l_, tests, output):
         _dyadic_arg(x_[0]), _dyadic_arg(x_[1]), _dyadic_arg(x_[2]),
         _dyadic_arg(l_[0]), _dyadic_arg(l_[1]), _dyadic_arg(l_[2]),
     )
+    need = grid.span()
     loaded = []
     for t in tests:
         if str(t).endswith(".npz"):
             loaded.append(load_grid_set(t))
         else:
-            loaded.append(rio.load_interval_set(t)[0])
+            T, window = rio.load_interval_set(t)
+            if window is not None and need is not None:
+                check_span(need, window, f"the window of {t}")
+            loaded.append(T)
     rep = injectivity_report(grid, loaded)
     out = {"kind": "verification_report"}
     out.update(rep.to_json())

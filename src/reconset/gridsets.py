@@ -111,49 +111,35 @@ def sample_level(levels: RandomLevels, i: int, seed: int) -> np.ndarray:
     if not (0 <= i < levels.levels):
         raise IndexError(f"level {i} out of range")
     n, g, p = levels.n[i], levels.g[i], levels.p[i]
-    d = levels.d
     units = levels.box_units()
     sub = n // g  # fine cubes per coarse cell edge
-    cell_size = sub**d
+    cell_size = sub**levels.d
     m_max = int(math.floor(p * cell_size))
     coarse_counts = tuple(u * g for u in units)
-    fine_counts = tuple(u * n for u in units)
-    total_coarse = int(np.prod(coarse_counts))
-    picks = []
-    for cell in range(total_coarse):
+    cells, local = [], []
+    for cell in range(int(np.prod(coarse_counts))):
         rng = _philox(seed, i, cell)
         m = int(rng.integers(0, m_max + 1))
-        if m == 0:
-            continue
-        local = _sparse_fisher_yates(rng, cell_size, m)
-        # unravel coarse cell and local fine offsets into global fine indices
-        rem = cell
-        coarse_coord = []
-        for size in reversed(coarse_counts):
-            coarse_coord.append(rem % size)
-            rem //= size
-        coarse_coord.reverse()
-        loc = np.asarray(local, dtype=np.int64)
-        coords = np.empty((loc.size, d), dtype=np.int64)
-        r = loc.copy()
-        for k in reversed(range(d)):
-            coords[:, k] = r % sub
-            r //= sub
-        flat = np.zeros(loc.size, dtype=np.int64)
-        for k in range(d):
-            flat = flat * fine_counts[k] + coarse_coord[k] * sub + coords[:, k]
-        picks.append(flat)
-    if not picks:
+        if m:
+            cells.append(np.full(m, cell))
+            local.append(_sparse_fisher_yates(rng, cell_size, m))
+    if not cells:
         return np.empty(0, dtype=np.int64)
-    return np.sort(np.concatenate(picks))
+    # global fine coordinate = coarse coordinate * sub + offset inside the cell
+    coarse = np.unravel_index(np.concatenate(cells), coarse_counts)
+    offset = np.unravel_index(np.concatenate(local), (sub,) * levels.d)
+    flat = np.ravel_multi_index(
+        tuple(c * sub + o for c, o in zip(coarse, offset)), tuple(u * n for u in units)
+    )
+    return np.sort(flat)
 
 
 def _sparse_fisher_yates(rng: np.random.Generator, n: int, m: int) -> list:
-    """m distinct values from range(n): partial Fisher-Yates on a sparse map."""
+    """m distinct values from range(n): partial Fisher-Yates on a sparse map.
+    One array call draws every k_j on [j, n), as m scalar calls would."""
     swap: dict[int, int] = {}
     out = []
-    for j in range(m):
-        k = int(rng.integers(j, n))
+    for j, k in enumerate(rng.integers(np.arange(m), n).tolist()):
         vj = swap.get(j, j)
         vk = swap.get(k, k)
         out.append(vk)
@@ -199,8 +185,9 @@ class GridSet:
         return self.runs.measure_between(lo, hi)
 
 
-def assemble(levels: RandomLevels, selections) -> GridSet:
-    """Symmetric difference of the level sets on the finest grid, exactly."""
+def assemble(levels: RandomLevels, selections, seed: int = -1) -> GridSet:
+    """Symmetric difference of the level sets on the finest grid, exactly;
+    `seed` is recorded, -1 when the selections were not sampled from one."""
     if len(selections) != levels.levels:
         raise ValueError("need one selection per level")
     d = levels.d
@@ -217,14 +204,13 @@ def assemble(levels: RandomLevels, selections) -> GridSet:
         for axis in range(d):
             level_mask = np.repeat(level_mask, rep, axis=axis)
         parity ^= level_mask
-    return GridSet(levels, tuple(np.asarray(s, dtype=np.int64) for s in selections), -1, parity)
+    return GridSet(levels, tuple(np.asarray(s, dtype=np.int64) for s in selections), seed, parity)
 
 
 def sample_grid_set(levels: RandomLevels, seed: int) -> GridSet:
     """Sample every level and assemble; fully determined by (levels, seed)."""
     selections = tuple(sample_level(levels, i, seed) for i in range(levels.levels))
-    gs = assemble(levels, selections)
-    return GridSet(levels, gs.selections, seed, gs.parity)
+    return assemble(levels, selections, seed)
 
 
 # -- copy counts ---------------------------------------------------------------
@@ -275,8 +261,7 @@ def load_grid_set(path: str) -> GridSet:
     selections = tuple(
         np.asarray(data[f"level_{i}"], dtype=np.int64) for i in range(levels.levels)
     )
-    gs = assemble(levels, selections)
-    return GridSet(levels, gs.selections, header["seed"], gs.parity)
+    return assemble(levels, selections, header["seed"])
 
 
 def grid_summary(gs: GridSet) -> dict:

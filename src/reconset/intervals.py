@@ -26,17 +26,32 @@ _MAX_BITS = 58
 
 
 def _check_bits(arr: np.ndarray, bits: int = _MAX_BITS, what: str = "endpoint"):
-    if arr.size and int(np.max(np.abs(arr))) >> max(bits, 0):
+    if arr.size:
+        _check_magnitude(int(np.max(np.abs(arr))), bits, what)
+
+
+def _check_magnitude(m: int, bits: int = _MAX_BITS, what: str = "endpoint"):
+    if m >> max(bits, 0):
         raise ExactnessOverflowError(
             f"{what} magnitude exceeds 2**{bits}; reduce exponents or coordinates"
         )
 
 
 def _as_int64(values) -> np.ndarray:
+    """Integer input as int64: a numpy integer array, or a list of Python
+    ints.  Floats, strings and booleans raise ValueError rather than being
+    truncated or parsed; integers beyond int64 raise ExactnessOverflowError."""
+    if isinstance(values, np.ndarray) and values.dtype.kind in "iu":
+        if values.dtype.kind == "u" and values.size and values.max() > np.iinfo(np.int64).max:
+            raise ExactnessOverflowError("numerators exceed int64")
+        return values.astype(np.int64, copy=False)
+    flat = values.ravel().tolist() if isinstance(values, np.ndarray) else list(values)
+    if not set(map(type, flat)) <= {int}:
+        raise ValueError("numerators must be integers")
     try:
-        return np.asarray(values, dtype=np.int64)
-    except OverflowError as e:
-        raise ExactnessOverflowError(f"numerators exceed int64: {e}") from None
+        return np.fromiter(flat, np.int64, len(flat))
+    except OverflowError:
+        raise ExactnessOverflowError("numerators exceed int64") from None
 
 
 @dataclass(frozen=True)
@@ -60,7 +75,7 @@ class Window:
 
     def to_json(self):
         nums, exp = common_numerators([self.lo, self.hi])
-        return _encode_rows(_as_int64([nums]), exp)[0]
+        return _encode_rows(_as_int64(nums).reshape(1, 2), exp)[0]
 
     @staticmethod
     def from_json(obj) -> "Window":
@@ -276,13 +291,17 @@ class IntervalSet:
             raise ValueError(f"affine scale must be positive, got {scale}")
         if not self:
             return IntervalSet.empty()
-        nums = self._nums.astype(object)
-        scaled = nums * scale.num  # exponent exp + scale.exp
-        e = self._exp + scale.exp
-        e_out = max(e, shift.exp)
-        scaled <<= e_out - e
-        scaled += shift.num << (e_out - shift.exp)
-        return IntervalSet.from_arrays(scaled[:, 0], scaled[:, 1], e_out)
+        # image numerators nums*s + t at exponent e
+        e = max(self._exp + scale.exp, shift.exp)
+        s = scale.num << (e - self._exp - scale.exp)
+        t = shift.num << (e - shift.exp)
+        # an increasing map keeps the set sorted, disjoint and non-adjacent, and
+        # its first low and last high bound every image endpoint; once both pass
+        # the guard, every term below is within the image span, below 2**59
+        lo = int(self._nums[0, 0]) * s + t
+        _check_magnitude(max(abs(lo), abs(int(self._nums[-1, 1]) * s + t)))
+        image = lo + (self._nums - self._nums[0, 0]) * s
+        return IntervalSet._raw(*_reduce_exponent(image, e))
 
     def translate(self, shift) -> "IntervalSet":
         return self.affine(Dyadic(1), shift)

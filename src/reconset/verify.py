@@ -43,6 +43,12 @@ class IntervalFamilyGrid:
             *(as_dyadic(v) for v in (x_lo, x_hi, x_step, l_lo, l_hi, l_step))
         )
 
+    def __post_init__(self):
+        size = _grid_size(self.x_lo, self.x_hi, self.x_step) * _grid_size(
+            self.l_lo, self.l_hi, self.l_step
+        )
+        _check_grid_size(size, "the (x, L) grid")
+
     def xs(self) -> list:
         return _dyadic_range(self.x_lo, self.x_hi, self.x_step)
 
@@ -50,7 +56,17 @@ class IntervalFamilyGrid:
         return _dyadic_range(self.l_lo, self.l_hi, self.l_step)
 
     def instances(self) -> list:
-        return [(x, L) for x in self.xs() for L in self.ls()]
+        ls = self.ls()
+        return [(x, L) for x in self.xs() for L in ls]
+
+    def span(self) -> tuple[Dyadic, Dyadic] | None:
+        """The least and the greatest of the points x and x + L of the
+        instances [x, x + L); None for an empty grid."""
+        xs, ls = self.xs(), self.ls()
+        if not (xs and ls):
+            return None
+        ends = (xs[0], xs[-1], xs[0] + ls[0], xs[-1] + ls[-1])
+        return min(ends), max(ends)
 
     def describe(self) -> dict:
         return {
@@ -60,16 +76,29 @@ class IntervalFamilyGrid:
         }
 
 
-def _dyadic_range(lo: Dyadic, hi: Dyadic, step: Dyadic) -> list:
-    """lo, lo + step, ... up to hi inclusive."""
+# far above every grid the tests and the benchmark use (4,225 points at most),
+# far below one that exhausts memory
+MAX_GRID_POINTS = 1 << 20
+
+
+def _grid_size(lo: Dyadic, hi: Dyadic, step: Dyadic) -> int:
+    """The exact number of points lo, lo + step, ... up to hi inclusive."""
     if not Dyadic(0) < step:
         raise ValueError(f"grid step must be positive, got {step}")
-    out = []
-    v = lo
-    while v <= hi:
-        out.append(v)
-        v = v + step
-    return out
+    (lo_n, hi_n, step_n), _ = common_numerators([lo, hi, step])
+    return max(0, (hi_n - lo_n) // step_n + 1)
+
+
+def _check_grid_size(size: int, what: str):
+    if size > MAX_GRID_POINTS:
+        raise ValueError(f"{what} has {size} points, more than {MAX_GRID_POINTS}")
+
+
+def _dyadic_range(lo: Dyadic, hi: Dyadic, step: Dyadic) -> list:
+    """lo, lo + step, ... up to hi inclusive."""
+    size = _grid_size(lo, hi, step)
+    _check_grid_size(size, f"the grid {lo} to {hi} by {step}")
+    return [lo + step * k for k in range(size)]
 
 
 @dataclass(frozen=True)
@@ -131,22 +160,21 @@ def measure_vector(instances, tests, profiles=None) -> tuple[np.ndarray, np.ndar
             nums, e = common_numerators([d for x, L in instances for d in (x, x + L)])
             ends = np.asarray(nums)
         if isinstance(t, GridSet):
-            _check_box_contains(t.levels, ends, e)
+            need = (Dyadic(int(np.min(ends)), e), Dyadic(int(np.max(ends)), e))
+            check_span(need, Window.of(t.levels.box_lo[0], t.levels.box_hi[0]), "the grid box")
             t = t.runs
         c, _, ce = t.cumulative_nums(ends, e)
         values[:, j] = (c[1::2] - c[0::2]) * 2.0**-ce
     return values, errors
 
 
-def _check_box_contains(levels: RandomLevels, ends: np.ndarray, e: int):
-    """Every [lo, hi) of the interleaved endpoint numerators lies in the box."""
-    outside = (ends[0::2] < levels.box_lo[0] << e) | (ends[1::2] > levels.box_hi[0] << e)
-    if np.any(outside):
-        i = 2 * int(np.argmax(outside))
-        lo, hi = Dyadic(int(ends[i]), e), Dyadic(int(ends[i + 1]), e)
+def check_span(need: tuple, window: Window, where: str):
+    """The points the instances query, spanning need = (lo, hi), lie in the
+    window of a test; else WindowExceededError naming the span needed."""
+    lo, hi = need
+    if lo < window.lo or window.hi < hi:
         raise WindowExceededError(
-            f"instance [{lo}, {hi}) outside the grid box "
-            f"[{levels.box_lo[0]}, {levels.box_hi[0]})",
+            f"instances need [{lo}, {hi}), outside {where} {window}",
             required_lo=float(lo),
             required_hi=float(hi),
         )

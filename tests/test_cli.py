@@ -68,6 +68,30 @@ def test_verify_monotonicity_detects_violation(tmp_path):
     assert code == 2  # translation-invariant test set: zero increments
 
 
+@pytest.mark.parametrize(
+    "argv, need",
+    [
+        (["verify", "monotonicity", "--shape", "[0,1]", "--grid", "0", "10", "1/16"], "[0, 11)"),
+        (["verify", "monotonicity", "--shape", "[0,1]", "--grid", "-3", "2", "1/16"], "[-3, 3)"),
+        (["verify", "injectivity", "--length", "1", "2", "1/8", "--x", "6", "9", "1/16"],
+         "[6, 11)"),
+        (["verify", "injectivity", "--length", "1", "2", "1/8", "--x", "20", "21", "1/16"],
+         "[20, 23)"),
+    ],
+    ids=["monotonicity-above", "monotonicity-below", "injectivity-across", "injectivity-beyond"],
+)
+def test_exact_verifiers_refuse_queries_outside_window(tmp_path, capsys, argv, need):
+    # the set is cut off at its window [0, 8): past the edge it reads as empty
+    T = tmp_path / "T.json"
+    assert run(["construct", "interval-union", "--lengths", "1",
+                "--window", "0", "8", "--rho", "1/16", "-o", str(T)]) == 0
+    capsys.readouterr()
+    flag = "--test" if argv[1] == "monotonicity" else "--tests"
+    assert run([*argv, flag, str(T)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: instances need {need}, outside the window of {T} [0, 8)")
+
+
 def test_usage_error_exit_one(tmp_path):
     assert run(["construct", "interval-union", "--lengths", "1", "--window", "0", "8"]) == 1
     assert run(["no-such-command"]) == 1
@@ -233,6 +257,23 @@ def test_nonpositive_grid_step_exits_one(tmp_path, step):
     write_json(T, interval_set_artifact(IntervalSet([(0, 8)])))
     _capped_cli_exits_one("verify", "monotonicity", "--test", str(T),
                           "--shape", "[0,1]", "--grid", "0", "6", step)
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [
+        ["monotonicity", "--shape", "[0,1]", "--grid", "0", "6", "1/2^99999"],
+        ["monotonicity", "--shape", "[0,1]", "--grid", "0", "6", "1/2^34359738368"],
+        ["injectivity", "--x", "0", "1", "1/2^40", "--length", "1", "2", "1/8"],
+    ],
+    ids=["fine-exponent", "huge-exponent", "injectivity-product"],
+)
+def test_oversized_grid_exits_one(tmp_path, grid):
+    # sized before any point is made: the parent ran out of memory or time
+    T = tmp_path / "T.json"
+    write_json(T, interval_set_artifact(IntervalSet([(0, 8)])))
+    flag = "--test" if grid[0] == "monotonicity" else "--tests"
+    _capped_cli_exits_one("verify", *grid, flag, str(T))
 
 
 @pytest.mark.parametrize("command", ["report", "monotonicity"])

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,8 @@ from reconset.dyadic import Dyadic
 from reconset.gridsets import (
     CopyCount,
     GridSet,
+    _philox,
+    _sparse_fisher_yates,
     assemble,
     grid_summary,
     load_grid_set,
@@ -72,6 +76,76 @@ def test_degenerate_density_empty_possible():
     # p (n/g)^d < 1 forces m_D = 0 always
     lv = validate_levels((4,), (4,), (0.5,), (0,), (1,))
     assert sample_level(lv, 0, seed=0).size == 0
+
+
+def _sample_level_oracle(levels, i, seed):
+    """sample_level with one scalar draw per Fisher-Yates step and hand-written
+    unravelling of the coarse cell and of the offset inside it."""
+    n, g, p = levels.n[i], levels.g[i], levels.p[i]
+    d = levels.d
+    sub = n // g
+    cell_size = sub**d
+    m_max = int(math.floor(p * cell_size))
+    coarse_counts = tuple(u * g for u in levels.box_units())
+    fine_counts = tuple(u * n for u in levels.box_units())
+    picks = []
+    for cell in range(int(np.prod(coarse_counts))):
+        rng = _philox(seed, i, cell)
+        m = int(rng.integers(0, m_max + 1))
+        if m == 0:
+            continue
+        local = _fisher_yates_oracle(rng, cell_size, m)
+        rem, coarse = cell, []
+        for size in reversed(coarse_counts):
+            coarse.append(rem % size)
+            rem //= size
+        coarse.reverse()
+        for v in local:
+            offset = []
+            for _ in range(d):
+                offset.append(v % sub)
+                v //= sub
+            offset.reverse()
+            flat = 0
+            for k in range(d):
+                flat = flat * fine_counts[k] + coarse[k] * sub + offset[k]
+            picks.append(flat)
+    return np.array(sorted(picks), dtype=np.int64)
+
+
+def _fisher_yates_oracle(rng, n, m):
+    swap, out = {}, []
+    for j in range(m):
+        k = int(rng.integers(j, n))
+        vj, vk = swap.get(j, j), swap.get(k, k)
+        out.append(vk)
+        swap[k], swap[j] = vj, vk
+    return out
+
+
+@pytest.mark.parametrize(
+    "levels",
+    [
+        validate_levels((16, 256), (16, 32), (0.5, 0.125), (-1,), (2,)),
+        validate_levels((8, 64), (4, 16), (0.5, 0.25), (0, 0), (2, 1)),
+        validate_levels((4, 16), (2, 8), (0.5, 0.25), (0, 0, 0), (1, 2, 1)),
+    ],
+    ids=["1d", "2d", "3d"],
+)
+def test_sample_level_matches_scalar_oracle(levels):
+    for seed in (0, 1, 7, 2**40 + 3):
+        for i in range(levels.levels):
+            got = sample_level(levels, i, seed)
+            assert got.dtype == np.int64
+            assert np.array_equal(got, _sample_level_oracle(levels, i, seed))
+
+
+@pytest.mark.parametrize("n", [8, 4096, 2**40])
+def test_fisher_yates_leaves_stream_where_scalar_draws_would(n):
+    for m in sorted({1, min(n, 8), min(n, 300)}):
+        a, b = _philox(5, 1, m), _philox(5, 1, m)
+        assert _sparse_fisher_yates(a, n, m) == _fisher_yates_oracle(b, n, m)
+        assert a.integers(0, 2**62) == b.integers(0, 2**62)
 
 
 def test_assemble_single_level_identity():

@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -122,6 +123,7 @@ def test_affine_examples():
     s = iset((0, 1), (2, 3))
     assert s.affine(1, 0) == s
     assert s.affine(Dyadic(1, 1), 0).measure() == Dyadic(1)
+    assert not IntervalSet.empty().affine(2**70, 2**70)
 
 
 def test_affine_rejects_nonpositive_scale():
@@ -138,6 +140,118 @@ def test_affine_composition_exact():
     lhs = s.affine(a, b).affine(c, d)
     rhs = s.affine(c * a, c * b + d)
     assert lhs == rhs
+
+
+def _affine_oracle(s: IntervalSet, scale: Dyadic, shift: Dyadic) -> IntervalSet:
+    """The image on Python ints in an object array, then sorted, merged and
+    guarded by from_arrays: the computation affine replaced."""
+    if not s:
+        return IntervalSet.empty()
+    scaled = s._nums.astype(object) * scale.num
+    e = s.exponent + scale.exp
+    e_out = max(e, shift.exp)
+    scaled <<= e_out - e
+    scaled += shift.num << (e_out - shift.exp)
+    return IntervalSet.from_arrays(scaled[:, 0], scaled[:, 1], e_out)
+
+
+@st.composite
+def offset_sets(draw):
+    """Sets of small span far from zero, so a scaled endpoint is large."""
+    exp = draw(st.integers(min_value=0, max_value=40))
+    far = st.integers(2**50, 2**57 - 2**16)
+    base = draw(far | far.map(lambda v: -v) | st.integers(-(2**57), 2**57 - 2**16))
+    ends = sorted(draw(st.lists(st.integers(0, 2**16), min_size=2, max_size=8, unique=True)))
+    ends = [base + v for v in ends[: len(ends) // 2 * 2]]
+    return IntervalSet.from_arrays(ends[0::2], ends[1::2], exp)
+
+
+@st.composite
+def affine_cases(draw):
+    s = draw((wide_sets() | offset_sets()).filter(len))
+    scale = Dyadic(draw(st.integers(1, 2**20) | st.integers(2**12, 2**20)), draw(st.integers(0, 24)))
+    mode = draw(st.sampled_from(["free", "top", "bottom", "cancel"]))
+    if mode == "free":
+        return s, scale, Dyadic(draw(st.integers(-(2**62), 2**62)), draw(st.integers(0, 64)))
+    # at the shift's exponent e = s.exponent + scale.exp the image numerators are
+    # nums*scale.num + t; place the last high or the first low on a target
+    anchor = int(s._nums[-1, 1] if mode == "top" else s._nums[0, 0])
+    delta = draw(st.integers(-3, 3))
+    target = {"top": 2**58 + delta, "bottom": -(2**58) + delta}.get(mode, delta * 1024)
+    return s, scale, Dyadic(target - anchor * scale.num, s.exponent + scale.exp)
+
+
+@settings(max_examples=400, deadline=None)
+@given(affine_cases())
+def test_affine_matches_object_array_oracle(case):
+    s, scale, shift = case
+    try:
+        want = _affine_oracle(s, scale, shift)
+    except ExactnessOverflowError:
+        with pytest.raises(ExactnessOverflowError):
+            s.affine(scale, shift)
+        return
+    got = s.affine(scale, shift)
+    assert got._nums.dtype == np.int64
+    assert np.array_equal(got._nums, want._nums)
+    assert got.exponent == want.exponent
+
+
+def test_affine_guard_at_two_to_the_58():
+    s = iset((0, 1))
+    assert len(s.affine(2**57, 2**57 - 1)) == 1  # image [2^57 - 1, 2^58 - 1)
+    with pytest.raises(ExactnessOverflowError):
+        s.affine(2**57, 2**57)
+    with pytest.raises(ExactnessOverflowError):
+        s.affine(1, -(2**58))
+    # the scaled endpoint 2^77 cancels against the shift
+    assert s.affine(2**20, 0).translate(-(2**20)) == iset((-(2**20), 0))
+    assert iset((2**57 - 1, 2**57)).affine(2**20, -(2**77 - 2**20)) == iset((0, 2**20))
+
+
+# -- integer input -------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "lows, highs",
+    [([0.5], [1.5]), (["1"], ["3"]), ([True], [3]), ([1, 2.0], [2, 3]),
+     (np.array([0.5]), np.array([1.5])), (np.array([True]), np.array([True])),
+     (np.array(["1"]), np.array(["3"]))],
+    ids=["floats", "strings", "bool", "mixed-float", "float-array", "bool-array", "str-array"],
+)
+def test_from_arrays_refuses_non_integers(lows, highs):
+    with pytest.raises(ValueError, match="integers"):
+        IntervalSet.from_arrays(lows, highs, 0)
+
+
+def test_cumulative_nums_refuses_non_integers():
+    s = iset((0, 4))
+    for x in ([1.9], np.array([1.9]), ["1"], [True]):
+        with pytest.raises(ValueError, match="integers"):
+            s.cumulative_nums(x, 0)
+    assert s.cumulative_nums(np.array([3], dtype=np.uint8), 0)[0].tolist() == [3]
+
+
+@pytest.mark.parametrize(
+    "lows, highs",
+    [([2**63], [2**63 + 1]), ([-(2**63) - 1], [0]),
+     (np.array([2**63], dtype=np.uint64), np.array([2**64 - 1], dtype=np.uint64))],
+    ids=["int", "negative-int", "uint64"],
+)
+def test_from_arrays_beyond_int64_overflows(lows, highs):
+    with pytest.raises(ExactnessOverflowError):
+        IntervalSet.from_arrays(lows, highs, 0)
+
+
+def test_from_arrays_integer_input():
+    want = IntervalSet([(1, 3)])
+    assert IntervalSet.from_arrays([1], [3], 0) == want
+    assert IntervalSet.from_arrays(np.array([1], np.int32), np.array([3], np.uint16), 0) == want
+    assert IntervalSet.from_arrays(np.array([1], object), np.array([3], object), 0) == want
+    assert not IntervalSet.from_arrays([], [], 0)
+    assert not IntervalSet.from_arrays(np.array([]), np.array([]), 0)
+    with pytest.raises(ExactnessOverflowError):
+        iset((0, 1)).cumulative_nums([2**64], 0)
 
 
 # -- oracle-backed property tests ---------------------------------------------
