@@ -10,6 +10,7 @@ each returned with an exactly re-checked witness.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -61,8 +62,8 @@ class VariationEnvelope:
         self._chain = _merge_chain(g)
 
     def bound(self, eps: float) -> KBound:
-        if eps <= 0:
-            raise ValueError(f"epsilon must be positive, got {eps}")
+        if not (eps > 0 and math.isfinite(eps)):
+            raise ValueError(f"epsilon must be positive and finite, got {eps}")
         best = None
         for witness, strategy in self._candidates(eps):
             err = self.g.l1_distance(witness)
@@ -98,19 +99,20 @@ def _least_truncation_threshold(g: StepProfile, eps: float) -> float | None:
     def excess(t: float) -> float:
         return float(math.fsum(w * np.maximum(v - t, 0.0)))
 
-    # excess(t) is piecewise linear and decreasing; solve on the level grid
-    prev_t, prev_e = 0.0, excess(0.0)
+    # excess(t) is piecewise linear and non-increasing, and so is its correctly
+    # rounded fsum: bisect the sorted levels for the first one below eps, then
+    # interpolate linearly with its predecessor (or with t = 0)
+    i = bisect.bisect_left(levels, True, key=lambda t: excess(float(t)) < eps)
     t_star = float(levels[-1])
-    for t in levels:
+    if i < levels.size:
+        t = levels[i]
         e = excess(float(t))
-        if e < eps:
-            # linear interpolation between (prev_t, prev_e) and (t, e)
-            if prev_e > e:
-                t_star = prev_t + (prev_e - eps) * (t - prev_t) / (prev_e - e)
-            else:
-                t_star = float(t)
-            break
-        prev_t, prev_e = float(t), e
+        prev_t = float(levels[i - 1]) if i else 0.0
+        prev_e = excess(prev_t)
+        if prev_e > e:
+            t_star = prev_t + (prev_e - eps) * (t - prev_t) / (prev_e - e)
+        else:
+            t_star = float(t)
     for bump in (1e-12, 1e-9, 1e-6):
         t_try = t_star * (1 + bump) + bump
         if excess(t_try) < eps:
@@ -139,6 +141,12 @@ def _merge_chain(g: StepProfile):
     weighted median); states[j] = (cost_j, var_j) after j merges, with
     states[0] describing g itself.  Returns (order, states) where order[j]
     is the removed boundary (last original piece of the absorbing block).
+
+    var_j = |first median| + |last median| + Σ |jumps| between live blocks.
+    The jump sum is kept exactly, as an integer count of 2**-1074 (the least
+    positive float), and rounded once per state: that is math.fsum of the
+    same jumps, which is correctly rounded.  A merge removes three jumps and
+    adds two.
     """
     import heapq
 
@@ -152,6 +160,8 @@ def _merge_chain(g: StepProfile):
     nxt = list(range(1, n + 1))
     alive = [True] * n
     version = [0] * n
+    last = n - 1  # the last live block; block 0 is never absorbed
+    unit = 1 << 1074
 
     def merged_data(k):
         right = nxt[k]
@@ -159,11 +169,13 @@ def _merge_chain(g: StepProfile):
         med, cost = _weighted_median_and_cost(both)
         return both, med, cost
 
+    def jump(a: float, b: float) -> int:
+        """|b - a|, as the float subtraction rounds it, in units of 2**-1074."""
+        num, den = abs(b - a).as_integer_ratio()
+        return num << (1075 - den.bit_length())
+
     def variation_total():
-        vals = [meds[k] for k in range(n) if alive[k]]
-        total = abs(vals[0]) + abs(vals[-1])
-        total += math.fsum(abs(vals[i + 1] - vals[i]) for i in range(len(vals) - 1))
-        return total
+        return abs(meds[0]) + abs(meds[last]) + jumps / unit
 
     heap = []
     for k in range(n - 1):
@@ -171,6 +183,7 @@ def _merge_chain(g: StepProfile):
         delta = cost - costs[k] - costs[k + 1]
         heapq.heappush(heap, (delta, k, version[k], version[k + 1]))
 
+    jumps = sum(jump(meds[i], meds[i + 1]) for i in range(n - 1))
     states = [(0.0, variation_total())]
     order = []
     cum = 0.0
@@ -183,15 +196,23 @@ def _merge_chain(g: StepProfile):
         if version[k] != vk or version[right] != vr:
             continue
         both, med, cost = merged_data(k)
+        left, far = prev[k], nxt[right]
+        jumps -= jump(meds[k], meds[right])
+        if left >= 0:
+            jumps += jump(meds[left], med) - jump(meds[left], meds[k])
+        if far < n:
+            jumps += jump(med, meds[far]) - jump(meds[right], meds[far])
+        if right == last:
+            last = k
         items[k] = both
         meds[k] = med
         costs[k] = cost
         alive[right] = False
         order.append(last_piece[k])
         last_piece[k] = last_piece[right]
-        nxt[k] = nxt[right]
-        if nxt[k] < n:
-            prev[nxt[k]] = k
+        nxt[k] = far
+        if far < n:
+            prev[far] = k
         version[k] += 1
         cum += max(delta, 0.0)
         states.append((cum, variation_total()))
@@ -218,17 +239,17 @@ def _best_chain_state(chain, eps: float) -> int | None:
 def _chain_witness(g: StepProfile, chain, j: int) -> StepProfile:
     order, _ = chain
     removed = set(order[:j])
-    edges = [float(g.edges[0])]
+    g_edges = g.edges.tolist()
+    edges = [g_edges[0]]
     vals = []
-    widths = g.widths()
     block = []
-    for i in range(g.piece_count):
-        block.append((float(g.vals[i]), float(widths[i])))
+    for i, item in enumerate(zip(g.vals.tolist(), g.widths().tolist())):
+        block.append(item)
         if i in removed:
             continue
         med, _ = _weighted_median_and_cost(sorted(block))
         vals.append(med)
-        edges.append(float(g.edges[i + 1]))
+        edges.append(g_edges[i + 1])
         block = []
     return StepProfile(edges, vals)
 

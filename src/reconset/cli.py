@@ -80,7 +80,7 @@ def _named_profile(spec: str, resolution: int) -> Profile:
 
 def _load_shape(spec: str):
     try:
-        obj = json.loads(spec)
+        obj = rio.parse_json(spec)
     except json.JSONDecodeError:
         obj = rio.read_json(spec)
     return shape_from_json(obj)
@@ -281,9 +281,10 @@ def search():
 @click.option("-o", "--output", type=click.Path(), default=None)
 def search_counterexample(a_path, b_path, min_length, tol, output):
     """Two long intervals that two given test sets cannot distinguish."""
-    A, _ = rio.load_interval_set(a_path)
-    B, _ = rio.load_interval_set(b_path)
-    pair = interval_counterexample(A, B, _dyadic_arg(min_length), tol)
+    A, a_window = rio.load_interval_set(a_path)
+    B, b_window = rio.load_interval_set(b_path)
+    windows = [w for w in (a_window, b_window) if w is not None]
+    pair = interval_counterexample(A, B, _dyadic_arg(min_length), tol, windows)
     out = {"kind": "counterexample"}
     out.update(pair.to_json())
     if output:

@@ -436,8 +436,8 @@ class MagnifyConfig:
     slope_max: float = 10.0
 
     def __post_init__(self):
-        if self.a_max < 1.0:
-            raise ValueError("a_max must be at least 1")
+        if not (1.0 <= self.a_max < math.inf):
+            raise ValueError(f"a_max must be finite and at least 1, got {self.a_max}")
 
 
 @dataclass

@@ -96,9 +96,28 @@ def validate_levels(n, g, p, box_lo=(0,), box_hi=(1,)) -> RandomLevels:
     return RandomLevels(n, g, p, box_lo, box_hi)
 
 
-def _philox(seed: int, level: int, cell: int) -> np.random.Generator:
+def _philox(seed: int, level: int, cell: int, rng=None) -> np.random.Generator:
+    """The stream of Philox(key=...) for the cell's key.  That constructor
+    draws OS entropy for a seed the key then replaces; Philox(0) draws none,
+    and its state takes counter 0, the key (low word first) and an empty
+    buffer.  A Generator `rng` over a Philox is re-keyed in place instead."""
     key = (int(seed) << 64) ^ (int(level) << 48) ^ int(cell)
-    return np.random.Generator(np.random.Philox(key=key))
+    if not 0 <= key < 1 << 128:
+        raise ValueError("key must be positive and less than 2**128.")
+    if rng is None:
+        rng = np.random.Generator(np.random.Philox(0))
+    rng.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {
+            "counter": np.zeros(4, dtype=np.uint64),
+            "key": np.array([key & (1 << 64) - 1, key >> 64], dtype=np.uint64),
+        },
+        "buffer": np.zeros(4, dtype=np.uint64),
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    return rng
 
 
 def sample_level(levels: RandomLevels, i: int, seed: int) -> np.ndarray:
@@ -117,8 +136,9 @@ def sample_level(levels: RandomLevels, i: int, seed: int) -> np.ndarray:
     m_max = int(math.floor(p * cell_size))
     coarse_counts = tuple(u * g for u in units)
     cells, local = [], []
+    rng = None
     for cell in range(int(np.prod(coarse_counts))):
-        rng = _philox(seed, i, cell)
+        rng = _philox(seed, i, cell, rng)
         m = int(rng.integers(0, m_max + 1))
         if m:
             cells.append(np.full(m, cell))

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from pathlib import Path
 
 from .errors import decoding
@@ -16,11 +17,25 @@ from .profiles import Profile
 
 
 def write_json(path, obj):
-    Path(path).write_text(json.dumps(obj, sort_keys=True, indent=1) + "\n")
+    """Standard JSON only: NaN or an infinity raises ValueError."""
+    Path(path).write_text(json.dumps(obj, sort_keys=True, indent=1, allow_nan=False) + "\n")
+
+
+def _finite(text):
+    x = float(text)
+    if not math.isfinite(x):
+        raise ValueError(f"{text} is not a finite number")
+    return x
+
+
+def parse_json(text: str):
+    """Standard JSON with finite numbers only: the tokens NaN, Infinity and
+    -Infinity, and a number beyond the float range, raise ValueError."""
+    return json.loads(text, parse_constant=_finite, parse_float=_finite)
 
 
 def read_json(path):
-    return json.loads(Path(path).read_text())
+    return parse_json(Path(path).read_text())
 
 
 def interval_set_artifact(T: IntervalSet, window: Window | None = None, meta: dict | None = None):
@@ -45,37 +60,6 @@ def decode_interval_set(obj, path) -> tuple[IntervalSet, Window | None]:
             raise ValueError(f"{path}: expected an interval-set artifact")
         window = Window.from_json(obj["window"]) if obj.get("window") else None
         return IntervalSet.from_json(obj["intervals"]), window
-
-
-def slab_artifact(slab) -> dict:
-    if slab.full_space:
-        return {"kind": "slab", "full_space": True}
-    out = {
-        "kind": "slab",
-        "full_space": False,
-        "theta": list(slab.theta.theta),
-        "intervals": slab.T.to_json(),
-        "window": slab.window.to_json(),
-    }
-    if slab.certificate is not None:
-        out["certificate"] = slab.certificate.to_json()
-    return out
-
-
-def load_slab(path):
-    from .shapes import Direction, SlabTestSet
-
-    obj = read_json(path)
-    with decoding("slab", path):
-        if obj.get("kind") != "slab":
-            raise ValueError(f"{path}: expected a slab artifact")
-        if obj.get("full_space"):
-            return SlabTestSet.full()
-        return SlabTestSet(
-            Direction(tuple(obj["theta"])),
-            IntervalSet.from_json(obj["intervals"]),
-            Window.from_json(obj["window"]),
-        )
 
 
 def profile_artifact(p: Profile, meta: dict | None = None) -> dict:

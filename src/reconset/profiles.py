@@ -93,9 +93,6 @@ class Profile:
     def slopes(self) -> np.ndarray:
         return (self.vr - self.vl) / np.diff(self.xs)
 
-    def is_continuous(self, tol: float = 1e-12) -> bool:
-        return bool(np.all(np.abs(self.vl[1:] - self.vr[:-1]) <= tol))
-
     def __call__(self, x):
         """Evaluate; right-continuous at interior jumps, zero outside support."""
         x = np.asarray(x, dtype=np.float64)
@@ -155,9 +152,6 @@ class Profile:
         if c < 0:
             raise ValueError("y-scale must be non-negative")
         return Profile(self.xs.copy(), self.vl * c, self.vr * c, self.abs_error * c, self.l1_error * c)
-
-    def mirror(self) -> "Profile":
-        return Profile(-self.xs[::-1], self.vr[::-1].copy(), self.vl[::-1].copy(), self.abs_error, self.l1_error)
 
     def trimmed(self, tol: float = 0.0) -> "Profile":
         """Drop identically-zero pieces at the ends of the support."""
@@ -235,16 +229,6 @@ class PiecewiseQuadratic:
         val = self.cum[idx] + t * (self.vl[idx] + t * self.slope_half[idx])
         out = np.where(below, 0.0, np.where(above, self.total, val))
         return float(out[0]) if scalar else out
-
-    def integrate_interval(self, lo, hi):
-        return self(hi) - self(lo)
-
-    def integrate_interval_set(self, endpoints: np.ndarray) -> float:
-        """Exact integral of p over a union given as an (N, 2) float array."""
-        if endpoints.size == 0:
-            return 0.0
-        vals = self(endpoints.ravel()).reshape(-1, 2)
-        return float(math.fsum(vals[:, 1] - vals[:, 0]))
 
 
 class StepProfile:

@@ -150,14 +150,6 @@ class ShellBudget:
             if not (0.0 < v < 1.0):
                 raise ValueError(f"delta({k}) = {v} outside (0, 1)")
 
-    @staticmethod
-    def from_callable(fn, max_shell: int) -> "ShellBudget":
-        return ShellBudget(tuple(float(fn(k)) for k in range(max_shell + 1)))
-
-    @staticmethod
-    def constant(value: float, max_shell: int) -> "ShellBudget":
-        return ShellBudget((float(value),) * (max_shell + 1))
-
     def __call__(self, k: int) -> float:
         if k >= len(self.values):
             raise IndexError(f"shell {k} beyond budget table (max {len(self.values) - 1})")
@@ -193,19 +185,3 @@ def quantizer_residual(T: IntervalSet, target, origin: float, points) -> np.ndar
     phi_int = np.asarray(target.integrate_phi(np.full(pts.shape, origin), pts))
     return cover - phi_int
 
-
-def windowed_integral_norm(
-    T: IntervalSet, target, x: float, a: float, samples: int = 512
-) -> float:
-    """sup over x-a <= u <= v <= x+a of |∫_u^v (chi_T - phi)|.
-
-    The windowed norm the construction budgets control; evaluated on a
-    sample grid refined by the interval endpoints inside the window.
-    """
-    ends = T.to_floats().ravel()
-    inside = ends[(ends >= x - a) & (ends <= x + a)]
-    pts = np.unique(
-        np.concatenate([[x - a, x + a], inside, np.linspace(x - a, x + a, samples)])
-    )
-    D = quantizer_residual(T, target, x - a, pts)
-    return float(D.max() - D.min())

@@ -38,6 +38,8 @@ class Direction:
     def __post_init__(self):
         t = tuple(float(x) for x in self.theta)
         object.__setattr__(self, "theta", t)
+        if not all(map(math.isfinite, t)):
+            raise ValueError(f"direction components must be finite, got {t}")
         n = math.sqrt(math.fsum(x * x for x in t))
         if abs(n - 1.0) > _UNIT_TOL:
             raise ValueError(f"direction norm {n} is not 1 within {_UNIT_TOL}")
@@ -296,23 +298,6 @@ class GridShape:
 
 
 Shape = Ball | Box | Polygon | Simplex | IntervalUnion | GridShape
-
-
-def shape_translate(shape, v):
-    """The translated shape E + v (for covariance tests and posed families)."""
-    v = tuple(float(x) for x in v)
-    if isinstance(shape, Ball):
-        return Ball(tuple(c + w for c, w in zip(shape.center, v)), shape.radius)
-    if isinstance(shape, Box):
-        return Box(
-            tuple(c + w for c, w in zip(shape.lo, v)),
-            tuple(c + w for c, w in zip(shape.hi, v)),
-        )
-    if isinstance(shape, Polygon):
-        return Polygon(tuple((p[0] + v[0], p[1] + v[1]) for p in shape.vertices))
-    if isinstance(shape, Simplex):
-        return Simplex(tuple(tuple(c + w for c, w in zip(p, v)) for p in shape.vertices))
-    raise TypeError(f"translate not supported for {type(shape).__name__}")
 
 
 # -- slab test sets ------------------------------------------------------------

@@ -86,8 +86,8 @@ class Logistic:
     """phi(x) = 1 / (1 + exp(-rate x)); strictly increasing into (0, 1)."""
 
     def __init__(self, rate: float = 0.5):
-        if rate <= 0:
-            raise ValueError("rate must be positive")
+        if not (rate > 0 and math.isfinite(rate)):
+            raise ValueError(f"rate must be positive and finite, got {rate}")
         self.rate = float(rate)
 
     def phi(self, x):

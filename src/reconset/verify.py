@@ -285,8 +285,10 @@ def injectivity_report(grid, tests, resolution: int = 256) -> VerificationReport
     reported error.
     """
     instances = grid.instances()
+    if len(instances) < 2:
+        raise ValueError("injectivity needs at least two instances")
     profiles = None
-    if instances and isinstance(instances[0], Pose):
+    if isinstance(instances[0], Pose):
         profiles = [
             None if t.full_space else radon_profile(grid.shape, t.theta, resolution)
             for t in tests
@@ -330,14 +332,20 @@ class CounterexamplePair:
         }
 
 
+# the search grids run INITIAL_GRID, 4x, 16x, ... up to MAX_GRID points a
+# side; the 4096 x 4096 round peaks near 1 GB, the next would need 16 GB
+INITIAL_GRID = 256
+MAX_GRID = 4096
+# candidate pairs resolved exactly per round at most
+MAX_CANDIDATES = 200_000
+
+
 def interval_counterexample(
     A: IntervalSet,
     B: IntervalSet,
     min_length=1,
     tol: float = 1e-9,
-    window: Window | None = None,
-    initial_grid: int = 256,
-    max_rounds: int = 6,
+    windows=(),
 ) -> CounterexamplePair:
     """Two distinct intervals of length > min_length whose measures against
     both A and B agree within tol.
@@ -346,34 +354,53 @@ def interval_counterexample(
     for image self-overlaps on a coarse grid, then resolves each candidate
     pair exactly on the affine pieces of f (slopes are 0/±1 with dyadic
     offsets, so solutions are dyadic and the discrepancies vanish exactly).
+    With `windows` (those recorded for A and B) both intervals lie in their
+    intersection; without, the search covers both sets with margin.
     Existence is guaranteed for any A, B; exhaustion signals a budget
     problem and raises SearchBudgetError.
     """
     min_length = as_dyadic(min_length)
-    if window is None:
-        hi = Dyadic(2)
+    if not (tol >= 0 and math.isfinite(tol)):
+        raise ValueError(f"tol must be finite and non-negative, got {tol}")
+    if windows:
+        bounds = (max(w.lo for w in windows), min(w.hi for w in windows))
+        if not min_length < bounds[1] - bounds[0]:
+            raise ValueError(
+                f"no interval longer than {min_length} fits in the intersection "
+                f"of the windows {', '.join(map(str, windows))}"
+            )
+        lo, hi = float(bounds[0]), float(bounds[1])
+    else:
+        bounds = None
+        W = Dyadic(2)
         for S in (A, B):
             if S:
                 lo0, hi0 = S.span()
-                hi = max(hi, abs(lo0), abs(hi0))
-        W = hi + min_length + Dyadic(4)
-    else:
-        W = max(abs(window.lo), abs(window.hi))
+                W = max(W, abs(lo0), abs(hi0))
+        W = float(W + min_length + Dyadic(4))
+        lo, hi = -W + 1.0, W - 1.0
     sep_needed = max(100.0 * tol, 2.0 ** -20)
 
-    grid = initial_grid
-    for _ in range(max_rounds):
-        pair = _search_on_grid(A, B, float(W), min_length, grid, sep_needed)
+    grid, cut_off = INITIAL_GRID, []
+    while grid <= MAX_GRID:
+        pair, cut = _search_on_grid(A, B, lo, hi, bounds, min_length, grid, sep_needed)
         if pair is not None:
             (z1, z2) = pair
             da = (_increment(A, z1) - _increment(A, z2)).as_fraction()
             db = (_increment(B, z1) - _increment(B, z2)).as_fraction()
             if abs(da) <= tol and abs(db) <= tol:
                 return CounterexamplePair(z1, z2, da, db, grid)
+        if cut:
+            cut_off.append(f"{grid}x{grid}")
         grid *= 4
+    grid //= 4
+    reason = (
+        f"the {MAX_CANDIDATES:,}-candidate cut-off ended the rounds on {', '.join(cut_off)}"
+        if cut_off else f"no round reached the {MAX_CANDIDATES:,}-candidate cut-off"
+    )
     raise SearchBudgetError(
-        f"no counterexample found up to a {grid // 4}x{grid // 4} grid",
-        densest_grid=grid // 4,
+        f"no counterexample found up to a {grid}x{grid} grid; {reason}",
+        densest_grid=grid,
     )
 
 
@@ -382,8 +409,8 @@ def _increment(S: IntervalSet, z) -> Dyadic:
     return S.cumulative(z[1]) - S.cumulative(z[0])
 
 
-def _search_on_grid(A, B, W, min_length, grid, sep_needed):
-    lo, hi = -W + 1.0, W - 1.0
+def _search_on_grid(A, B, lo, hi, bounds, min_length, grid, sep_needed):
+    """(pair or None, whether the candidate cut-off ended the round)."""
     xs = np.linspace(lo, hi, grid)
     step = xs[1] - xs[0]
     X, Y = np.meshgrid(xs, xs, indexing="ij")
@@ -419,8 +446,8 @@ def _search_on_grid(A, B, W, min_length, grid, sep_needed):
                 if abs(fa[i] - fa[j]) > 2.1 * step or abs(fb[i] - fb[j]) > 2.1 * step:
                     continue
                 checked += 1
-                if checked > 200_000:
-                    return None
+                if checked > MAX_CANDIDATES:
+                    return None, True
                 res = _exact_resolve(
                     A,
                     B,
@@ -429,13 +456,14 @@ def _search_on_grid(A, B, W, min_length, grid, sep_needed):
                     step,
                     min_dom,
                     sep_needed,
+                    bounds,
                 )
                 if res is not None:
-                    return res
-    return None
+                    return res, False
+    return None, False
 
 
-def _exact_resolve(A, B, z1, z2, step, min_length, sep_needed):
+def _exact_resolve(A, B, z1, z2, step, min_length, sep_needed, bounds):
     """Solve f(z1') = f(z2') exactly near the float candidates.
 
     Each coordinate is confined to its current affine piece of the relevant
@@ -513,20 +541,22 @@ def _exact_resolve(A, B, z1, z2, step, min_length, sep_needed):
         if any(v is None for v in vals):
             continue
         cand = _validate_candidate(
-            A, B, vals, pinned, step, min_length, sep_needed
+            A, B, vals, pinned, step, min_length, sep_needed, bounds
         )
         if cand is not None:
             return cand
     return None
 
 
-def _validate_candidate(A, B, vals, pinned, step, min_length, sep_needed):
+def _validate_candidate(A, B, vals, pinned, step, min_length, sep_needed, bounds):
     dys = []
     for v in vals:
         if v.denominator & (v.denominator - 1):
             return None  # not dyadic; a different pivot choice will be
         dys.append(Dyadic(v.numerator, v.denominator.bit_length() - 1))
     x1, y1, x2, y2 = dys
+    if bounds is not None and not (bounds[0] <= min(dys) and max(dys) <= bounds[1]):
+        return None
     # stay on the same affine pieces the system was built from
     for d, p in zip(dys, pinned):
         if abs(float(d) - float(p)) > 1.6 * step:

@@ -155,7 +155,7 @@ def test_ac05_magnification_monotone():
         assert rep.passed, f"a={a}: {rep.min_increment}"
     # sharpness of a >= 1: a coarse constructed set fails at a = 1/4
     T_coarse, _ = tiled_quantizer(
-        Logistic(0.5), ShellBudget.constant(0.5, 5), Window.of(-6, 6)
+        Logistic(0.5), ShellBudget((0.5,) * 6), Window.of(-6, 6)
     )
     b2 = np.arange(-2.0, 2.0 + 1e-12, 1.0 / 64.0)
     F_small = sliding_integral(Profile.tent(), T_coarse, 0.25, b2, Window.of(-6, 6))

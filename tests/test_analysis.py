@@ -1,7 +1,9 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from reconset.analysis import (
     VariationEnvelope,
@@ -282,3 +284,185 @@ def test_convolution_identity_quadratic_oracle():
         h = 1e-5
         fd = (conv(x + h) - conv(x - h)) / (2 * h)
         assert fd == pytest.approx(dconv(x), abs=1e-9)
+
+
+# -- the exact running sum and the bisected threshold against the quadratic code
+
+
+def _oracle_merge_chain(g: StepProfile):
+    """The merge chain as first written: each state's variation re-sums every
+    live jump with math.fsum."""
+    import heapq
+
+    from reconset.analysis import _weighted_median_and_cost
+
+    n = g.piece_count
+    widths = g.widths()
+    items = [[(float(g.vals[i]), float(widths[i]))] for i in range(n)]
+    meds = [float(v) for v in g.vals]
+    costs = [0.0] * n
+    last_piece = list(range(n))
+    prev = list(range(-1, n - 1))
+    nxt = list(range(1, n + 1))
+    alive = [True] * n
+    version = [0] * n
+
+    def merged_data(k):
+        right = nxt[k]
+        both = sorted(items[k] + items[right])
+        med, cost = _weighted_median_and_cost(both)
+        return both, med, cost
+
+    def variation_total():
+        vals = [meds[k] for k in range(n) if alive[k]]
+        total = abs(vals[0]) + abs(vals[-1])
+        total += math.fsum(abs(vals[i + 1] - vals[i]) for i in range(len(vals) - 1))
+        return total
+
+    heap = []
+    for k in range(n - 1):
+        _, med, cost = merged_data(k)
+        delta = cost - costs[k] - costs[k + 1]
+        heapq.heappush(heap, (delta, k, version[k], version[k + 1]))
+
+    states = [(0.0, variation_total())]
+    order = []
+    cum = 0.0
+    budget_cap = g.l1_norm() * 1.5 + 1e-9
+    while heap and cum <= budget_cap:
+        delta, k, vk, vr = heapq.heappop(heap)
+        right = nxt[k] if k < n else -1
+        if not alive[k] or right >= n or right < 0 or not alive[right]:
+            continue
+        if version[k] != vk or version[right] != vr:
+            continue
+        both, med, cost = merged_data(k)
+        items[k] = both
+        meds[k] = med
+        costs[k] = cost
+        alive[right] = False
+        order.append(last_piece[k])
+        last_piece[k] = last_piece[right]
+        nxt[k] = nxt[right]
+        if nxt[k] < n:
+            prev[nxt[k]] = k
+        version[k] += 1
+        cum += max(delta, 0.0)
+        states.append((cum, variation_total()))
+        if prev[k] >= 0:
+            _, _, c2 = merged_data(prev[k])
+            d2 = c2 - costs[prev[k]] - costs[k]
+            heapq.heappush(heap, (d2, prev[k], version[prev[k]], version[k]))
+        if nxt[k] < n:
+            _, _, c3 = merged_data(k)
+            d3 = c3 - costs[k] - costs[nxt[k]]
+            heapq.heappush(heap, (d3, k, version[k], version[nxt[k]]))
+    return order, states
+
+
+def _oracle_truncation_threshold(g: StepProfile, eps: float):
+    """The truncation threshold as first written: a scan of every level."""
+    w = g.widths()
+    v = np.abs(g.vals)
+    if float(math.fsum(w * v)) < eps:
+        return 0.0
+    levels = np.unique(v)
+
+    def excess(t: float) -> float:
+        return float(math.fsum(w * np.maximum(v - t, 0.0)))
+
+    prev_t, prev_e = 0.0, excess(0.0)
+    t_star = float(levels[-1])
+    for t in levels:
+        e = excess(float(t))
+        if e < eps:
+            if prev_e > e:
+                t_star = prev_t + (prev_e - eps) * (t - prev_t) / (prev_e - e)
+            else:
+                t_star = float(t)
+            break
+        prev_t, prev_e = float(t), e
+    for bump in (1e-12, 1e-9, 1e-6):
+        t_try = t_star * (1 + bump) + bump
+        if excess(t_try) < eps:
+            return t_try
+    return None
+
+
+def _oracle_chain_witness(g: StepProfile, chain, j: int) -> StepProfile:
+    from reconset.analysis import _weighted_median_and_cost
+
+    order, _ = chain
+    removed = set(order[:j])
+    edges = [float(g.edges[0])]
+    vals = []
+    widths = g.widths()
+    block = []
+    for i in range(g.piece_count):
+        block.append((float(g.vals[i]), float(widths[i])))
+        if i in removed:
+            continue
+        med, _ = _weighted_median_and_cost(sorted(block))
+        vals.append(med)
+        edges.append(float(g.edges[i + 1]))
+        block = []
+    return StepProfile(edges, vals)
+
+
+@st.composite
+def step_functions(draw):
+    """1-400 pieces on uniform or random widths; values drawn freely (zeros,
+    negatives, subnormals), from a small pool (repeats), or a 1/sqrt(x) spike."""
+    n = draw(st.integers(1, 400))
+    if draw(st.booleans()):
+        edges = np.linspace(0.0, 1.0, n + 1)
+    else:
+        widths = draw(st.lists(st.floats(1e-3, 1.0), min_size=n, max_size=n))
+        edges = np.concatenate([[0.0], np.cumsum(widths)])
+        edges /= edges[-1]
+    kind = draw(st.sampled_from(["free", "repeated", "spike"]))
+    if kind == "free":
+        vals = draw(st.lists(st.floats(-10.0, 10.0) | st.sampled_from([0.0, -1.0, 1.0]),
+                             min_size=n, max_size=n))
+    elif kind == "repeated":
+        vals = draw(st.lists(st.sampled_from([-2.0, -0.5, 0.0, 0.25, 1.0, 3.0]),
+                             min_size=n, max_size=n))
+    else:
+        edges[0] = 1e-9
+        vals = 1.0 / np.sqrt((edges[:-1] + edges[1:]) / 2.0)
+        if draw(st.booleans()):
+            vals = -vals
+    return StepProfile(edges, vals)
+
+
+EPS_GRID = np.geomspace(1e-3, 1.0, 5).tolist()
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+@given(g=step_functions())
+def test_merge_chain_and_bounds_match_quadratic_oracle(g):
+    from reconset import analysis
+
+    new = VariationEnvelope(g)
+    with mock.patch.object(analysis, "_merge_chain", _oracle_merge_chain):
+        old = VariationEnvelope(g)
+    # exact float equality: no state is NaN
+    assert new._chain == old._chain
+    for eps in EPS_GRID:
+        # with equal thresholds, the bisection serves the oracle's bound too
+        assert analysis._least_truncation_threshold(g, eps) == _oracle_truncation_threshold(g, eps)
+        got = new.bound(eps)
+        with mock.patch.object(analysis, "_chain_witness", _oracle_chain_witness):
+            want = old.bound(eps)
+        assert (got.variation_bound, got.l1_error, got.strategy) == (
+            want.variation_bound, want.l1_error, want.strategy)
+        assert got.witness.edges.tobytes() == want.witness.edges.tobytes()
+        assert got.witness.vals.tobytes() == want.witness.vals.tobytes()
+
+
+def test_k_upper_rejects_non_finite_eps():
+    env = VariationEnvelope(TENT.derivative_step())
+    for eps in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="positive and finite"):
+            env.bound(eps)

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import math
 import os
 import resource
 import subprocess
@@ -179,23 +180,6 @@ def test_snap_warning_on_decimal(tmp_path):
          "--window", "0", "8", "--rho", "0.1", "-o", str(out)]
     )
     assert code == 0  # 0.1 snapped to a dyadic with a logged note
-
-
-def test_slab_artifact_roundtrip(tmp_path):
-    from reconset.construct import FamilyOptions, family_test_sets
-    from reconset.io import load_slab, slab_artifact, write_json
-    from reconset.shapes import Ball
-
-    slabs = family_test_sets(
-        Ball((0.0, 0.0), 1.0), "translate",
-        FamilyOptions(resolution=16, translate_radius=0.5),
-    )
-    path = tmp_path / "slab.json"
-    write_json(path, slab_artifact(slabs[0]))
-    back = load_slab(path)
-    assert back.theta == slabs[0].theta
-    assert back.T == slabs[0].T
-    assert back.window == slabs[0].window
 
 
 @pytest.mark.parametrize(
@@ -383,3 +367,88 @@ def test_arbitrary_artifact_keeps_exit_contract(tmp_path_factory, obj, command):
         code = run(argv)
     assert code in (0, 1, 2, 3)
     assert "Traceback" not in out.getvalue() + err.getvalue()
+
+
+def _windowed_union(path, lengths, window):
+    assert run(["construct", "interval-union", "--lengths", lengths,
+                "--window", *window, "--rho", "1/2", "-o", str(path)]) == 0
+
+
+def test_counterexample_searched_inside_windows(tmp_path):
+    # outside its window [10, 18) a set reads as empty, where any two
+    # intervals look alike
+    a, b, ce = tmp_path / "A.json", tmp_path / "B.json", tmp_path / "ce.json"
+    _windowed_union(a, "1", ("10", "18"))
+    _windowed_union(b, "3/2", ("10", "18"))
+    assert run(["search", "two-set-counterexample", "--A", str(a), "--B", str(b),
+                "--min-length", "1", "-o", str(ce)]) == 0
+    obj = read_json(ce)
+    for key in ("first", "second"):
+        x, y = (Dyadic(num, exp) for num, exp in obj[key])
+        assert Dyadic(10) <= x and Dyadic(1) < y - x and y <= Dyadic(18)
+
+
+def test_counterexample_disjoint_windows_exit_one(tmp_path, capsys):
+    a, b = tmp_path / "A.json", tmp_path / "B.json"
+    _windowed_union(a, "1", ("10", "18"))
+    _windowed_union(b, "1", ("20", "28"))
+    capsys.readouterr()
+    assert run(["search", "two-set-counterexample", "--A", str(a), "--B", str(b)]) == 1
+    assert capsys.readouterr().err.startswith(
+        "error: no interval longer than 1 fits in the intersection of the windows "
+        "[10, 18), [20, 28)"
+    )
+
+
+@pytest.mark.parametrize("tol", ["-1", "nan"])
+def test_counterexample_refuses_bad_tol(tmp_path, tol):
+    # no pair passes such a tolerance: the grids grew until memory ran out
+    a, b = tmp_path / "A.json", tmp_path / "B.json"
+    write_json(a, interval_set_artifact(IntervalSet([(0, 1), (2, 5)])))
+    write_json(b, interval_set_artifact(IntervalSet([(1, 3)])))
+    _capped_cli_exits_one("search", "two-set-counterexample", "--A", str(a), "--B", str(b),
+                          "--tol", tol)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["construct", "translate", "--profile", "tent", "--window", "-2", "2",
+         "--rate", "nan", "-o", "out.json"],
+        ["construct", "translate", "--profile", "tent", "--window", "-2", "2",
+         "--rate", "inf", "-o", "out.json"],
+        ["construct", "magnify", "--profile", "tent", "--window", "-2", "2",
+         "--a-max", "nan", "-o", "out.json"],
+        ["construct", "magnify", "--profile", "tent", "--window", "-2", "2",
+         "--a-max", "inf", "-o", "out.json"],
+        ["radon", "--shape", '{"variant":"ball","center":[0,0],"radius":1}',
+         "--theta", "nan,0", "-o", "out.json"],
+        ["radon", "--shape", '{"variant":"ball","center":[0,0],"radius":NaN}',
+         "--theta", "1,0", "-o", "out.json"],
+        ["radon", "--shape", "ball.json", "--theta", "1,0", "-o", "out.json"],
+        ["verify", "injectivity", "--x", "1", "0", "1/16", "--length", "1", "2", "1/8",
+         "--tests", "T.json", "-o", "out.json"],
+        ["verify", "injectivity", "--x", "0", "0", "1", "--length", "1", "1", "1",
+         "--tests", "T.json", "-o", "out.json"],
+    ],
+    ids=["translate-rate-nan", "translate-rate-inf", "magnify-a-max-nan",
+         "magnify-a-max-inf", "radon-theta-nan", "radon-radius-nan",
+         "radon-radius-infinity-file", "injectivity-no-instance",
+         "injectivity-one-instance"],
+)
+def test_non_finite_numbers_and_small_families_exit_one(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "ball.json").write_text('{"variant":"ball","center":[0,0],"radius":Infinity}')
+    write_json(tmp_path / "T.json", interval_set_artifact(IntervalSet([(0, 8)])))
+    assert run(argv) == 1
+    out = capsys.readouterr()
+    assert "Traceback" not in out.out + out.err
+    assert out.err.startswith("error: ")
+    assert not (tmp_path / "out.json").exists()
+
+
+def test_write_json_refuses_non_finite(tmp_path):
+    for value in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError):
+            write_json(tmp_path / "x.json", {"min_separation": value})
+    assert not (tmp_path / "x.json").exists()

@@ -247,7 +247,7 @@ def test_magnify_small_scale_can_fail(disk_profile_small):
     from reconset.targets import Logistic
 
     T, res = tiled_quantizer(
-        Logistic(0.5), ShellBudget.constant(0.5, 5), Window.of(-6, 6)
+        Logistic(0.5), ShellBudget((0.5,) * 6), Window.of(-6, 6)
     )
     tent = Profile.tent()
     b = np.arange(-2.0, 2.0 + 1e-12, 1.0 / 64.0)

@@ -236,3 +236,27 @@ def test_near_tie_rate_single_level():
             ties += 1
     bound = 2.0 * g / (p * n)
     assert ties / trials <= bound
+
+
+@pytest.mark.parametrize(
+    "key", [0, (1 << 64) + 1, (1 << 128) - 1, (3_000_000_007 << 64) ^ (1 << 48) ^ 3263],
+    ids=["zero", "two-to-64-plus-1", "two-to-128-minus-1", "benchmark-style"],
+)
+def test_philox_matches_keyed_constructor(key):
+    # fresh, and re-keyed after draws that leave a buffered 32-bit half
+    seed, rest = key >> 64, key & ((1 << 64) - 1)
+    used = _philox(7, 1, 2)
+    used.integers(0, 1 << 62, 5), used.integers(0, 2, 3, dtype=np.uint32)
+    for got in (_philox(seed, 0, rest), _philox(seed, 0, rest, used)):
+        want = np.random.Generator(np.random.Philox(key=key))
+        assert np.array_equal(got.integers(0, 1 << 62, 257), want.integers(0, 1 << 62, 257))
+        assert got.integers(0, 5, 3, dtype=np.uint32).tolist() == want.integers(
+            0, 5, 3, dtype=np.uint32).tolist()
+        assert got.random() == want.random()
+
+
+def test_philox_refuses_key_out_of_range():
+    with pytest.raises(ValueError, match="less than 2"):
+        _philox(-1, 0, 0)
+    with pytest.raises(ValueError, match="less than 2"):
+        _philox(1 << 64, 0, 0)

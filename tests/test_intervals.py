@@ -101,7 +101,7 @@ def test_restrict_complement():
     s = iset((-5, 1), (2, 3), (9, 20))
     r = s.restrict(w)
     assert r == iset((0, 1), (2, 3), (9, 10))
-    c = s.complement_within(w)
+    c = IntervalSet([(w.lo, w.hi)]).difference(s)
     assert c == iset((1, 2), (3, 9))
     assert r.union(c) == iset((0, 10))
 

@@ -99,7 +99,7 @@ def test_zero_integral_with_trim():
 
 def test_tiled_quantizer_single_cell_reduces_to_greedy():
     target = Logistic(0.7)
-    delta = ShellBudget.constant(0.5, 0)
+    delta = ShellBudget((0.5,))
     T, res = tiled_quantizer(target, delta, Window.of(0, 1))
     assert res == {0: 16}  # least power of two above 4/0.5 = 8 is 16
     assert T == greedy_quantizer(target, 16)
@@ -107,7 +107,7 @@ def test_tiled_quantizer_single_cell_reduces_to_greedy():
 
 def test_tiled_quantizer_shell_bound():
     target = Logistic(0.5)
-    delta = ShellBudget.from_callable(lambda k: 2.0 ** (-k - 3), 3)
+    delta = ShellBudget(tuple(2.0 ** (-k - 3) for k in range(4)))
     window = Window.of(-4, 4)
     T, res = tiled_quantizer(target, delta, window)
     # bound at all half-integer pairs: |∫_a^b| <= delta(fl|a|) + delta(fl|b|)
@@ -123,7 +123,7 @@ def test_tiled_quantizer_shell_bound():
 
 def test_tiled_window_must_be_integer():
     with pytest.raises(ValueError):
-        tiled_quantizer(Logistic(), ShellBudget.constant(0.5, 2), Window.of(0, Dyadic(3, 1)))
+        tiled_quantizer(Logistic(), ShellBudget((0.5,) * 3), Window.of(0, Dyadic(3, 1)))
 
 
 def test_shell_budget_validation():
@@ -186,10 +186,19 @@ def test_quantize_cell_negative_cells():
 
 
 def test_windowed_integral_norm_obeys_shell_bound():
-    from reconset.quantize import windowed_integral_norm
+    def windowed_integral_norm(T, target, x, a, samples=512):
+        """sup over x-a <= u <= v <= x+a of |∫_u^v (chi_T - phi)|, on a sample
+        grid refined by the interval endpoints inside the window."""
+        ends = T.to_floats().ravel()
+        inside = ends[(ends >= x - a) & (ends <= x + a)]
+        pts = np.unique(
+            np.concatenate([[x - a, x + a], inside, np.linspace(x - a, x + a, samples)])
+        )
+        D = quantizer_residual(T, target, x - a, pts)
+        return float(D.max() - D.min())
 
     target = Logistic(0.5)
-    delta = ShellBudget.from_callable(lambda k: 2.0 ** (-k - 3), 3)
+    delta = ShellBudget(tuple(2.0 ** (-k - 3) for k in range(4)))
     T, _ = tiled_quantizer(target, delta, Window.of(-4, 4))
     # by the shell bound, the a-window norm at x is at most twice the largest
     # delta over shells reachable from [x-a, x+a]

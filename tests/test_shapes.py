@@ -21,7 +21,6 @@ from reconset.shapes import (
     radon_profile,
     shape_from_json,
     shape_to_json,
-    shape_translate,
 )
 
 E1 = Direction((1.0, 0.0))
@@ -121,7 +120,8 @@ def test_translation_covariance():
     v = (0.75, -0.5)
     th = Direction.of((2.0, 1.0))
     p0 = radon_profile(DISK, th, resolution=64)
-    p1 = radon_profile(shape_translate(DISK, v), th, resolution=64)
+    moved = Ball(tuple(c + w for c, w in zip(DISK.center, v)), DISK.radius)
+    p1 = radon_profile(moved, th, resolution=64)
     shift = th.dot(v)
     assert np.allclose(p1.xs, p0.xs + shift, atol=1e-12)
     assert np.allclose(p1.vl, p0.vl, atol=1e-12)

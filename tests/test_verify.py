@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -193,6 +195,42 @@ def test_counterexample_random_sets():
     pair = interval_counterexample(A, B, 1, 1e-9)
     recheck_pair(A, B, pair, 1e-9)
     assert pair.a_discrepancy == 0 and pair.b_discrepancy == 0
+
+
+
+def test_counterexample_stays_in_windows():
+    A = IntervalSet([(20, 21), (24, 25)])
+    B = IntervalSet([(22, 23)])
+    windows = [Window.of(10, 28), Window.of(12, 32)]
+    pair = interval_counterexample(A, B, 1, 1e-9, windows)
+    recheck_pair(A, B, pair, 1e-9)
+    for x, y in (pair.first, pair.second):
+        assert Dyadic(12) <= x and y <= Dyadic(28)
+    with pytest.raises(ValueError, match="no interval longer than 16 fits"):
+        interval_counterexample(A, B, 16, 1e-9, windows)
+
+
+@pytest.mark.parametrize("tol", [-1.0, math.nan, math.inf])
+def test_counterexample_refuses_bad_tol(tol):
+    with pytest.raises(ValueError, match="tol must be finite and non-negative"):
+        interval_counterexample(IntervalSet([(0, 1)]), IntervalSet.empty(), 1, tol)
+
+
+def test_counterexample_budget_names_grid_and_cut_off(monkeypatch):
+    from reconset import verify
+
+    A, B = IntervalSet([(0, 1), (2, 5)]), IntervalSet([(1, 3)])
+    monkeypatch.setattr(verify, "_exact_resolve", lambda *args: None)
+    monkeypatch.setattr(verify, "MAX_GRID", 1024)
+    # in [0, 8) few intervals are longer than 253/32: no round is cut off
+    with pytest.raises(SearchBudgetError, match=r"up to a 1024x1024 grid; no round reached "
+                                                r"the 200,000-candidate cut-off") as ei:
+        interval_counterexample(A, B, Dyadic(253, 5), 1e-9, [Window.of(0, 8)])
+    assert ei.value.densest_grid == 1024
+    monkeypatch.setattr(verify, "MAX_CANDIDATES", 10)
+    with pytest.raises(SearchBudgetError, match=r"the 10-candidate cut-off ended the "
+                                                r"rounds on 256x256, 1024x1024$"):
+        interval_counterexample(A, B, 1, 1e-9)
 
 
 # -- Monte Carlo -------------------------------------------------------------------------
