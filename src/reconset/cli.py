@@ -22,7 +22,7 @@ from .construct import (
     translate_test_set,
     union_test_set,
 )
-from .dyadic import Dyadic, common_numerators, parse_or_snap
+from .dyadic import Dyadic, parse_or_snap
 from .errors import IndeterminateError, CheckFailedError, ReconsetError
 from .gridsets import (
     grid_summary,
@@ -33,11 +33,11 @@ from .gridsets import (
 )
 from .intervals import Window
 from .profiles import Profile
-from .shapes import Ball, Direction, radon_profile, shape_from_json
+from .shapes import Ball, Direction, IntervalUnion, radon_profile, shape_from_json
 from .verify import (
     IntervalFamilyGrid,
-    _dyadic_range,
     check_span,
+    grid_points,
     interval_counterexample,
     injectivity_report,
     monotonicity_report,
@@ -204,27 +204,26 @@ def verify_monotonicity(test_path, shape, grid, output, emit_plot_data):
     """Exact strict-increase check of x -> lambda((E+x) ∩ T)."""
     T, window = rio.load_interval_set(test_path)
     E = _load_shape(shape)
-    from .shapes import IntervalUnion
-
     if not isinstance(E, IntervalUnion):
         raise click.UsageError("monotonicity verification needs a 1-D shape")
     lo, hi, step = (_dyadic_arg(g) for g in grid)
-    xs = _dyadic_range(lo, hi, step)
     # lambda((E+x) ∩ T) = Σ_k C(x + b_k) - C(x + a_k) over E's components [a_k, b_k)
-    nums, e = common_numerators([x + end for x in xs for pair in E.S for end in pair])
-    if window is not None and nums:
-        need = (Dyadic(min(nums), e), Dyadic(max(nums), e))
+    points, e = grid_points(lo, hi, step, [end for pair in E.S for end in pair])
+    if window is not None and points.size:
+        need = (Dyadic(int(points.min()), e), Dyadic(int(points.max()), e))
         check_span(need, window, f"the window of {test_path}")
-    c, _, e = T.cumulative_nums(nums, e)
-    vals = ((c[1::2] - c[0::2]).reshape(len(xs), -1).sum(axis=1) * 2.0**-e).tolist()
-    rep = monotonicity_report(vals)
+    c, _, e = T.cumulative_nums(points.ravel(), e)
+    nums = (c[1::2] - c[0::2]).reshape(-1, points.shape[1] // 2).sum(axis=1)
+    rep = monotonicity_report(nums.tolist(), e)
     out = {"kind": "monotonicity_report"}
     out.update(rep.to_json())
     out["grid"] = [str(lo), str(hi), str(step)]
     if output:
         rio.write_json(output, out)
     if emit_plot_data:
-        rio.write_csv(emit_plot_data, ["x", "measure"], list(zip(map(float, xs), vals)))
+        xs, ex = grid_points(lo, hi, step)
+        rows = zip((xs[:, 0] * 2.0**-ex).tolist(), (nums * 2.0**-e).tolist())
+        rio.write_csv(emit_plot_data, ["x", "measure"], list(rows))
     click.echo(
         f"min increment {rep.min_increment:.6g}; violations: {len(rep.violations)}"
     )

@@ -160,16 +160,6 @@ class Dyadic:
     def is_integer(self) -> bool:
         return self.exp == 0
 
-    def floor(self) -> int:
-        return self.num >> self.exp
-
-    def ceil(self) -> int:
-        return -((-self.num) >> self.exp)
-
-
-ZERO = Dyadic(0)
-ONE = Dyadic(1)
-
 
 def _coerce(value) -> "Dyadic | type(NotImplemented)":
     if isinstance(value, Dyadic):

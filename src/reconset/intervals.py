@@ -275,9 +275,6 @@ class IntervalSet:
     def restrict(self, window: Window) -> "IntervalSet":
         return self.intersect(IntervalSet([(window.lo, window.hi)]))
 
-    def contains_point(self, x) -> bool:
-        return self.piece(x)[0] == 1
-
     # -- affine image ---------------------------------------------------------
 
     def affine(self, scale, shift) -> "IntervalSet":

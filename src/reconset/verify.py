@@ -11,13 +11,14 @@ collision.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 
 from .dyadic import Dyadic, as_dyadic, common_numerators, snap
-from .errors import SearchBudgetError, WindowExceededError
+from .errors import ExactnessOverflowError, SearchBudgetError, WindowExceededError
 from .gridsets import GridSet, RandomLevels, sample_grid_set
 from .intervals import IntervalSet, Window
 from .shapes import Pose, SlabTestSet, intersection_measures, radon_profile
@@ -44,29 +45,37 @@ class IntervalFamilyGrid:
         )
 
     def __post_init__(self):
-        size = _grid_size(self.x_lo, self.x_hi, self.x_step) * _grid_size(
-            self.l_lo, self.l_hi, self.l_step
+        if not Dyadic(0) < self.l_lo:
+            raise ValueError(f"the least length must be positive, got {self.l_lo}")
+        _check_grid_size(math.prod(self._sizes()), "the (x, L) grid")
+
+    def _sizes(self) -> tuple[int, int]:
+        return (_grid_size(self.x_lo, self.x_hi, self.x_step),
+                _grid_size(self.l_lo, self.l_hi, self.l_step))
+
+    def instances(self) -> tuple[np.ndarray, int]:
+        """The numerators of x and x + L for each instance [x, x + L), an
+        (N, 2) int64 array with x outermost, and their exponent."""
+        nx, nl = self._sizes()
+        if not nx * nl:
+            return np.empty((0, 2), np.int64), 0
+        # the least L and the L step are differences of points x + L and x too
+        (x0, dx, l0, dl), exp = common_numerators(
+            [self.x_lo, _step(self.x_step, nx), self.l_lo, _step(self.l_step, nl)]
         )
-        _check_grid_size(size, "the (x, L) grid")
-
-    def xs(self) -> list:
-        return _dyadic_range(self.x_lo, self.x_hi, self.x_step)
-
-    def ls(self) -> list:
-        return _dyadic_range(self.l_lo, self.l_hi, self.l_step)
-
-    def instances(self) -> list:
-        ls = self.ls()
-        return [(x, L) for x in self.xs() for L in ls]
+        x_last, xl_last = x0 + (nx - 1) * dx, x0 + l0 + (nx - 1) * dx + (nl - 1) * dl
+        _check_int64(exp, x0, x_last, x0 + l0, xl_last)
+        x = _progression(x0, dx, nx)
+        ends = np.stack([np.repeat(x, nl), (x[:, None] + _progression(l0, dl, nl)).ravel()], 1)
+        return ends.view(np.int64), exp
 
     def span(self) -> tuple[Dyadic, Dyadic] | None:
         """The least and the greatest of the points x and x + L of the
         instances [x, x + L); None for an empty grid."""
-        xs, ls = self.xs(), self.ls()
-        if not (xs and ls):
+        ends, exp = self.instances()
+        if not ends.size:
             return None
-        ends = (xs[0], xs[-1], xs[0] + ls[0], xs[-1] + ls[-1])
-        return min(ends), max(ends)
+        return Dyadic(int(ends.min()), exp), Dyadic(int(ends.max()), exp)
 
     def describe(self) -> dict:
         return {
@@ -76,7 +85,7 @@ class IntervalFamilyGrid:
         }
 
 
-# far above every grid the tests and the benchmark use (4,225 points at most),
+# far above every grid the benchmark uses (4,225 points at most),
 # far below one that exhausts memory
 MAX_GRID_POINTS = 1 << 20
 
@@ -94,11 +103,47 @@ def _check_grid_size(size: int, what: str):
         raise ValueError(f"{what} has {size} points, more than {MAX_GRID_POINTS}")
 
 
-def _dyadic_range(lo: Dyadic, hi: Dyadic, step: Dyadic) -> list:
-    """lo, lo + step, ... up to hi inclusive."""
+def grid_points(lo: Dyadic, hi: Dyadic, step: Dyadic,
+                offsets=(Dyadic(0),)) -> tuple[np.ndarray, int]:
+    """The numerators of x + o for x = lo, lo + step, ... up to hi inclusive
+    and o in offsets, an (n, len(offsets)) int64 array at the least exponent
+    that holds them all, and that exponent.  The grid is sized, and its
+    extreme points are checked against int64, before any point is made."""
     size = _grid_size(lo, hi, step)
     _check_grid_size(size, f"the grid {lo} to {hi} by {step}")
-    return [lo + step * k for k in range(size)]
+    if not size:
+        return np.empty((0, len(offsets)), np.int64), 0
+    o = offsets[0]
+    # each point is lo + o + k*step + (p - o), and p - o a difference of points
+    (first, d, *rel), exp = common_numerators(
+        [lo + o, _step(step, size), *(p - o for p in offsets)]
+    )
+    _check_int64(exp, first + min(rel), first + (size - 1) * d + max(rel))
+    points = _progression(first, d, size)[:, None] + np.array([r % 2**64 for r in rel], np.uint64)
+    return points.view(np.int64), exp
+
+
+def _step(step: Dyadic, size: int) -> Dyadic:
+    """The step of a grid of `size` points, 0 for one point.  The first point
+    and the step are integer combinations of the points, and every point is
+    one of them: their least common exponent is the points'."""
+    return step if size > 1 else Dyadic(0)
+
+
+def _progression(first: int, step: int, size: int) -> np.ndarray:
+    """first, first + step, ... (size terms) as uint64 modulo 2**64: exact in
+    int64 view once the caller has checked the extremes against int64."""
+    return np.uint64(first % 2**64) + np.arange(size, dtype=np.uint64) * np.uint64(step % 2**64)
+
+
+_INT64 = range(-(1 << 63), 1 << 63)
+
+
+def _check_int64(exp: int, *extremes: int):
+    if not all(v in _INT64 for v in extremes):
+        raise ExactnessOverflowError(
+            f"grid points need numerators beyond int64 at exponent {exp}"
+        )
 
 
 @dataclass(frozen=True)
@@ -134,17 +179,17 @@ def measure_vector(instances, tests, profiles=None) -> tuple[np.ndarray, np.ndar
     """Entry (i, j) = measure of instance i against test j.
 
     Returns the (instances x tests) values and error bounds; exact paths
-    report zero error.  Instances are (x, L) dyadic pairs denoting [x, x+L),
-    or (shape, Pose) pairs sharing one shape for slab tests, whose profiles
-    (one per test) may be passed in.  Interval and grid tests take
-    C(x+L) - C(x) from the exact cumulative measure C of the test; slab tests
-    take one sliding integral per magnification.
+    report zero error.  Instances are the (ends, exp) of an interval family,
+    ends an (N, 2) int64 array of the numerators of x and x + L for [x, x+L)
+    at the exponent exp, or a list of (shape, Pose) pairs sharing one shape
+    for slab tests, whose profiles (one per test) may be passed in.  Interval
+    and grid tests take C(x+L) - C(x) from the exact cumulative measure C of
+    the test; slab tests take one sliding integral per magnification.
     """
-    values = np.zeros((len(instances), len(tests)))
+    values = np.zeros((_count(instances), len(tests)))
     errors = np.zeros_like(values)
-    if not instances:
+    if not values.shape[0]:
         return values, errors
-    ends = None
     for j, t in enumerate(tests):
         if isinstance(t, SlabTestSet):
             shape = instances[0][0]
@@ -156,16 +201,18 @@ def measure_vector(instances, tests, profiles=None) -> tuple[np.ndarray, np.ndar
             continue
         if not isinstance(t, (IntervalSet, GridSet)):
             raise TypeError(f"unknown test type {type(t).__name__}")
-        if ends is None:
-            nums, e = common_numerators([d for x, L in instances for d in (x, x + L)])
-            ends = np.asarray(nums)
+        ends, e = instances
         if isinstance(t, GridSet):
-            need = (Dyadic(int(np.min(ends)), e), Dyadic(int(np.max(ends)), e))
+            need = (Dyadic(int(ends.min()), e), Dyadic(int(ends.max()), e))
             check_span(need, Window.of(t.levels.box_lo[0], t.levels.box_hi[0]), "the grid box")
             t = t.runs
-        c, _, ce = t.cumulative_nums(ends, e)
+        c, _, ce = t.cumulative_nums(ends.ravel(), e)
         values[:, j] = (c[1::2] - c[0::2]) * 2.0**-ce
     return values, errors
+
+
+def _count(instances) -> int:
+    return len(instances) if isinstance(instances, list) else len(instances[0])
 
 
 def check_span(need: tuple, window: Window, where: str):
@@ -200,14 +247,17 @@ class MonotonicityReport:
         }
 
 
-def monotonicity_report(values) -> MonotonicityReport:
-    """Min consecutive increment and the indices of non-increases."""
+def monotonicity_report(values, exp: int | None = None) -> MonotonicityReport:
+    """Min consecutive increment and the indices of non-increases of float
+    values or, given exp, decided exactly on the integer numerators values
+    at the exponent exp."""
     vals = list(values)
     if len(vals) < 2:
         raise ValueError("monotonicity needs at least two values")
     diffs = [b - a for a, b in zip(vals, vals[1:])]
     violations = [i + 1 for i, d in enumerate(diffs) if not d > 0]
-    return MonotonicityReport(float(min(diffs)), violations)
+    least = min(diffs)
+    return MonotonicityReport(float(least) if exp is None else least * 2.0**-exp, violations)
 
 
 @dataclass
@@ -285,10 +335,10 @@ def injectivity_report(grid, tests, resolution: int = 256) -> VerificationReport
     reported error.
     """
     instances = grid.instances()
-    if len(instances) < 2:
+    if _count(instances) < 2:
         raise ValueError("injectivity needs at least two instances")
     profiles = None
-    if isinstance(instances[0], Pose):
+    if isinstance(instances, list):
         profiles = [
             None if t.full_space else radon_profile(grid.shape, t.theta, resolution)
             for t in tests
@@ -299,7 +349,7 @@ def injectivity_report(grid, tests, resolution: int = 256) -> VerificationReport
     best, witness, collisions = pairwise_min_linf(matrix)
     indeterminate = qerr > 0 and best <= 10.0 * qerr and not collisions
     return VerificationReport(
-        instance_count=len(instances),
+        instance_count=len(matrix),
         test_count=len(tests),
         min_separation=best,
         witness_pair=witness,
@@ -430,10 +480,8 @@ def _search_on_grid(A, B, lo, hi, bounds, min_length, grid, sep_needed):
     min_dom = float(min_length)
     checked = 0
     for (ka, kb), members in buckets.items():
-        cands = []
-        for da in (-1, 0, 1):
-            for db in (-1, 0, 1):
-                cands.extend(buckets.get((ka + da, kb + db), []))
+        cands = [j for da in (-1, 0, 1) for db in (-1, 0, 1)
+                 for j in buckets.get((ka + da, kb + db), ())]
         for i in members:
             for j in cands:
                 if j <= i:
@@ -448,16 +496,8 @@ def _search_on_grid(A, B, lo, hi, bounds, min_length, grid, sep_needed):
                 checked += 1
                 if checked > MAX_CANDIDATES:
                     return None, True
-                res = _exact_resolve(
-                    A,
-                    B,
-                    (pts_x[i], pts_y[i]),
-                    (pts_x[j], pts_y[j]),
-                    step,
-                    min_dom,
-                    sep_needed,
-                    bounds,
-                )
+                res = _exact_resolve(A, B, (pts_x[i], pts_y[i]), (pts_x[j], pts_y[j]),
+                                     step, min_dom, sep_needed, bounds)
                 if res is not None:
                     return res, False
     return None, False
@@ -470,109 +510,58 @@ def _exact_resolve(A, B, z1, z2, step, min_length, sep_needed, bounds):
     cumulative, the 2x4 dyadic system is solved with two coordinates pinned
     to snapped values, and all constraints are re-checked exactly.
     """
-    coords_f = [z1[0], z1[1], z2[0], z2[1]]
-    pinned = []
-    for c in coords_f:
-        s, _ = snap(float(c), 24)
-        pinned.append(s)
-    slopes_a = []
-    slopes_b = []
-    offs_a = []
-    offs_b = []
-    for c in pinned:
-        sa, ca = A.piece(c)
-        sb, cb = B.piece(c)
-        slopes_a.append(sa)
-        slopes_b.append(sb)
-        offs_a.append(ca)
-        offs_b.append(cb)
-    # equations: (C_A(y1) - C_A(x1)) - (C_A(y2) - C_A(x2)) = 0, same for B
-    # coefficients for (x1, y1, x2, y2)
-    rows = [
-        [-slopes_a[0], slopes_a[1], slopes_a[2], -slopes_a[3]],
-        [-slopes_b[0], slopes_b[1], slopes_b[2], -slopes_b[3]],
-    ]
-    rhs = [
-        (offs_a[0] - offs_a[1] - offs_a[2] + offs_a[3]).as_fraction(),
-        (offs_b[0] - offs_b[1] - offs_b[2] + offs_b[3]).as_fraction(),
-    ]
-    from itertools import combinations
-
+    pinned = [snap(float(c), 24)[0] for c in (*z1, *z2)]
+    fixed = [p.as_fraction() for p in pinned]
+    # equations: (C_S(y1) - C_S(x1)) - (C_S(y2) - C_S(x2)) = 0 for S = A, B,
+    # with C_S = slope*x + c on its pieces at the pinned points: the
+    # coefficients for (x1, y1, x2, y2) and the right-hand side
+    rows = []
+    for S in (A, B):
+        (s0, c0), (s1, c1), (s2, c2), (s3, c3) = (S.piece(p) for p in pinned)
+        rows.append(((-s0, s1, s2, -s3), (c0 - c1 - c2 + c3).as_fraction()))
     for free in combinations(range(4), 2):
-        solve_for = [k for k in range(4) if k not in free]
-        m00 = Fraction(rows[0][solve_for[0]])
-        m01 = Fraction(rows[0][solve_for[1]])
-        m10 = Fraction(rows[1][solve_for[0]])
-        m11 = Fraction(rows[1][solve_for[1]])
-        det = m00 * m11 - m01 * m10
-        vals: list[Fraction | None] = [None] * 4
-        for k in free:
-            vals[k] = pinned[k].as_fraction()
-        r0 = rhs[0] - sum(Fraction(rows[0][k]) * vals[k] for k in free)
-        r1 = rhs[1] - sum(Fraction(rows[1][k]) * vals[k] for k in free)
-        if det != 0:
-            vals[solve_for[0]] = (m11 * r0 - m01 * r1) / det
-            vals[solve_for[1]] = (m00 * r1 - m10 * r0) / det
+        i, j = (k for k in range(4) if k not in free)
+        vals = list(fixed)
+        eqs = [(m[i], m[j], r - sum(m[k] * fixed[k] for k in free)) for m, r in rows]
+        (a, b, r), (c, d, t) = eqs
+        det = a * d - b * c
+        if det:
+            vals[i], vals[j] = (d * r - b * t) / det, (a * t - c * r) / det
         else:
-            # rank <= 1: try pinning one more variable
-            if m00 != 0 or m01 != 0:
-                if m00 != 0:
-                    vals[solve_for[1]] = pinned[solve_for[1]].as_fraction()
-                    vals[solve_for[0]] = (r0 - m01 * vals[solve_for[1]]) / m00
-                else:
-                    vals[solve_for[0]] = pinned[solve_for[0]].as_fraction()
-                    vals[solve_for[1]] = (r0 - m00 * vals[solve_for[0]]) / m01
-                if m10 * vals[solve_for[0]] + m11 * vals[solve_for[1]] != r1:
-                    continue
-            elif m10 != 0 or m11 != 0:
-                if m10 != 0:
-                    vals[solve_for[1]] = pinned[solve_for[1]].as_fraction()
-                    vals[solve_for[0]] = (r1 - m11 * vals[solve_for[1]]) / m10
-                else:
-                    vals[solve_for[0]] = pinned[solve_for[0]].as_fraction()
-                    vals[solve_for[1]] = (r1 - m10 * vals[solve_for[0]]) / m11
-                if r0 != 0:
-                    continue
-            else:
-                if r0 != 0 or r1 != 0:
-                    continue
-                vals[solve_for[0]] = pinned[solve_for[0]].as_fraction()
-                vals[solve_for[1]] = pinned[solve_for[1]].as_fraction()
-        if any(v is None for v in vals):
-            continue
-        cand = _validate_candidate(
-            A, B, vals, pinned, step, min_length, sep_needed, bounds
-        )
+            # rank <= 1: solve the first nonzero equation with one more
+            # coordinate pinned, then check both
+            for a, b, r in eqs:
+                if a or b:
+                    if a:
+                        vals[i] = (r - b * vals[j]) / a
+                    else:
+                        vals[j] = r / b
+                    break
+            if any(a * vals[i] + b * vals[j] != r for a, b, r in eqs):
+                continue
+        cand = _validate_candidate(A, B, vals, pinned, step, min_length, sep_needed, bounds)
         if cand is not None:
             return cand
     return None
 
 
 def _validate_candidate(A, B, vals, pinned, step, min_length, sep_needed, bounds):
-    dys = []
-    for v in vals:
-        if v.denominator & (v.denominator - 1):
-            return None  # not dyadic; a different pivot choice will be
-        dys.append(Dyadic(v.numerator, v.denominator.bit_length() - 1))
+    if any(v.denominator & (v.denominator - 1) for v in vals):
+        return None  # not dyadic; a different pivot choice will be
+    dys = [Dyadic(v.numerator, v.denominator.bit_length() - 1) for v in vals]
     x1, y1, x2, y2 = dys
     if bounds is not None and not (bounds[0] <= min(dys) and max(dys) <= bounds[1]):
         return None
     # stay on the same affine pieces the system was built from
-    for d, p in zip(dys, pinned):
-        if abs(float(d) - float(p)) > 1.6 * step:
-            return None
-    for c, ref in ((x1, pinned[0]), (y1, pinned[1]), (x2, pinned[2]), (y2, pinned[3])):
-        for S in (A, B):
-            if S.piece(c) != S.piece(ref):
-                return None
+    if any(abs(float(d) - float(p)) > 1.6 * step for d, p in zip(dys, pinned)):
+        return None
+    if any(S.piece(d) != S.piece(p) for d, p in zip(dys, pinned) for S in (A, B)):
+        return None
     if not (min_length < float(y1 - x1) and min_length < float(y2 - x2)):
         return None
-    sep = max(abs(float(x1 - x2)), abs(float(y1 - y2)))
-    if sep < sep_needed:
+    if max(abs(float(x1 - x2)), abs(float(y1 - y2))) < sep_needed:
         return None
-    if _increment(A, (x1, y1)) != _increment(A, (x2, y2)):
-        return None
-    if _increment(B, (x1, y1)) != _increment(B, (x2, y2)):
+    if any(_increment(S, (x1, y1)) != _increment(S, (x2, y2)) for S in (A, B)):
         return None
     return (x1, y1), (x2, y2)
 
@@ -591,15 +580,7 @@ class MonteCarloReport:
     master_seed: int
 
     def to_json(self):
-        return {
-            "trials": self.trials,
-            "successes": self.successes,
-            "rate": self.rate,
-            "copies": self.copies,
-            "separation": self.separation,
-            "per_trial": self.per_trial,
-            "master_seed": self.master_seed,
-        }
+        return asdict(self)
 
 
 def monte_carlo_reconstruction(

@@ -452,3 +452,74 @@ def test_write_json_refuses_non_finite(tmp_path):
         with pytest.raises(ValueError):
             write_json(tmp_path / "x.json", {"min_separation": value})
     assert not (tmp_path / "x.json").exists()
+
+
+def test_exact_monotonicity_verdict(tmp_path):
+    # x -> λ([x, x+1) ∩ [0, 1)) = 1 + x rises 2^-60 a step, which floats
+    # round away: every value reads 1.0
+    T = tmp_path / "T.json"
+    T.write_text('{"kind":"interval_set","intervals":[[0,0,1,0]]}')
+    rep = tmp_path / "rep.json"
+    assert run(["verify", "monotonicity", "--test", str(T), "--shape", "[0,1]",
+                "--grid", "-16/2^60", "-1/2^60", "1/2^60", "-o", str(rep)]) == 0
+    obj = read_json(rep)
+    assert obj["passed"] is True and obj["violations"] == []
+    assert obj["min_increment"] == 2.0**-60
+
+
+@pytest.mark.parametrize("least", ["-1", "0"])
+def test_injectivity_refuses_non_positive_length(tmp_path, capsys, least):
+    T = tmp_path / "T.json"
+    write_json(T, interval_set_artifact(IntervalSet([(0, 8)])))
+    assert run(["verify", "injectivity", "--x", "0", "1", "1",
+                "--length", least, "1", "1", "--tests", str(T)]) == 1
+    assert capsys.readouterr().err == f"error: the least length must be positive, got {least}\n"
+
+
+INT64_MAX = (1 << 63) - 1
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["monotonicity", "--grid", str(INT64_MAX - 2), str(INT64_MAX - 1), "1"], 2),
+        (["monotonicity", "--grid", str(INT64_MAX - 1), str(INT64_MAX), "1"], 1),
+        (["injectivity", "--x", str(1 << 62), str((1 << 62) + 1), "1",
+          "--length", str((1 << 62) - 2), str((1 << 62) - 2), "1"], 2),
+        (["injectivity", "--x", str(1 << 62), str((1 << 62) + 1), "1",
+          "--length", str((1 << 62) - 1), str((1 << 62) - 1), "1"], 1),
+    ],
+    ids=["monotonicity-inside", "monotonicity-outside", "injectivity-inside",
+         "injectivity-outside"],
+)
+def test_grid_points_at_the_int64_edge(tmp_path, capsys, argv, code):
+    # x + 1 and x + L reach 2^63 - 1 inside, 2^63 outside; the set has no
+    # window, so far out it reads as constant: a violation or a collision
+    T = tmp_path / "T.json"
+    write_json(T, interval_set_artifact(IntervalSet([(0, 8)])))
+    if argv[0] == "monotonicity":
+        argv = [*argv, "--shape", "[0,1]", "--test", str(T)]
+    else:
+        argv = [*argv, "--tests", str(T)]
+    assert run(["verify", *argv]) == code
+    out = capsys.readouterr()
+    assert "Traceback" not in out.out + out.err
+    if code == 1:
+        assert out.err == "error: grid points need numerators beyond int64 at exponent 0\n"
+
+
+def test_monotonicity_makes_no_dyadic_per_grid_point(tmp_path, monkeypatch):
+    T = tmp_path / "T.json"
+    write_json(T, interval_set_artifact(IntervalSet([(0, 100)])))
+    calls = []
+    init = Dyadic.__init__
+
+    def counting(self, *args, **kwargs):
+        calls.append(None)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Dyadic, "__init__", counting)
+    # 65,537 points x, where λ([x, x+1) ∩ [0, 100)) = 1 + x
+    assert run(["verify", "monotonicity", "--test", str(T), "--shape", "[0,1]",
+                "--grid", "-1", "0", "1/65536"]) == 0
+    assert len(calls) < 100

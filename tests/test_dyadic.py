@@ -51,14 +51,6 @@ def test_float_roundtrip_exact():
     assert as_dyadic(0.5) == Dyadic(1, 1)
 
 
-def test_floor_ceil():
-    assert Dyadic(7, 2).floor() == 1
-    assert Dyadic(7, 2).ceil() == 2
-    assert Dyadic(-7, 2).floor() == -2
-    assert Dyadic(-7, 2).ceil() == -1
-    assert Dyadic(4).floor() == 4 == Dyadic(4).ceil()
-
-
 @given(dyadics, dyadics)
 def test_arithmetic_matches_fractions(a, b):
     assert (a + b).as_fraction() == a.as_fraction() + b.as_fraction()

@@ -107,12 +107,13 @@ def test_restrict_complement():
 
 
 def test_contains_point():
+    # C has slope 1 on the set: piece(x)[0] == 1 exactly at its points
     s = iset((0, 1), (2, 3))
-    assert s.contains_point(0)
-    assert not s.contains_point(1)  # half-open
-    assert s.contains_point(Dyadic(5, 1))
-    assert not s.contains_point(Dyadic(3, 1))
-    assert not s.contains_point(5)
+    assert s.piece(0)[0] == 1
+    assert s.piece(1)[0] == 0  # half-open
+    assert s.piece(Dyadic(5, 1))[0] == 1
+    assert s.piece(Dyadic(3, 1))[0] == 0
+    assert s.piece(5)[0] == 0
 
 
 # -- affine ------------------------------------------------------------------
@@ -326,7 +327,7 @@ def test_prefix_measure_matches_boolean_oracle(t, x, y):
     e = max(x.exp, y.exp)
     c, inside, ce = t.cumulative_nums([x.num << (e - x.exp), y.num << (e - y.exp)], e)
     assert Dyadic(int(c[1] - c[0]), ce) == expect
-    assert bool(inside[0]) == brute_membership(t, x.as_fraction()) == t.contains_point(x)
+    assert bool(inside[0]) == brute_membership(t, x.as_fraction()) == (t.piece(x)[0] == 1)
     # the float view agrees wherever floats are exact
     assert t.cumulative_f(float(x)) == float(t.cumulative(x))
 

@@ -2,11 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from reconset.analysis import sliding_integral
 from reconset.construct import union_test_set
-from reconset.dyadic import Dyadic
-from reconset.errors import SearchBudgetError, WindowExceededError
+from reconset.dyadic import Dyadic, common_numerators
+from reconset.errors import ExactnessOverflowError, SearchBudgetError, WindowExceededError
 from reconset.gridsets import validate_levels, sample_grid_set
 from reconset.intervals import IntervalSet, Window
 from reconset.profiles import Profile
@@ -19,15 +20,109 @@ from reconset.shapes import (
     radon_profile,
 )
 from reconset.verify import (
+    MAX_GRID_POINTS,
     IntervalFamilyGrid,
     TranslateFamilyGrid,
     interval_counterexample,
     injectivity_report,
     measure_vector,
     monotonicity_report,
+    grid_points,
     monte_carlo_reconstruction,
     pairwise_min_linf,
 )
+
+
+# -- grids -------------------------------------------------------------------------
+
+
+def _oracle_range(lo, hi, step):
+    """A grid as a list of Dyadics, sized first (the construction the int64
+    grids replace)."""
+    if not Dyadic(0) < step:
+        raise ValueError(f"grid step must be positive, got {step}")
+    (lo_n, hi_n, step_n), _ = common_numerators([lo, hi, step])
+    size = max(0, (hi_n - lo_n) // step_n + 1)
+    if size > MAX_GRID_POINTS:
+        raise ValueError("too many points")
+    return [lo + step * k for k in range(size)]
+
+
+def _oracle_numerators(points):
+    """Numerators at the least common exponent, refused beyond int64 as the
+    int64 prefix kernel refuses them."""
+    nums, exp = common_numerators(points)
+    if any(not -(1 << 63) <= n < 1 << 63 for n in nums):
+        raise ExactnessOverflowError("numerators exceed int64")
+    return nums, exp
+
+
+def _same_as_oracle(oracle, build):
+    """build() returns what oracle() does, as an int64 array and exponent, or
+    raises the same exception type."""
+    try:
+        expect = oracle()
+    except (ValueError, ExactnessOverflowError) as e:
+        with pytest.raises(type(e)):
+            build()
+        return None
+    ends, exp = build()
+    assert ends.dtype == np.int64
+    assert (ends.ravel().tolist(), exp) == expect
+    return expect
+
+
+exps = st.integers(0, 64)
+
+
+@st.composite
+def grids(draw, counts, steps=st.integers(-2, 1 << 63), least=None):
+    """(lo, hi, step): lo negative, or above `least`, and hi so that the grid
+    has a drawn count of points."""
+    lo = Dyadic(draw(st.integers(0, 1 << 64)), draw(exps))
+    lo = -lo if least is None else least + lo
+    step = Dyadic(draw(steps), draw(exps))
+    # hi lies in [last point, last point + step)
+    hi = lo + step * (draw(counts) - 1) + step * Dyadic(draw(st.integers(0, 255)), 8)
+    return lo, hi, step
+
+
+@settings(max_examples=300, deadline=None)
+@given(grids(st.integers(0, 300) | st.integers(MAX_GRID_POINTS + 1, 1 << 40)),
+       st.lists(st.builds(Dyadic, st.integers(-(1 << 62), 1 << 62), exps),
+                min_size=1, max_size=4))
+def test_grid_points_match_dyadic_oracle(grid, offsets):
+    lo, hi, step = grid
+    _same_as_oracle(lambda: _oracle_numerators(_oracle_range(lo, hi, step)),
+                    lambda: grid_points(lo, hi, step))
+    _same_as_oracle(
+        lambda: _oracle_numerators(
+            [x + o for x in _oracle_range(lo, hi, step) for o in offsets]),
+        lambda: grid_points(lo, hi, step, offsets),
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(grids(st.integers(0, 20), st.integers(1, 1 << 63)),
+       grids(st.integers(0, 20), st.integers(1, 1 << 63), least=Dyadic(1, 64)))
+def test_interval_family_instances_match_dyadic_oracle(x, length):
+    grid = IntervalFamilyGrid(*x, *length)
+
+    def oracle():
+        ls = _oracle_range(*length)
+        return _oracle_numerators([d for x in _oracle_range(*x) for L in ls for d in (x, x + L)])
+
+    expect = _same_as_oracle(oracle, grid.instances)
+    if expect is not None:
+        nums, exp = expect
+        want = (Dyadic(min(nums), exp), Dyadic(max(nums), exp)) if nums else None
+        assert grid.span() == want
+
+
+def test_interval_family_refuses_non_positive_length():
+    for least in (0, -1):
+        with pytest.raises(ValueError, match=f"the least length must be positive, got {least}"):
+            IntervalFamilyGrid.of(0, 1, 1, least, 1, 1)
 
 
 # -- measure_vector ---------------------------------------------------------------
@@ -35,7 +130,7 @@ from reconset.verify import (
 
 def test_measure_vector_halfline():
     T = IntervalSet([(0, 100)])
-    vals, errs = measure_vector([(Dyadic(0), Dyadic(1))], [T])
+    vals, errs = measure_vector((np.array([[0, 1]]), 0), [T])
     assert vals.tolist() == [[1.0]]
     assert errs.tolist() == [[0.0]]
 
@@ -53,7 +148,7 @@ def test_measure_vector_matches_sliding_integral_exactly():
     T = union_test_set([1], Window.of(0, 8), Dyadic(1, 4))
     chi = Profile.indicator(0.0, 1.0)
     xs = [Dyadic(i, 3) for i in range(0, 33)]
-    direct, _ = measure_vector([(x, Dyadic(1)) for x in xs], [T])
+    direct, _ = measure_vector((np.array([[i, i + 8] for i in range(0, 33)]), 3), [T])
     slid = sliding_integral(chi, T, 1.0, [float(x) for x in xs], Window.of(-2, 10))
     assert np.array_equal(direct[:, 0], slid)  # exact equality of the two paths
 
@@ -62,7 +157,7 @@ def test_measure_vector_gridset_window_guard():
     lv = validate_levels((16,), (4,), (0.5,), (0,), (1,))
     gs = sample_grid_set(lv, 1)
     with pytest.raises(WindowExceededError):
-        measure_vector([(Dyadic(1, 1), Dyadic(1))], [gs])
+        measure_vector((np.array([[1, 3]]), 1), [gs])
 
 
 # -- monotonicity -------------------------------------------------------------------
@@ -75,6 +170,14 @@ def test_monotonicity_report():
     assert r2.min_increment == 0.0 and r2.violations == [2] and not r2.passed
     with pytest.raises(ValueError):
         monotonicity_report([1.0])
+
+
+def test_monotonicity_report_exact():
+    # 1 - k/2^60 rounds to 1.0 in floats: only the numerators see the rise
+    r = monotonicity_report([(1 << 60) - k for k in range(16, 0, -1)], 60)
+    assert r.passed and r.violations == [] and r.min_increment == 2.0**-60
+    r2 = monotonicity_report([3, 5, 5, 4], 2)
+    assert r2.violations == [2, 3] and r2.min_increment == -0.25 and not r2.passed
 
 
 # -- injectivity ----------------------------------------------------------------------
@@ -118,7 +221,8 @@ def test_injectivity_permutation_invariant():
     # same instances, reversed enumeration via a wrapper grid
     class Reversed:
         def instances(self):
-            return list(reversed(g1.instances()))
+            ends, exp = g1.instances()
+            return ends[::-1], exp
 
         def describe(self):
             return {}
