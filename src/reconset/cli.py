@@ -259,9 +259,9 @@ def verify_injectivity(x_, l_, tests, output):
         rio.write_json(output, out)
     click.echo(
         f"instances {rep.instance_count}, min separation {rep.min_separation:.6g}, "
-        f"collisions {len(rep.collisions)}"
+        f"collisions {rep.collision_count}"
     )
-    if rep.collisions:
+    if rep.collision_count:
         raise CheckFailedError("collision found")
     if rep.indeterminate:
         raise IndeterminateError("separation within quadrature error")

@@ -21,12 +21,15 @@ from __future__ import annotations
 
 import json
 import math
+import zipfile
+import zlib
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .dyadic import Dyadic
+from .errors import decoding
 from .intervals import IntervalSet
 
 
@@ -273,15 +276,35 @@ def save_grid_set(gs: GridSet, path: str):
 
 
 def load_grid_set(path: str) -> GridSet:
-    data = np.load(path, allow_pickle=False)
-    header = json.loads(str(data["header"]))
-    levels = validate_levels(
-        header["n"], header["g"], header["p"], header["box_lo"], header["box_hi"]
-    )
-    selections = tuple(
-        np.asarray(data[f"level_{i}"], dtype=np.int64) for i in range(levels.levels)
-    )
-    return assemble(levels, selections, header["seed"])
+    """The grid set save_grid_set wrote to `path`.  An unreadable archive, a
+    malformed header or a level that is not a strictly increasing array of
+    cube indices in the box raises ValueError naming the file."""
+    try:
+        with decoding("grid_set", path), np.load(path, allow_pickle=False) as data:
+            header = json.loads(str(data["header"]))
+            levels = validate_levels(
+                header["n"], header["g"], header["p"], header["box_lo"], header["box_hi"]
+            )
+            selections = tuple(
+                _cube_indices(data[f"level_{i}"], levels, i, path) for i in range(levels.levels)
+            )
+            seed = header["seed"]
+    # what zipfile and zlib raise on a truncated or corrupted archive (an
+    # encrypted member or an unknown compression method: RuntimeError)
+    except (zipfile.BadZipFile, zlib.error, EOFError, RuntimeError) as e:
+        raise ValueError(f"{path}: unreadable grid_set archive: {e}") from None
+    return assemble(levels, selections, seed)
+
+
+def _cube_indices(sel: np.ndarray, levels: RandomLevels, i: int, path) -> np.ndarray:
+    cubes = math.prod(u * levels.n[i] for u in levels.box_units())
+    if not (sel.dtype.kind in "iu" and sel.ndim == 1
+            and (not sel.size or 0 <= sel.min() and sel.max() < cubes)):
+        raise ValueError(f"{path}: level_{i} must be a 1-D array of cube indices in [0, {cubes})")
+    sel = sel.astype(np.int64)
+    if np.any(np.diff(sel) <= 0):
+        raise ValueError(f"{path}: the cube indices of level_{i} must be strictly increasing")
+    return sel
 
 
 def grid_summary(gs: GridSet) -> dict:

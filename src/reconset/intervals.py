@@ -221,24 +221,6 @@ class IntervalSet:
         over = np.where(k > 0, np.maximum(high - x, 0), 0)
         return prefix - over, over > 0, max(exp, self._exp)
 
-    def cumulative(self, x) -> Dyadic:
-        """Exact C(x) = λ(S ∩ (-inf, x]) at one dyadic point."""
-        x = as_dyadic(x)
-        v, _, e = self.cumulative_nums([x.num], x.exp)
-        return Dyadic(int(v[0]), e)
-
-    def piece(self, x) -> tuple[int, Dyadic]:
-        """(slope, intercept) of C on its affine piece at x: C = slope*x + c.
-
-        Slopes are 1 inside the set and 0 outside; the pieces are told apart
-        by their intercepts alone.
-        """
-        x = as_dyadic(x)
-        v, inside, e = self.cumulative_nums([x.num], x.exp)
-        if inside[0]:
-            return 1, Dyadic(int(v[0]), e) - x
-        return 0, Dyadic(int(v[0]), e)
-
     def measure_between(self, lo, hi) -> Dyadic:
         """Exact λ(S ∩ [lo, hi)) for dyadic lo, hi; zero when hi <= lo."""
         lo, hi = as_dyadic(lo), as_dyadic(hi)

@@ -26,6 +26,7 @@ from .intervals import IntervalSet, Window
 
 TRIM_EXPONENT = 44  # left-trim endpoints snap to 2**-44; cell integrals stay < 1e-12
 MAX_BLOCKS_PER_CELL = 1 << 22
+TIE_DUST = 1e-12  # n * (running integral) this close above an integer is a tie
 
 
 def _check_power_of_two(n: int, what: str = "n"):
@@ -47,7 +48,7 @@ def reference_greedy_mask(block_integrals: np.ndarray, n: int) -> tuple[np.ndarr
     kept = np.zeros(n, dtype=bool)
     for m in range(n):
         skip = s - block_integrals[m]
-        if m == 0 or skip < 0.0:
+        if m == 0 or n * skip < -TIE_DUST:  # a tie skips, as in `greedy_mask`
             kept[m] = True
             s = skip + 1.0 / n
         else:
@@ -58,7 +59,7 @@ def reference_greedy_mask(block_integrals: np.ndarray, n: int) -> tuple[np.ndarr
 def greedy_mask(block_integrals: np.ndarray, n: int) -> tuple[np.ndarray, float]:
     """Vectorized block rule via the kept-count identity k_m = ceil(n A_m)."""
     a = np.cumsum(block_integrals)
-    k = np.ceil(n * a - 1e-12)  # tolerate float dust just above integers
+    k = np.ceil(n * a - TIE_DUST)  # tolerate float dust just above integers
     k = np.maximum.accumulate(np.maximum(k, 1.0))  # block 0 is always kept
     kept = np.diff(np.concatenate([[0.0], k])) > 0.5
     total = float(math.fsum(block_integrals))

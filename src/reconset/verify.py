@@ -12,12 +12,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field
-from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
 
-from .dyadic import Dyadic, as_dyadic, common_numerators, snap
+from .dyadic import Dyadic, as_dyadic, common_numerators
 from .errors import ExactnessOverflowError, SearchBudgetError, WindowExceededError
 from .gridsets import GridSet, RandomLevels, sample_grid_set
 from .intervals import IntervalSet, Window
@@ -64,7 +63,7 @@ class IntervalFamilyGrid:
             [self.x_lo, _step(self.x_step, nx), self.l_lo, _step(self.l_step, nl)]
         )
         x_last, xl_last = x0 + (nx - 1) * dx, x0 + l0 + (nx - 1) * dx + (nl - 1) * dl
-        _check_int64(exp, x0, x_last, x0 + l0, xl_last)
+        _check_int64("grid points", exp, x0, x_last, x0 + l0, xl_last)
         x = _progression(x0, dx, nx)
         ends = np.stack([np.repeat(x, nl), (x[:, None] + _progression(l0, dl, nl)).ravel()], 1)
         return ends.view(np.int64), exp
@@ -118,7 +117,7 @@ def grid_points(lo: Dyadic, hi: Dyadic, step: Dyadic,
     (first, d, *rel), exp = common_numerators(
         [lo + o, _step(step, size), *(p - o for p in offsets)]
     )
-    _check_int64(exp, first + min(rel), first + (size - 1) * d + max(rel))
+    _check_int64("grid points", exp, first + min(rel), first + (size - 1) * d + max(rel))
     points = _progression(first, d, size)[:, None] + np.array([r % 2**64 for r in rel], np.uint64)
     return points.view(np.int64), exp
 
@@ -139,11 +138,9 @@ def _progression(first: int, step: int, size: int) -> np.ndarray:
 _INT64 = range(-(1 << 63), 1 << 63)
 
 
-def _check_int64(exp: int, *extremes: int):
+def _check_int64(what: str, exp: int, *extremes: int):
     if not all(v in _INT64 for v in extremes):
-        raise ExactnessOverflowError(
-            f"grid points need numerators beyond int64 at exponent {exp}"
-        )
+        raise ExactnessOverflowError(f"{what} need numerators beyond int64 at exponent {exp}")
 
 
 @dataclass(frozen=True)
@@ -175,21 +172,23 @@ class TranslateFamilyGrid:
 # -- measure vectors ----------------------------------------------------------------
 
 
-def measure_vector(instances, tests, profiles=None) -> tuple[np.ndarray, np.ndarray]:
+def measure_vector(instances, tests, profiles=None) -> tuple[np.ndarray, np.ndarray, int]:
     """Entry (i, j) = measure of instance i against test j.
 
-    Returns the (instances x tests) values and error bounds; exact paths
-    report zero error.  Instances are the (ends, exp) of an interval family,
-    ends an (N, 2) int64 array of the numerators of x and x + L for [x, x+L)
-    at the exponent exp, or a list of (shape, Pose) pairs sharing one shape
-    for slab tests, whose profiles (one per test) may be passed in.  Interval
-    and grid tests take C(x+L) - C(x) from the exact cumulative measure C of
-    the test; slab tests take one sliding integral per magnification.
+    Returns the (instances x tests) values as numerators at an exponent e,
+    their error bounds, and e.  Instances are the (ends, exp) of an interval
+    family, ends an (N, 2) int64 array of the numerators of x and x + L for
+    [x, x+L) at the exponent exp, or a list of (shape, Pose) pairs sharing one
+    shape for slab tests, whose profiles (one per test) may be passed in.
+    Interval and grid tests take C(x+L) - C(x) from the exact cumulative
+    measure C of the test: int64, zero error; slab tests one sliding integral
+    per magnification: floats at e = 0.
     """
     values = np.zeros((_count(instances), len(tests)))
     errors = np.zeros_like(values)
     if not values.shape[0]:
-        return values, errors
+        return values, errors, 0
+    columns = []
     for j, t in enumerate(tests):
         if isinstance(t, SlabTestSet):
             shape = instances[0][0]
@@ -207,8 +206,12 @@ def measure_vector(instances, tests, profiles=None) -> tuple[np.ndarray, np.ndar
             check_span(need, Window.of(t.levels.box_lo[0], t.levels.box_hi[0]), "the grid box")
             t = t.runs
         c, _, ce = t.cumulative_nums(ends.ravel(), e)
-        values[:, j] = (c[1::2] - c[0::2]) * 2.0**-ce
-    return values, errors
+        columns.append((c[1::2] - c[0::2], ce))
+    # one exponent for every test, each column's extremes sized before the shift
+    exp = max((ce for _, ce in columns), default=0)
+    _check_int64("measures", exp,
+                 *(int(v) << exp - ce for d, ce in columns for v in (d.min(), d.max())))
+    return (np.stack([d << exp - ce for d, ce in columns], 1) if columns else values), errors, exp
 
 
 def _count(instances) -> int:
@@ -266,7 +269,8 @@ class VerificationReport:
     test_count: int
     min_separation: float
     witness_pair: tuple
-    collisions: list
+    collisions: list  # the first MAX_LISTED_COLLISIONS of them
+    collision_count: int
     indeterminate: bool
     quadrature_error: float
     grid: dict = field(default_factory=dict)
@@ -274,7 +278,7 @@ class VerificationReport:
 
     @property
     def passed(self) -> bool:
-        return not self.collisions and not self.indeterminate
+        return not self.collision_count and not self.indeterminate
 
     def to_json(self):
         return {
@@ -283,6 +287,7 @@ class VerificationReport:
             "min_separation": self.min_separation,
             "witness_pair": list(self.witness_pair),
             "collisions": self.collisions,
+            "collision_count": self.collision_count,
             "indeterminate": self.indeterminate,
             "quadrature_error": self.quadrature_error,
             "grid": self.grid,
@@ -291,40 +296,44 @@ class VerificationReport:
         }
 
 
-def pairwise_min_linf(matrix: np.ndarray, threshold: float = 0.0):
-    """Min pairwise l-infinity distance with a sort-assisted sweep.
+MAX_LISTED_COLLISIONS = 1000  # colliding pairs a report lists; it counts them all
 
-    Returns (min_distance, witness (i, j), collisions at <= threshold).
-    Sorting on the first component prunes: once the first-coordinate gap
-    alone exceeds both the current minimum and the collision threshold,
-    later rows cannot matter; the surviving window is handled vectorized.
-    """
+
+def pairwise_min_linf(matrix: np.ndarray, threshold=0):
+    """Min pairwise l-infinity distance of int64 or float rows, by a sweep.
+
+    Returns (min_distance, witness (i, j), the first MAX_LISTED_COLLISIONS
+    collisions at <= threshold, their count), pairs ordered as the rows sorted
+    on the first component.  Step k compares each active sorted row i with
+    row i + k at once; row i leaves once the first-component gap alone exceeds
+    both the current minimum and the threshold, as it then does at every
+    later k (Bentley & Shamos, STOC 1976)."""
     n = matrix.shape[0]
     if n < 2:
-        return math.inf, (-1, -1), []
+        return math.inf, (-1, -1), [], 0
     order = np.argsort(matrix[:, 0], kind="stable")
-    m = matrix[order]
-    col0 = m[:, 0]
-    best = math.inf
-    witness = (-1, -1)
-    collisions = []
-    for i in range(n - 1):
-        cap = max(best, threshold)
-        j_end = int(np.searchsorted(col0, col0[i] + cap, side="right")) if math.isfinite(cap) else n
-        j_end = max(j_end, i + 2)
-        j_end = min(j_end, n)
-        block = m[i + 1 : j_end]
-        if block.size == 0:
-            continue
-        dists = np.max(np.abs(block - m[i]), axis=1)
-        k = int(np.argmin(dists))
-        if float(dists[k]) < best:
-            best = float(dists[k])
-            witness = (int(order[i]), int(order[i + 1 + k]))
-        hit = np.flatnonzero(dists <= threshold)
-        for h in hit:
-            collisions.append((int(order[i]), int(order[i + 1 + h])))
-    return best, witness, collisions
+    cols = matrix[order].T.copy()  # each component contiguous, sorted on the first
+    col0 = cols[0]
+    best, wi, wk = math.inf, -1, 0
+    listed, count = [], 0  # (i, k) of the first collisions, and their count
+    rows, k, gap = np.arange(n - 1), 1, np.diff(col0)
+    while rows.size:
+        d = np.max([gap, *(np.abs(c[rows + k] - c[rows]) for c in cols[1:])], axis=0)
+        at = int(np.argmin(d))
+        if d[at] < best or (d[at] == best and rows[at] < wi):
+            best, wi, wk = d[at].item(), int(rows[at]), k
+        hit = rows[d <= threshold]
+        count += hit.size
+        # a pair of this step precedes a listed one only with a lesser row
+        if hit.size and (len(listed) < MAX_LISTED_COLLISIONS or hit[0] < listed[-1][0]):
+            listed += [(i, k) for i in hit[:MAX_LISTED_COLLISIONS].tolist()]
+            listed = sorted(listed)[:MAX_LISTED_COLLISIONS]
+        k += 1
+        rows = rows[: np.searchsorted(rows, n - k)]
+        gap = col0[rows + k] - col0[rows]
+        rows, gap = rows[gap <= max(best, threshold)], gap[gap <= max(best, threshold)]
+    collisions = [(int(order[i]), int(order[i + k])) for i, k in listed]
+    return best, (int(order[wi]), int(order[wi + wk])), collisions, count
 
 
 def injectivity_report(grid, tests, resolution: int = 256) -> VerificationReport:
@@ -344,16 +353,18 @@ def injectivity_report(grid, tests, resolution: int = 256) -> VerificationReport
             for t in tests
         ]
         instances = [(grid.shape, pose) for pose in instances]
-    matrix, errors = measure_vector(instances, tests, profiles)
+    matrix, errors, exp = measure_vector(instances, tests, profiles)
     qerr = float(np.max(errors)) if errors.size else 0.0
-    best, witness, collisions = pairwise_min_linf(matrix)
-    indeterminate = qerr > 0 and best <= 10.0 * qerr and not collisions
+    best, witness, collisions, count = pairwise_min_linf(matrix)
+    best = best * 2.0**-exp
+    indeterminate = qerr > 0 and best <= 10.0 * qerr and not count
     return VerificationReport(
         instance_count=len(matrix),
         test_count=len(tests),
         min_separation=best,
         witness_pair=witness,
         collisions=collisions,
+        collision_count=count,
         indeterminate=indeterminate,
         quadrature_error=qerr,
         grid=grid.describe() if hasattr(grid, "describe") else {},
@@ -367,8 +378,8 @@ def injectivity_report(grid, tests, resolution: int = 256) -> VerificationReport
 class CounterexamplePair:
     first: tuple  # (Dyadic, Dyadic)
     second: tuple
-    a_discrepancy: Fraction
-    b_discrepancy: Fraction
+    a_discrepancy: Dyadic
+    b_discrepancy: Dyadic
     grid_used: int
 
     def to_json(self):
@@ -436,9 +447,8 @@ def interval_counterexample(
         pair, cut = _search_on_grid(A, B, lo, hi, bounds, min_length, grid, sep_needed)
         if pair is not None:
             (z1, z2) = pair
-            da = (_increment(A, z1) - _increment(A, z2)).as_fraction()
-            db = (_increment(B, z1) - _increment(B, z2)).as_fraction()
-            if abs(da) <= tol and abs(db) <= tol:
+            da, db = (S.measure_between(*z1) - S.measure_between(*z2) for S in (A, B))
+            if abs(da) <= Dyadic.from_float(tol) and abs(db) <= Dyadic.from_float(tol):
                 return CounterexamplePair(z1, z2, da, db, grid)
         if cut:
             cut_off.append(f"{grid}x{grid}")
@@ -452,11 +462,6 @@ def interval_counterexample(
         f"no counterexample found up to a {grid}x{grid} grid; {reason}",
         densest_grid=grid,
     )
-
-
-def _increment(S: IntervalSet, z) -> Dyadic:
-    """C(y) - C(x) for z = (x, y), with C the cumulative measure of S."""
-    return S.cumulative(z[1]) - S.cumulative(z[0])
 
 
 def _search_on_grid(A, B, lo, hi, bounds, min_length, grid, sep_needed):
@@ -506,19 +511,21 @@ def _search_on_grid(A, B, lo, hi, bounds, min_length, grid, sep_needed):
 def _exact_resolve(A, B, z1, z2, step, min_length, sep_needed, bounds):
     """Solve f(z1') = f(z2') exactly near the float candidates.
 
-    Each coordinate is confined to its current affine piece of the relevant
-    cumulative, the 2x4 dyadic system is solved with two coordinates pinned
-    to snapped values, and all constraints are re-checked exactly.
-    """
-    pinned = [snap(float(c), 24)[0] for c in (*z1, *z2)]
-    fixed = [p.as_fraction() for p in pinned]
+    Each coordinate is pinned (rounded half up to a multiple of 2**-24) and
+    confined to its affine piece of each cumulative there; the 2x4 system is
+    solved with two coordinates pinned and every constraint re-checked, exactly
+    in integers at an exponent F one bit finer than every pin and intercept:
+    right-hand sides are even, determinants ±1 or ±2, solutions integers."""
+    F = max(A.exponent, B.exponent, 24) + 1
+    fixed = [((n << 25) + d) // (2 * d) << F - 24 for n, d in map(float.as_integer_ratio, z1 + z2)]
+    pieces = [_pieces(S, fixed, F)[0] for S in (A, B)]
     # equations: (C_S(y1) - C_S(x1)) - (C_S(y2) - C_S(x2)) = 0 for S = A, B,
     # with C_S = slope*x + c on its pieces at the pinned points: the
     # coefficients for (x1, y1, x2, y2) and the right-hand side
-    rows = []
-    for S in (A, B):
-        (s0, c0), (s1, c1), (s2, c2), (s3, c3) = (S.piece(p) for p in pinned)
-        rows.append(((-s0, s1, s2, -s3), (c0 - c1 - c2 + c3).as_fraction()))
+    rows = [((-s0, s1, s2, -s3), c0 - c1 - c2 + c3)
+            for (s0, c0), (s1, c1), (s2, c2), (s3, c3) in pieces]
+    if bounds is not None:  # the least and the greatest numerator in them
+        bounds = -(-bounds[0].num << F >> bounds[0].exp), bounds[1].num << F >> bounds[1].exp
     for free in combinations(range(4), 2):
         i, j = (k for k in range(4) if k not in free)
         vals = list(fixed)
@@ -526,44 +533,54 @@ def _exact_resolve(A, B, z1, z2, step, min_length, sep_needed, bounds):
         (a, b, r), (c, d, t) = eqs
         det = a * d - b * c
         if det:
-            vals[i], vals[j] = (d * r - b * t) / det, (a * t - c * r) / det
+            vals[i], vals[j] = (d * r - b * t) // det, (a * t - c * r) // det
         else:
             # rank <= 1: solve the first nonzero equation with one more
             # coordinate pinned, then check both
             for a, b, r in eqs:
                 if a or b:
                     if a:
-                        vals[i] = (r - b * vals[j]) / a
+                        vals[i] = (r - b * vals[j]) // a
                     else:
-                        vals[j] = r / b
+                        vals[j] = r // b
                     break
             if any(a * vals[i] + b * vals[j] != r for a, b, r in eqs):
                 continue
-        cand = _validate_candidate(A, B, vals, pinned, step, min_length, sep_needed, bounds)
+        cand = _validate_candidate(A, B, vals, fixed, step, min_length, sep_needed, bounds, F, pieces)
         if cand is not None:
             return cand
     return None
 
 
-def _validate_candidate(A, B, vals, pinned, step, min_length, sep_needed, bounds):
-    if any(v.denominator & (v.denominator - 1) for v in vals):
-        return None  # not dyadic; a different pivot choice will be
-    dys = [Dyadic(v.numerator, v.denominator.bit_length() - 1) for v in vals]
-    x1, y1, x2, y2 = dys
-    if bounds is not None and not (bounds[0] <= min(dys) and max(dys) <= bounds[1]):
+def _validate_candidate(A, B, vals, pinned, step, min_length, sep_needed, bounds, F, pieces):
+    x1, y1, x2, y2 = vals
+    f = 2.0**-F  # distances are compared as the floats of exact differences
+    if bounds is not None and not (bounds[0] <= min(vals) and max(vals) <= bounds[1]):
         return None
-    # stay on the same affine pieces the system was built from
-    if any(abs(float(d) - float(p)) > 1.6 * step for d, p in zip(dys, pinned)):
+    if any(abs(v * f - p * f) > 1.6 * step for v, p in zip(vals, pinned)):
         return None
-    if any(S.piece(d) != S.piece(p) for d, p in zip(dys, pinned) for S in (A, B)):
+    if not (min_length < (y1 - x1) * f and min_length < (y2 - x2) * f):
         return None
-    if not (min_length < float(y1 - x1) and min_length < float(y2 - x2)):
+    if max(abs((x1 - x2) * f), abs((y1 - y2) * f)) < sep_needed:
         return None
-    if max(abs(float(x1 - x2)), abs(float(y1 - y2))) < sep_needed:
-        return None
-    if any(_increment(S, (x1, y1)) != _increment(S, (x2, y2)) for S in (A, B)):
-        return None
+    # stay on the same affine pieces the system was built from; equal increments
+    for S, at_pins in zip((A, B), pieces):
+        at_vals, c = _pieces(S, vals, F)
+        if at_vals != at_pins or c[1] - c[0] != c[3] - c[2]:
+            return None
+    x1, y1, x2, y2 = (Dyadic(v, F) for v in vals)
     return (x1, y1), (x2, y2)
+
+
+def _pieces(S: IntervalSet, nums: list, exp: int) -> tuple[list, list]:
+    """The (slope, intercept) of C = slope*x + c, the cumulative measure of S,
+    on its piece at x = nums / 2**exp (exp > S.exponent), and C(x), ints at exp.
+    S is constant on each cell of its grid: C is continued from the cell's start."""
+    s = exp - S.exponent
+    c, inside, _ = S.cumulative_nums([x >> s for x in nums], S.exponent)
+    inside = inside.tolist()
+    c = [(v << s) + (x - (x >> s << s) if i else 0) for v, i, x in zip(c.tolist(), inside, nums)]
+    return [(1, v - x) if i else (0, v) for v, i, x in zip(c, inside, nums)], c
 
 
 # -- Monte Carlo reconstruction ---------------------------------------------------------
@@ -612,11 +629,11 @@ def monte_carlo_reconstruction(
             for c in range(copies)
         ]
         tests = [sample_grid_set(levels, s) for s in trial_seeds]
-        matrix, _ = measure_vector(instances, tests)
-        best, witness, collisions = pairwise_min_linf(
-            matrix, threshold=separation * (1 - 1e-12)
+        matrix, _, exp = measure_vector(instances, tests)
+        best, _, _, count = pairwise_min_linf(
+            matrix * 2.0**-exp, threshold=separation * (1 - 1e-12)
         )
-        ok = not collisions
+        ok = not count
         successes += ok
         per_trial.append(
             {"seeds": trial_seeds, "min_separation": best, "success": bool(ok)}

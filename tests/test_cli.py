@@ -18,6 +18,7 @@ from reconset.cli import main
 from reconset.dyadic import Dyadic
 from reconset.intervals import IntervalSet
 from reconset.io import interval_set_artifact, load_interval_set, read_json, write_json
+from reconset.verify import MAX_LISTED_COLLISIONS
 
 
 def run(argv):
@@ -523,3 +524,65 @@ def test_monotonicity_makes_no_dyadic_per_grid_point(tmp_path, monkeypatch):
     assert run(["verify", "monotonicity", "--test", str(T), "--shape", "[0,1]",
                 "--grid", "-1", "0", "1/65536"]) == 0
     assert len(calls) < 100
+
+
+def test_injectivity_separates_measures_beyond_2_53(tmp_path):
+    # the measures 1024 and 1024 + 2^-44 are the numerators 2^54 and 2^54 + 1
+    # at exponent 44, one float apart from each other: floats read a collision
+    T = tmp_path / "T.json"
+    T.write_text('{"kind":"interval_set","intervals":'
+                 '[[0,0,1024,0],[18014398509481985,44,18014398509481986,44]]}')
+    rep = tmp_path / "rep.json"
+    assert run(["verify", "injectivity", "--x", "0", "0", "1", "--length", "1024", "1025", "1",
+                "--tests", str(T), "-o", str(rep)]) == 0
+    obj = read_json(rep)
+    assert obj["min_separation"] == 2.0**-44
+    assert obj["collisions"] == [] and obj["collision_count"] == 0 and obj["passed"]
+
+
+def test_collisions_counted_and_listed_under_memory_cap(tmp_path):
+    # 22,455,296 colliding pairs: a list of them all does not fit under the cap
+    T = tmp_path / "T.json"
+    assert run(["construct", "interval-union", "--lengths", "1", "--window", "0", "8",
+                "--rho", "1/16", "-o", str(T)]) == 0
+    rep = tmp_path / "rep.json"
+    p = _python("-m", "reconset.cli", "verify", "injectivity", "--x", "0", "1", "1/256",
+                "--length", "1", "2", "1/256", "--tests", str(T), "-o", str(rep),
+                preexec_fn=_limit_memory)
+    assert p.returncode == 2
+    assert "Traceback" not in p.stdout + p.stderr
+    assert p.stdout == "instances 66049, min separation 0, collisions 22455296\n"
+    obj = read_json(rep)
+    assert obj["collision_count"] == 22455296 and not obj["passed"]
+    assert len(obj["collisions"]) == MAX_LISTED_COLLISIONS
+
+
+_GRID_HEADER = json.dumps({"n": [4], "g": [2], "p": [0.5], "box_lo": [0], "box_hi": [1], "seed": 1})
+
+
+@pytest.mark.parametrize(
+    "arrays",
+    [
+        None,
+        {"level_0": np.array([0, 2])},
+        {"header": _GRID_HEADER},
+        {"header": _GRID_HEADER, "level_0": np.array([99])},
+        {"header": _GRID_HEADER, "level_0": np.array([-1])},
+        {"header": _GRID_HEADER, "level_0": np.array([2.9])},
+        {"header": _GRID_HEADER, "level_0": np.array([3, 1, 1])},
+    ],
+    ids=["truncated", "no-header", "no-level", "index-beyond-box", "negative-index",
+         "float-index", "unsorted-repeated"],
+)
+def test_malformed_grid_set_exit_one(tmp_path, capsys, arrays):
+    # the box [0, 1) holds 4 cubes at n = 4
+    g = tmp_path / "g.npz"
+    if arrays is None:
+        np.savez_compressed(g, header=_GRID_HEADER, level_0=np.array([0, 2]))
+        g.write_bytes(g.read_bytes()[:-30])
+    else:
+        np.savez_compressed(g, **arrays)
+    assert run(["verify", "injectivity", "--x", "0", "1/2", "1/4",
+                "--length", "1/4", "1/4", "1", "--tests", str(g)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {g}: ") and "Traceback" not in err

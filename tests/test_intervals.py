@@ -107,13 +107,10 @@ def test_restrict_complement():
 
 
 def test_contains_point():
-    # C has slope 1 on the set: piece(x)[0] == 1 exactly at its points
+    # the points 0, 1, 5/2, 3/2 and 5: 1 lies outside, half-open
     s = iset((0, 1), (2, 3))
-    assert s.piece(0)[0] == 1
-    assert s.piece(1)[0] == 0  # half-open
-    assert s.piece(Dyadic(5, 1))[0] == 1
-    assert s.piece(Dyadic(3, 1))[0] == 0
-    assert s.piece(5)[0] == 0
+    _, inside, _ = s.cumulative_nums([0, 2, 5, 3, 10], 1)
+    assert inside.tolist() == [True, False, True, False, False]
 
 
 # -- affine ------------------------------------------------------------------
@@ -323,13 +320,15 @@ def test_prefix_measure_matches_boolean_oracle(t, x, y):
         x, y = y, x
     expect = IntervalSet([(x, y)]).intersect(t).measure()
     assert t.measure_between(x, y) == expect
-    assert t.cumulative(y) - t.cumulative(x) == expect
     e = max(x.exp, y.exp)
     c, inside, ce = t.cumulative_nums([x.num << (e - x.exp), y.num << (e - y.exp)], e)
     assert Dyadic(int(c[1] - c[0]), ce) == expect
-    assert bool(inside[0]) == brute_membership(t, x.as_fraction()) == (t.piece(x)[0] == 1)
+    assert bool(inside[0]) == brute_membership(t, x.as_fraction())
+    # C(x) looked up at x's own exponent is the same
+    cx, _, ex = t.cumulative_nums([x.num], x.exp)
+    assert Dyadic(int(cx[0]), ex) == Dyadic(int(c[0]), ce)
     # the float view agrees wherever floats are exact
-    assert t.cumulative_f(float(x)) == float(t.cumulative(x))
+    assert t.cumulative_f(float(x)) == float(Dyadic(int(c[0]), ce))
 
 
 @settings(max_examples=40, deadline=None)

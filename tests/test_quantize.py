@@ -74,6 +74,19 @@ def test_greedy_mask_matches_reference(log_n, rate, shift):
     assert h_fast == pytest.approx(h_ref, abs=1e-12)
 
 
+def test_greedy_mask_tie_skips_in_both_rules():
+    # a logistic centred on [-1/2, 1/2] integrates to exactly 1/2, so the last
+    # block is a tie; float dust in the running sum must not keep it
+    n = 8
+    edges = -0.5 + np.arange(n + 1, dtype=float) / n
+    ints = np.asarray(Logistic(3.0).consecutive_block_integrals(edges))
+    kept_fast, h_fast = greedy_mask(ints, n)
+    kept_ref, h_ref = reference_greedy_mask(ints, n)
+    assert kept_fast.tolist() == [True, False, False, True, False, True, True, False]
+    assert np.array_equal(kept_fast, kept_ref)
+    assert h_fast == pytest.approx(h_ref, abs=1e-12)
+
+
 @settings(max_examples=15, deadline=None)
 @given(st.integers(min_value=2, max_value=8), st.floats(min_value=0.2, max_value=2.5))
 def test_quantizer_guarantees_random_targets(log_n, rate):

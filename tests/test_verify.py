@@ -1,4 +1,5 @@
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from reconset.analysis import sliding_integral
 from reconset.construct import union_test_set
-from reconset.dyadic import Dyadic, common_numerators
+from reconset.dyadic import Dyadic, common_numerators, snap
 from reconset.errors import ExactnessOverflowError, SearchBudgetError, WindowExceededError
 from reconset.gridsets import validate_levels, sample_grid_set
 from reconset.intervals import IntervalSet, Window
@@ -21,6 +22,7 @@ from reconset.shapes import (
 )
 from reconset.verify import (
     MAX_GRID_POINTS,
+    MAX_LISTED_COLLISIONS,
     IntervalFamilyGrid,
     TranslateFamilyGrid,
     interval_counterexample,
@@ -130,8 +132,8 @@ def test_interval_family_refuses_non_positive_length():
 
 def test_measure_vector_halfline():
     T = IntervalSet([(0, 100)])
-    vals, errs = measure_vector((np.array([[0, 1]]), 0), [T])
-    assert vals.tolist() == [[1.0]]
+    vals, errs, exp = measure_vector((np.array([[0, 1]]), 0), [T])
+    assert vals.dtype == np.int64 and vals.tolist() == [[1]] and exp == 0
     assert errs.tolist() == [[0.0]]
 
 
@@ -139,8 +141,8 @@ def test_measure_vector_slab_square():
     from reconset.shapes import Box
 
     V = SlabTestSet(Direction((1.0, 0.0)), IntervalSet([(0, 1)]), Window.of(-4, 4))
-    vals, errs = measure_vector([(Box((0.0, 0.0), (1.0, 1.0)), Pose.identity(2))], [V])
-    assert vals[0, 0] == pytest.approx(1.0, abs=1e-12)
+    vals, errs, exp = measure_vector([(Box((0.0, 0.0), (1.0, 1.0)), Pose.identity(2))], [V])
+    assert exp == 0 and vals[0, 0] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_measure_vector_matches_sliding_integral_exactly():
@@ -148,9 +150,9 @@ def test_measure_vector_matches_sliding_integral_exactly():
     T = union_test_set([1], Window.of(0, 8), Dyadic(1, 4))
     chi = Profile.indicator(0.0, 1.0)
     xs = [Dyadic(i, 3) for i in range(0, 33)]
-    direct, _ = measure_vector((np.array([[i, i + 8] for i in range(0, 33)]), 3), [T])
+    direct, _, exp = measure_vector((np.array([[i, i + 8] for i in range(0, 33)]), 3), [T])
     slid = sliding_integral(chi, T, 1.0, [float(x) for x in xs], Window.of(-2, 10))
-    assert np.array_equal(direct[:, 0], slid)  # exact equality of the two paths
+    assert np.array_equal(direct[:, 0] * 2.0**-exp, slid)  # exact equality of the two paths
 
 
 def test_measure_vector_gridset_window_guard():
@@ -202,16 +204,76 @@ def test_injectivity_with_semigroup_test_set():
 
 def test_pairwise_min_linf_bruteforce():
     rng = np.random.default_rng(3)
-    m = rng.uniform(size=(40, 3))
-    best, witness, _ = pairwise_min_linf(m)
-    brute = min(
-        float(np.max(np.abs(m[i] - m[j])))
-        for i in range(40)
-        for j in range(i + 1, 40)
-    )
-    assert best == pytest.approx(brute)
-    i, j = witness
-    assert float(np.max(np.abs(m[i] - m[j]))) == pytest.approx(best)
+    # floats, and small integers with ties, duplicate rows and collisions
+    for m, threshold in ((rng.uniform(size=(40, 3)), 0.1), (rng.integers(0, 6, size=(40, 3)), 1)):
+        best, witness, collisions, count = pairwise_min_linf(m, threshold)
+        dist = {(i, j): np.max(np.abs(m[i] - m[j])).item()
+                for i in range(40) for j in range(i + 1, 40)}
+        assert best == min(dist.values()) == dist[tuple(sorted(witness))]
+        colliding = {p for p, d in dist.items() if d <= threshold}
+        assert count == len(colliding) > 0
+        assert {tuple(sorted(p)) for p in collisions} == colliding
+
+
+def _sweep_oracle(matrix, threshold=0.0):
+    """The per-row sweep the array sweep replaced: every collision listed."""
+    n = matrix.shape[0]
+    if n < 2:
+        return math.inf, (-1, -1), []
+    order = np.argsort(matrix[:, 0], kind="stable")
+    m = matrix[order]
+    col0 = m[:, 0]
+    best = math.inf
+    witness = (-1, -1)
+    collisions = []
+    for i in range(n - 1):
+        cap = max(best, threshold)
+        j_end = int(np.searchsorted(col0, col0[i] + cap, side="right")) if math.isfinite(cap) else n
+        j_end = max(j_end, i + 2)
+        j_end = min(j_end, n)
+        block = m[i + 1 : j_end]
+        if block.size == 0:
+            continue
+        dists = np.max(np.abs(block - m[i]), axis=1)
+        k = int(np.argmin(dists))
+        if float(dists[k]) < best:
+            best = float(dists[k])
+            witness = (int(order[i]), int(order[i + 1 + k]))
+        hit = np.flatnonzero(dists <= threshold)
+        for h in hit:
+            collisions.append((int(order[i]), int(order[i + 1 + h])))
+    return best, witness, collisions
+
+
+@st.composite
+def sweep_inputs(draw):
+    """An int64 matrix with entries below 2**52, where the oracle's floats are
+    exact, or the same numerators over 2**10 as floats, and a threshold:
+    ties, duplicate rows and runs of more than MAX_LISTED_COLLISIONS
+    collisions come up."""
+    n = draw(st.integers(0, 3) | st.integers(4, 100))
+    cols = draw(st.integers(1, 3))
+    top = draw(st.sampled_from([1, 3, 1 << 20, 1 << 52]))
+    rows = draw(st.lists(st.lists(st.integers(0, top), min_size=cols, max_size=cols),
+                         min_size=n, max_size=n))
+    if rows:
+        rows += draw(st.lists(st.sampled_from(rows), max_size=8))
+    m = np.array(rows, np.int64).reshape(-1, cols)
+    threshold = draw(st.sampled_from([0, 1, 2, top // 4]))
+    if draw(st.booleans()):
+        return m * 2.0**-10, threshold * 2.0**-10
+    return m, threshold
+
+
+@settings(max_examples=80, deadline=None)
+@given(sweep_inputs())
+def test_pairwise_min_linf_matches_row_sweep(args):
+    m, threshold = args
+    best, witness, collisions, count = pairwise_min_linf(m, threshold)
+    want_best, want_witness, want_collisions = _sweep_oracle(m, threshold)
+    assert (best, witness) == (want_best, want_witness)
+    assert collisions == want_collisions[:MAX_LISTED_COLLISIONS]
+    assert count == len(want_collisions)
 
 
 def test_injectivity_permutation_invariant():
@@ -255,7 +317,7 @@ def test_slab_measure_vector_matches_per_pose():
     poses = TranslateFamilyGrid(disk, (-0.5, -0.5), (0.5, 0.5), (5, 5)).instances()
     poses += [Pose(p.translation, 1.5) for p in poses]
     profiles = [radon_profile(disk, V.theta, 128) for V in tests]
-    values, errors = measure_vector([(disk, p) for p in poses], tests, profiles)
+    values, errors, _ = measure_vector([(disk, p) for p in poses], tests, profiles)
     for i, pose in enumerate(poses):
         for j, V in enumerate(tests):
             v, e = intersection_measure_detailed(disk, pose, V, profile=profiles[j])
@@ -337,6 +399,123 @@ def test_counterexample_budget_names_grid_and_cut_off(monkeypatch):
         interval_counterexample(A, B, 1, 1e-9)
 
 
+def _fraction_resolver():
+    """The resolver the integer one replaced, solving in Fractions and looking
+    up one point at a time.  Lookups and pins are remembered, as the
+    candidates of a search share their grid points."""
+    memo = {}
+
+    def lookup(S, x):
+        key = S, x.num, x.exp
+        if key not in memo:
+            v, inside, e = S.cumulative_nums([x.num], x.exp)
+            memo[key] = Dyadic(int(v[0]), e), bool(inside[0])
+        return memo[key]
+
+    def pin(c):
+        if c not in memo:
+            memo[c] = snap(c, 24)[0]
+        return memo[c]
+
+    def piece(S, x):
+        c, inside = lookup(S, x)
+        return (1, c - x) if inside else (0, c)
+
+    def increment(S, z):
+        return lookup(S, z[1])[0] - lookup(S, z[0])[0]
+
+    def resolve(A, B, z1, z2, step, min_length, sep_needed, bounds):
+        pinned = [pin(float(c)) for c in (*z1, *z2)]
+        fixed = [p.as_fraction() for p in pinned]
+        rows = []
+        for S in (A, B):
+            (s0, c0), (s1, c1), (s2, c2), (s3, c3) = (piece(S, p) for p in pinned)
+            rows.append(((-s0, s1, s2, -s3), (c0 - c1 - c2 + c3).as_fraction()))
+        for free in combinations(range(4), 2):
+            i, j = (k for k in range(4) if k not in free)
+            vals = list(fixed)
+            eqs = [(m[i], m[j], r - sum(m[k] * fixed[k] for k in free)) for m, r in rows]
+            (a, b, r), (c, d, t) = eqs
+            det = a * d - b * c
+            if det:
+                vals[i], vals[j] = (d * r - b * t) / det, (a * t - c * r) / det
+            else:
+                for a, b, r in eqs:
+                    if a or b:
+                        if a:
+                            vals[i] = (r - b * vals[j]) / a
+                        else:
+                            vals[j] = r / b
+                        break
+                if any(a * vals[i] + b * vals[j] != r for a, b, r in eqs):
+                    continue
+            cand = validate(A, B, vals, pinned, step, min_length, sep_needed, bounds)
+            if cand is not None:
+                return cand
+        return None
+
+    def validate(A, B, vals, pinned, step, min_length, sep_needed, bounds):
+        if any(v.denominator & (v.denominator - 1) for v in vals):
+            return None
+        dys = [Dyadic(v.numerator, v.denominator.bit_length() - 1) for v in vals]
+        x1, y1, x2, y2 = dys
+        if bounds is not None and not (bounds[0] <= min(dys) and max(dys) <= bounds[1]):
+            return None
+        if any(abs(float(d) - float(p)) > 1.6 * step for d, p in zip(dys, pinned)):
+            return None
+        if any(piece(S, d) != piece(S, p) for d, p in zip(dys, pinned) for S in (A, B)):
+            return None
+        if not (min_length < float(y1 - x1) and min_length < float(y2 - x2)):
+            return None
+        if max(abs(float(x1 - x2)), abs(float(y1 - y2))) < sep_needed:
+            return None
+        if any(increment(S, (x1, y1)) != increment(S, (x2, y2)) for S in (A, B)):
+            return None
+        return (x1, y1), (x2, y2)
+
+    return resolve
+
+
+def _random_set(rng, count, exp, top):
+    ends = np.sort(rng.integers(-top, top, size=2 * count))
+    return IntervalSet.from_arrays(ends[0::2], ends[1::2], exp)
+
+
+def test_resolver_matches_fraction_oracle(monkeypatch):
+    # every candidate a search resolves, with and without window bounds, on
+    # random sets at exponents below and above the pins' 24 and empty sets
+    from reconset import verify
+
+    resolve, oracle, answers = verify._exact_resolve, _fraction_resolver(), []
+
+    def both(*args):
+        answers.append(resolve(*args))
+        assert answers[-1] == oracle(*args)
+        return None  # resolve the search's next candidate
+
+    monkeypatch.setattr(verify, "_exact_resolve", both)
+    monkeypatch.setattr(verify, "MAX_GRID", 256)
+    monkeypatch.setattr(verify, "MAX_CANDIDATES", 1667)
+    rng = np.random.default_rng(8)
+    dense = union_test_set([1], Window.of(10, 18), Dyadic(1, 4))
+    cases = [
+        (_random_set(rng, 20, 6, 1 << 10), _random_set(rng, 20, 6, 1 << 10), ()),
+        (_random_set(rng, 20, 6, 1 << 10), _random_set(rng, 20, 6, 1 << 10),
+         (Window.of(-8, 12), Window.of(-10, 10))),
+        (_random_set(rng, 30, 30, 1 << 33), _random_set(rng, 5, 2, 1 << 4),
+         (Window.of(-8, 8),)),
+        (IntervalSet.empty(), IntervalSet.empty(), ()),
+        (IntervalSet.empty(), IntervalSet([(0, 64)]), (Window.of(Dyadic(-3, 2), 64),)),
+        (dense, union_test_set([Dyadic(3, 1)], Window.of(10, 18), Dyadic(1, 4)),
+         (Window.of(10, 18),)),
+    ]
+    for A, B, windows in cases:
+        with pytest.raises(SearchBudgetError):
+            interval_counterexample(A, B, 1, 1e-9, windows)
+    assert len(answers) >= 10_000
+    assert 0 < sum(a is not None for a in answers) < len(answers)
+
+
 # -- Monte Carlo -------------------------------------------------------------------------
 
 
@@ -374,8 +553,8 @@ def test_monte_carlo_off_grid_family():
     assert rep.trials == 2
     for trial in rep.per_trial:
         tests = [sample_grid_set(lv, s) for s in trial["seeds"]]
-        matrix, _ = measure_vector(grid.instances(), tests)
-        assert trial["min_separation"] == pairwise_min_linf(matrix)[0]
+        matrix, _, exp = measure_vector(grid.instances(), tests)
+        assert trial["min_separation"] == pairwise_min_linf(matrix * 2.0**-exp)[0]
 
 
 def test_monte_carlo_trial_seeds_distinct():
