@@ -22,7 +22,7 @@ from .construct import (
     translate_test_set,
     union_test_set,
 )
-from .dyadic import Dyadic, parse_or_snap
+from .dyadic import Dyadic, check_decimal_exponent, parse_or_snap
 from .errors import IndeterminateError, CheckFailedError, ReconsetError
 from .gridsets import (
     grid_summary,
@@ -47,6 +47,8 @@ import json
 
 
 def _dyadic_arg(text: str, what: str = "value") -> Dyadic:
+    # a value out of range, not an unparseable one: exit 1 with error:
+    check_decimal_exponent(text)
     try:
         value, err = parse_or_snap(text)
     except Exception as e:
@@ -201,7 +203,12 @@ def verify():
 @click.option("-o", "--output", type=click.Path(), default=None)
 @click.option("--emit-plot-data", type=click.Path(), default=None)
 def verify_monotonicity(test_path, shape, grid, output, emit_plot_data):
-    """Exact strict-increase check of x -> lambda((E+x) ∩ T)."""
+    """Exact strict-increase check of x -> lambda((E+x) ∩ T).
+
+    An interval-union test set built at --rho promises strict increase over
+    every translation step of at least rho, at any offset; a finer grid can
+    meet flats (the README set reports 192 zero increments at step 1/64).
+    """
     T, window = rio.load_interval_set(test_path)
     E = _load_shape(shape)
     if not isinstance(E, IntervalUnion):

@@ -23,21 +23,21 @@ inequalities can be re-verified offline via ``recheck()``.
 
 from __future__ import annotations
 
-import heapq
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import asdict, dataclass, fields
 from typing import ClassVar
 
 import numpy as np
 
 from .analysis import VariationEnvelope, ac_diagnostic
-from .dyadic import Dyadic, as_dyadic, snap
+from .dyadic import Dyadic, as_dyadic, common_numerators, snap
 from .errors import (
     GrowthCertificateError,
     InfeasibleResolutionError,
     SearchBudgetError,
 )
-from .intervals import IntervalSet, Window
+from .intervals import IntervalSet, Window, _check_magnitude
 from .profiles import Profile
 from .quantize import ShellBudget, shell_index, tiled_quantizer
 from .shapes import (
@@ -60,12 +60,18 @@ SNAP_EXPONENT = 8
 # -- semigroups and avoidance sets ------------------------------------------------
 
 
-def semigroup(lengths, bound, max_elements: int = 200_000) -> list[Dyadic]:
+MAX_SEMIGROUP_ELEMENTS = 200_000
+# shadow lookups of the avoidance cell loop, n_cells * (|reach| + 1): the README
+# set makes 2,048; 131,072 cells at 8 shifts (2**20) take seconds
+MAX_CELL_SHIFTS = 1 << 20
+
+
+def semigroup(lengths, bound) -> list[Dyadic]:
     """All positive integer combinations of the lengths up to `bound`.
 
     Exactly enumerated, sorted, deduplicated; locally finite by construction.
     """
-    ls = sorted({as_dyadic(x) for x in lengths})
+    ls = [as_dyadic(x) for x in lengths]
     if not ls:
         raise ValueError("semigroup needs at least one length")
     if any(not Dyadic(0) < x for x in ls):
@@ -73,36 +79,39 @@ def semigroup(lengths, bound, max_elements: int = 200_000) -> list[Dyadic]:
     bound = as_dyadic(bound)
     if not Dyadic(0) < bound:
         raise ValueError("bound must be positive")
-    out: list[Dyadic] = []
-    seen = set()
-    heap = [x for x in ls if x <= bound]
-    heapq.heapify(heap)
-    while heap:
-        g = heapq.heappop(heap)
-        if g in seen:
-            continue
-        seen.add(g)
-        out.append(g)
-        if len(out) > max_elements:
+    (top, *steps), e = common_numerators([bound, *ls])
+    # layer k holds the combinations of k lengths not met in an earlier layer
+    seen: set[int] = set()
+    layer = {s for s in steps if s <= top}
+    while layer:
+        seen |= layer
+        if len(seen) > MAX_SEMIGROUP_ELEMENTS:
             raise InfeasibleResolutionError(
-                f"semigroup exceeds {max_elements} elements below {bound}"
+                f"semigroup exceeds {MAX_SEMIGROUP_ELEMENTS} elements below {bound}"
             )
-        for a in ls:
-            s = g + a
-            if s <= bound and s not in seen:
-                heapq.heappush(heap, s)
-    return out
+        layer = {x + s for x in layer for s in steps if x + s <= top} - seen
+    return [Dyadic(n, e) for n in sorted(seen)]
 
 
 def avoidance_set(G, window: Window, rho) -> IntervalSet:
     """A ⊂ window with A ∩ (A+g) ∩ window = ∅ for all g, and positive
     measure in every subinterval of length >= rho.
 
-    Cell-by-cell construction at grid scale rho/2: each cell receives one
-    tiny interval placed inside the part not shadowed by earlier placements
-    translated by ±G.  Both postconditions are re-checked exactly before
-    returning.
+    Cells of rho/2 are filled left to right, each with one [p, p + w) at the
+    start of the first widest gap left by the shadows: earlier placements
+    shifted by the g in G shorter than the window (a -g shadow would come from
+    a cell still empty).  w = rho/2 over the least power of two >= 16 (|reach|
+    + 1) always fits: two placements at most per shift meet a cell, so
+    2 |reach| shadows of width <= w cover under an eighth of it, and the widest
+    of its <= 2 |reach| + 1 gaps exceeds 2w.  Both postconditions are
+    re-checked exactly before returning.
     """
+    return _avoidance(G, window, rho)[0]
+
+
+def _avoidance(G, window: Window, rho):
+    """The avoidance set A, its lows as int64 numerators, its one width w, the
+    shifts shorter than the window, and the exponent all of them share."""
     rho = as_dyadic(rho)
     G = [as_dyadic(g) for g in G]
     if not G:
@@ -115,82 +124,74 @@ def avoidance_set(G, window: Window, rho) -> IntervalSet:
     span = window.span
     reach = [g for g in G if g < span]
     half = rho.half()
-    n_cells = (span.as_fraction() / half.as_fraction()).__floor__()
+    pad = (16 * (len(reach) + 1) - 1).bit_length()
+    (lo, hi, h, w, *shifts), e = common_numerators(
+        [window.lo, window.hi, half, Dyadic(half.num, half.exp + pad), *reach]
+    )
+    n_cells = (hi - lo) // h
     if n_cells < 1:
         raise InfeasibleResolutionError("window shorter than rho/2")
-    # width target: small enough that shadows can never fill a cell
-    k = max(4 * (len(reach) + 1), 4)
-    pad = 1
-    while (1 << pad) < 4 * k:
-        pad += 1
-    w_target = Dyadic(half.num, half.exp + pad)
+    if n_cells * (len(reach) + 1) > MAX_CELL_SHIFTS:
+        raise InfeasibleResolutionError(
+            f"{n_cells} cells of rho/2 times {len(reach) + 1} shifts exceed "
+            f"{MAX_CELL_SHIFTS} lookups; take a coarser rho or a shorter window"
+        )
+    _check_magnitude(max(abs(lo), abs(hi)))
 
-    import bisect
-
-    placed: list[tuple[Dyadic, Dyadic]] = []  # in position order (cells left to right)
-    placed_lo_f: list[float] = []  # float keys for bisect (exact at these scales)
+    placed: list[int] = []  # lows in increasing order, one per cell
     for i in range(n_cells):
-        cell_lo = window.lo + Dyadic(i * half.num, half.exp)
-        cell_hi = cell_lo + half
-        cell = IntervalSet([(cell_lo, cell_hi)])
+        cell_lo = lo + i * h
+        cell_hi = cell_lo + h
         shadows = []
-        wmax = float(w_target)
-        for g in reach:
-            for s in (g, -g):
-                # placed intervals with lo in [cell_lo - s - w, cell_hi - s]
-                lo_f = float(cell_lo) - float(s) - wmax
-                hi_f = float(cell_hi) - float(s)
-                j0 = bisect.bisect_left(placed_lo_f, lo_f)
-                j1 = bisect.bisect_right(placed_lo_f, hi_f)
-                for j in range(j0, j1):
-                    lo, hi = placed[j]
-                    a, b = lo + s, hi + s
-                    if a < cell_hi and cell_lo < b:
-                        shadows.append((max(a, cell_lo), min(b, cell_hi)))
-        free = cell.difference(IntervalSet(shadows)) if shadows else cell
-        if not free:
+        for g in shifts:
+            # [p + g, p + g + w) meets the cell iff cell_lo - g - w < p < cell_hi - g
+            j0, j1 = bisect_right(placed, cell_lo - g - w), bisect_left(placed, cell_hi - g)
+            for p in placed[j0:j1]:
+                shadows.append((max(p + g, cell_lo), min(p + g + w, cell_hi)))
+        widest, start, cursor = -1, cell_lo, cell_lo
+        for a, b in sorted(shadows) + [(cell_hi, cell_hi)]:
+            if a - cursor > widest:
+                widest, start = a - cursor, cursor
+            cursor = max(cursor, b)
+        if widest < 2 * w:
             raise InfeasibleResolutionError(
-                f"no room left in cell {i}; shadows filled it (|G|={len(reach)})"
+                f"cell {i} has no gap of 2w; shadows filled it (|G|={len(reach)})"
             )
-        # widest gap, then place min(w_target, half the gap) at its start
-        best = max(free, key=lambda p: (p[1] - p[0]).as_fraction())
-        glo, ghi = best
-        width = min(w_target, (ghi - glo).half())
-        if not Dyadic(0) < width:
-            raise InfeasibleResolutionError(f"cell {i} gap degenerate")
-        placed.append((glo, glo + width))
-        placed_lo_f.append(float(glo))
+        placed.append(start)
 
-    A = IntervalSet(placed)
-    _check_avoidance(A, reach, window, half, n_cells)
-    return A
+    lows = np.array(placed, dtype=np.int64)
+    A = IntervalSet.from_arrays(lows, lows + w, e)
+    _check_avoidance(A, reach, window, lo + h * np.arange(n_cells + 1, dtype=np.int64), e)
+    return A, lows, w, shifts, e
 
 
-def _check_avoidance(A: IntervalSet, reach, window: Window, half: Dyadic, n_cells: int):
+def _check_avoidance(A: IntervalSet, reach, window: Window, edges: np.ndarray, e: int):
+    """A ∩ (A+g) ∩ window = ∅ for g in reach, and A has mass between
+    consecutive cell edges (numerators at exponent e)."""
     for g in reach:
         clash = A.intersect(A.translate(g)).restrict(window)
         if clash:
             raise AssertionError(f"avoidance violated at shift {g}: {clash}")
-    for i in range(n_cells):
-        cell_lo = window.lo + Dyadic(i * half.num, half.exp)
-        cell = IntervalSet([(cell_lo, cell_lo + half)])
-        if not Dyadic(0) < A.intersect(cell).measure():
-            raise AssertionError(f"cell {i} has no mass")
+    c, _, _ = A.cumulative_nums(edges, e)
+    empty = np.flatnonzero(np.diff(c) <= 0)
+    if empty.size:
+        raise AssertionError(f"cell {empty[0]} has no mass")
 
 
 def union_test_set(lengths, window: Window, rho) -> IntervalSet:
     """T = A ∪ (A + G) restricted to the window, G the length semigroup.
 
-    Guarantee: x -> lambda((E+x) ∩ T) is strictly increasing for translation
-    steps >= rho while E+x stays in the window (E any union of intervals
-    with the given lengths); verified by the harness, not just asserted.
+    Guarantee: x -> lambda((E+x) ∩ T) strictly increases over every
+    translation step >= rho, at any offset x, while E+x stays in the window
+    (E any union of intervals with the given lengths); verified by the
+    harness, not just asserted.  Finer steps can meet flats: for lengths [1]
+    on [0, 8) at rho 1/16, the grid 0 to 6 by 1/64 has 192 zero increments.
     """
     G = semigroup(lengths, window.span)
-    A = avoidance_set(G, window, rho)
-    T = A
-    for g in G:
-        T = T.union(A.translate(g).restrict(window))
-    return T
+    _, lows, w, shifts, e = _avoidance(G, window, rho)
+    # A + g leaves the window for a g no shorter than it
+    shifted = np.concatenate([lows + g for g in (0, *shifts)])
+    return IntervalSet.from_arrays(shifted, shifted + w, e).restrict(window)
 
 
 # -- shared machinery for the profile constructions ----------------------------------
@@ -237,9 +238,10 @@ class Normalization:
 
 def _internal_window(window: Window, norm: Normalization) -> Window:
     """Integer hull of the window pulled into normalized coordinates."""
-    lo = (window.lo - norm.center).as_fraction() / norm.halfwidth.as_fraction()
-    hi = (window.hi - norm.center).as_fraction() / norm.halfwidth.as_fraction()
-    return Window.of(int(math.floor(lo)), int(math.ceil(hi)))
+    (lo, hi, c, w), _ = common_numerators(
+        [window.lo, window.hi, norm.center, norm.halfwidth]
+    )
+    return Window.of((lo - c) // w, -((c - hi) // w))
 
 
 # every shell budget h(k) stays at or below this cap

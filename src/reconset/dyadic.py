@@ -212,11 +212,28 @@ def snap(value, exponent: int) -> tuple[Dyadic, Fraction]:
     return snapped, snapped.as_fraction() - frac
 
 
+# Fraction builds 10**k for a decimal exponent k: 1e9999999 alone takes seconds
+MAX_DECIMAL_EXPONENT = 400
+_DECIMAL_EXPONENT = re.compile(r"[eE][-+]?([\d_]+)\s*\Z")
+
+
+def check_decimal_exponent(text: str):
+    """Refuse, with ValueError, a decimal exponent beyond ±MAX_DECIMAL_EXPONENT."""
+    m = _DECIMAL_EXPONENT.search(text)
+    digits = m.group(1).replace("_", "").lstrip("0") if m else ""
+    if len(digits) > 3 or int(digits or 0) > MAX_DECIMAL_EXPONENT:
+        raise ValueError(
+            f"the decimal exponent of {text.strip()!r} is beyond ±{MAX_DECIMAL_EXPONENT}"
+        )
+
+
 def parse_or_snap(text: str, exponent: int = 40) -> tuple[Dyadic, Fraction]:
     """Parse exactly when possible, otherwise snap at ``2**-exponent``.
 
-    The returned error is zero exactly when no snapping happened.
+    The returned error is zero exactly when no snapping happened.  A decimal
+    exponent beyond ±MAX_DECIMAL_EXPONENT raises ValueError.
     """
+    check_decimal_exponent(text)
     try:
         return Dyadic.parse(text), Fraction(0)
     except ValueError:

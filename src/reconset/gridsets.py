@@ -33,6 +33,10 @@ from .errors import decoding
 from .intervals import IntervalSet
 
 
+# finest cubes a box may hold: the benchmark's largest grid has 196,608
+MAX_CUBES = 1 << 20
+
+
 def _is_pow2(n: int) -> bool:
     return n >= 1 and (n & (n - 1)) == 0
 
@@ -64,7 +68,8 @@ class RandomLevels:
 
 
 def validate_levels(n, g, p, box_lo=(0,), box_hi=(1,)) -> RandomLevels:
-    """Check the divisibility chain and monotonicity; name the failing pair."""
+    """Check the divisibility chain, monotonicity and the box's MAX_CUBES
+    finest cubes; name the failing pair."""
     n = tuple(int(x) for x in n)
     g = tuple(int(x) for x in g)
     p = tuple(float(x) for x in p)
@@ -89,6 +94,9 @@ def validate_levels(n, g, p, box_lo=(0,), box_hi=(1,)) -> RandomLevels:
             raise ValueError(
                 f"n[{i-1}] = {n[i-1]} does not divide g[{i}] = {g[i]}"
             )
+    cubes = math.prod((b - a) * n[-1] for a, b in zip(box_lo, box_hi))
+    if cubes > MAX_CUBES:
+        raise ValueError(f"the box holds {cubes} finest cubes, more than {MAX_CUBES}")
     for i, x in enumerate(p):
         if not (0.0 < x < 1.0):
             raise ValueError(f"p[{i}] = {x} outside (0, 1)")

@@ -261,6 +261,23 @@ def test_oversized_grid_exits_one(tmp_path, grid):
     _capped_cli_exits_one("verify", *grid, flag, str(T))
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["construct", "interval-union", "--lengths", "1", "--window", "0", "8",
+         "--rho", "1/1048576"],
+        ["construct", "interval-union", "--lengths", "1", "--window", "0", "1e999999999",
+         "--rho", "1/16"],
+        ["random", "sample", "--n", "1073741824", "--g", "64", "--p", "0.5", "--box", "0", "3"],
+    ],
+    ids=["cell-shifts", "decimal-exponent", "grid-cubes"],
+)
+def test_unbounded_work_refused_under_memory_cap(tmp_path, argv):
+    # 16,777,216 cells, Fraction("1e999999999") and a 3 * 2**30-cube grid: the
+    # parent ran for over a minute on the first two and died on the third
+    _capped_cli_exits_one(*argv, "-o", str(tmp_path / "out"))
+
+
 @pytest.mark.parametrize("command", ["report", "monotonicity"])
 def test_huge_window_exponent_exits_one(tmp_path, command):
     # the endpoint 2**(2**35) is a 4 GiB integer when shifted before it is sized

@@ -1,8 +1,12 @@
+import bisect
+import functools
+import heapq
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from reconset.analysis import sliding_integral
 from reconset.construct import (
@@ -19,8 +23,12 @@ from reconset.construct import (
     union_test_set,
 )
 from reconset.analysis import VariationEnvelope
-from reconset.dyadic import Dyadic
-from reconset.errors import GrowthCertificateError, InfeasibleResolutionError
+from reconset.dyadic import Dyadic, as_dyadic
+from reconset.errors import (
+    ExactnessOverflowError,
+    GrowthCertificateError,
+    InfeasibleResolutionError,
+)
 from reconset.intervals import IntervalSet, Window
 from reconset.profiles import Profile, StepProfile
 from reconset.shapes import Ball, Box, Direction, radon_profile
@@ -106,6 +114,221 @@ def test_union_test_set_two_component_monotone():
 def test_union_test_set_empty_window():
     with pytest.raises(ValueError):
         union_test_set([1], Window.of(0, 0), Dyadic(1, 4))
+
+
+# The interval-union construction as it was built on Dyadic objects, float
+# bisect keys and one IntervalSet per cell: the reference the integer
+# construction must reproduce row for row.
+
+
+def _reference_semigroup(lengths, bound, max_elements: int = 200_000):
+    ls = sorted({as_dyadic(x) for x in lengths})
+    if not ls:
+        raise ValueError("semigroup needs at least one length")
+    if any(not Dyadic(0) < x for x in ls):
+        raise ValueError("semigroup lengths must be positive")
+    bound = as_dyadic(bound)
+    if not Dyadic(0) < bound:
+        raise ValueError("bound must be positive")
+    out = []
+    seen = set()
+    heap = [x for x in ls if x <= bound]
+    heapq.heapify(heap)
+    while heap:
+        g = heapq.heappop(heap)
+        if g in seen:
+            continue
+        seen.add(g)
+        out.append(g)
+        if len(out) > max_elements:
+            raise InfeasibleResolutionError(
+                f"semigroup exceeds {max_elements} elements below {bound}"
+            )
+        for a in ls:
+            s = g + a
+            if s <= bound and s not in seen:
+                heapq.heappush(heap, s)
+    return out
+
+
+def _reference_avoidance_set(G, window, rho):
+    rho = as_dyadic(rho)
+    G = [as_dyadic(g) for g in G]
+    if not G:
+        raise ValueError("avoidance set needs a non-empty G")
+    g_min = min(G)
+    if not Dyadic(0) < rho or not rho < g_min:
+        raise InfeasibleResolutionError(
+            f"resolution rho = {rho} must satisfy 0 < rho < min(G) = {g_min}"
+        )
+    span = window.span
+    reach = [g for g in G if g < span]
+    half = rho.half()
+    n_cells = (span.as_fraction() / half.as_fraction()).__floor__()
+    if n_cells < 1:
+        raise InfeasibleResolutionError("window shorter than rho/2")
+    k = max(4 * (len(reach) + 1), 4)
+    pad = 1
+    while (1 << pad) < 4 * k:
+        pad += 1
+    w_target = Dyadic(half.num, half.exp + pad)
+    placed = []
+    placed_lo_f = []
+    for i in range(n_cells):
+        cell_lo = window.lo + Dyadic(i * half.num, half.exp)
+        cell_hi = cell_lo + half
+        cell = IntervalSet([(cell_lo, cell_hi)])
+        shadows = []
+        wmax = float(w_target)
+        for g in reach:
+            for s in (g, -g):
+                lo_f = float(cell_lo) - float(s) - wmax
+                hi_f = float(cell_hi) - float(s)
+                j0 = bisect.bisect_left(placed_lo_f, lo_f)
+                j1 = bisect.bisect_right(placed_lo_f, hi_f)
+                for j in range(j0, j1):
+                    lo, hi = placed[j]
+                    a, b = lo + s, hi + s
+                    if a < cell_hi and cell_lo < b:
+                        shadows.append((max(a, cell_lo), min(b, cell_hi)))
+        free = cell.difference(IntervalSet(shadows)) if shadows else cell
+        if not free:
+            raise InfeasibleResolutionError(f"no room left in cell {i}")
+        glo, ghi = max(free, key=lambda p: (p[1] - p[0]).as_fraction())
+        width = min(w_target, (ghi - glo).half())
+        if not Dyadic(0) < width:
+            raise InfeasibleResolutionError(f"cell {i} gap degenerate")
+        placed.append((glo, glo + width))
+        placed_lo_f.append(float(glo))
+    A = IntervalSet(placed)
+    _reference_check_avoidance(A, reach, window, half, n_cells)
+    return A
+
+
+def _reference_check_avoidance(A, reach, window, half, n_cells):
+    for g in reach:
+        clash = A.intersect(A.translate(g)).restrict(window)
+        if clash:
+            raise AssertionError(f"avoidance violated at shift {g}: {clash}")
+    for i in range(n_cells):
+        cell_lo = window.lo + Dyadic(i * half.num, half.exp)
+        cell = IntervalSet([(cell_lo, cell_lo + half)])
+        if not Dyadic(0) < A.intersect(cell).measure():
+            raise AssertionError(f"cell {i} has no mass")
+
+
+def _reference_union_test_set(lengths, window, rho):
+    """G, A and T = A ∪ (A + G) restricted to the window."""
+    G = _reference_semigroup(lengths, window.span)
+    A = _reference_avoidance_set(G, window, rho)
+    T = A
+    for g in G:
+        T = T.union(A.translate(g).restrict(window))
+    return G, A, T
+
+
+def _union_parts(lengths, window, rho):
+    G = semigroup(lengths, window.span)
+    return G, avoidance_set(G, window, rho), union_test_set(lengths, window, rho)
+
+
+def _outcome(build, *args):
+    try:
+        G, A, T = build(*args)
+    except (ValueError, InfeasibleResolutionError, ExactnessOverflowError) as e:
+        return type(e)
+    return [str(g) for g in G], A.to_json(), T.to_json()
+
+
+@st.composite
+def union_cases(draw):
+    """1-3 generators at exponents up to 4; rho at exponent 4, mostly between
+    an eighth of the least length and that length; a window at an offset
+    within ±64 of about 0-12 least lengths, at most 512 cells of rho/2 plus a
+    remainder below rho/2, with at most 2,048 cells times shifts, so the
+    reference stays fast."""
+    k = draw(st.integers(0, 4))
+    lengths = [Dyadic(n, k) for n in draw(st.lists(st.integers(1, 48), min_size=1, max_size=3))]
+    least = (min(lengths) * 16).num
+    r = draw(st.integers(max(least // 8, 1), least + 1))
+    rho = Dyadic(r, 4)
+    half = rho.half()
+    e = draw(st.integers(0, 4))
+    lo = Dyadic(draw(st.integers(-64 << e, 64 << e)), e)
+    per_length = -(-2 * least // r)  # cells of rho/2 in the least length, rounded up
+    cells = draw(st.integers(0, 12)) * per_length + draw(st.integers(0, per_length))
+    rest = half * Dyadic(draw(st.integers(0 if cells else 1, 3)), 2)
+    window = Window(lo, lo + half * Dyadic(cells) + rest)
+    # the reference makes a lookup per cell and shift
+    assume(cells <= 512 and cells * (len(semigroup(lengths, window.span)) + 1) <= 2048)
+    return lengths, window, rho
+
+
+@settings(max_examples=60, deadline=None)
+@given(union_cases())
+def test_union_construction_matches_reference(case):
+    # the same semigroup, avoidance set and test set rows, or the same error
+    assert _outcome(_union_parts, *case) == _outcome(_reference_union_test_set, *case)
+
+
+def test_union_test_set_far_window_overflows():
+    # numerators of 2**47 at the width's exponent 2**-14 leave the 2**58 guard
+    with pytest.raises(ExactnessOverflowError):
+        union_test_set([1], Window.of(2**47, 2**47 + 8), Dyadic(1, 6))
+
+
+def test_union_test_set_builds_few_dyadics(monkeypatch):
+    # 4,096 cells; the per-cell Dyadic construction made 323,497
+    calls = 0
+    init = Dyadic.__init__
+
+    def counting(self, *args):
+        nonlocal calls
+        calls += 1
+        init(self, *args)
+
+    window = Window.of(0, 32)
+    monkeypatch.setattr(Dyadic, "__init__", counting)
+    union_test_set([1], window, Dyadic(1, 6))
+    assert calls < 300
+
+
+# E and the lengths of its components; the sets are the README's scale
+PROMISE_CASES = {
+    "unit": ([(0, 1)], [1]),
+    "two-components": ([(0, 1), (2, Dyadic(7, 1))], [1, Dyadic(3, 1)]),
+}
+PROMISE_RHO = Dyadic(1, 4)
+
+
+@functools.cache
+def _promise_set(name):
+    return union_test_set(PROMISE_CASES[name][1], Window.of(0, 8), PROMISE_RHO)
+
+
+def _translate_measure(T, E, x):
+    return sum((T.measure_between(x + a, x + b) for a, b in E), Dyadic(0))
+
+
+@settings(max_examples=400, deadline=None)
+@given(name=st.sampled_from(sorted(PROMISE_CASES)), x=st.integers(0, 1 << 12),
+       step=st.integers(0, (1 << 12) - 1))
+def test_union_test_set_increases_over_steps_of_rho(name, x, step):
+    # offsets x at 2**-12 over the room E + x + 2 rho leaves in [0, 8), steps in [rho, 2 rho)
+    E = [(as_dyadic(a), as_dyadic(b)) for a, b in PROMISE_CASES[name][0]]
+    room = Dyadic(8) - E[-1][1] - PROMISE_RHO * 2
+    x, s = room * Dyadic(x, 12), PROMISE_RHO + PROMISE_RHO * Dyadic(step, 12)
+    T = _promise_set(name)
+    assert _translate_measure(T, E, x + s) > _translate_measure(T, E, x)
+
+
+def test_union_test_set_has_flats_below_rho():
+    # the README check at grid step 1/64, a quarter of rho: 192 zero increments
+    T = _promise_set("unit")
+    xs = np.arange(0, 6 * 64 + 1, dtype=np.int64)
+    c, _, e = T.cumulative_nums(np.concatenate([xs, xs + 64]), 6)
+    increments = np.diff(c[xs.size:] - c[:xs.size])
+    assert int(np.sum(increments == 0)) == 192 and np.all(increments >= 0)
 
 
 # -- translate construction ---------------------------------------------------------

@@ -45,6 +45,14 @@ def test_snap_reports_error():
     assert abs(float(lossy) - 0.1) < 2**-10
 
 
+def test_parse_or_snap_bounds_decimal_exponents():
+    assert parse_or_snap("1e400")[0] == Dyadic(10**400)
+    assert parse_or_snap(" 1E-0_400 ")[0] == Dyadic(0)
+    for text in ("1e401", "2.5e-401", "1e0_401", "1e999999999", "1e" + "9" * 5000):
+        with pytest.raises(ValueError, match="decimal exponent"):
+            parse_or_snap(text)
+
+
 def test_float_roundtrip_exact():
     x = 0.15625
     assert float(Dyadic.from_float(x)) == x

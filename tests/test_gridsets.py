@@ -30,6 +30,14 @@ def test_validate_levels_examples():
         validate_levels((8, 64), (16, 64), (0.5, 0.25))  # g0 = 16 > n0 = 8
 
 
+def test_validate_levels_bounds_the_finest_cubes():
+    # exactly 2**20 finest cubes pass, in one dimension and in two
+    assert validate_levels((1 << 20,), (64,), (0.5,)).finest == 1 << 20
+    validate_levels((512,), (64,), (0.5,), (0, 0), (2, 2))
+    with pytest.raises(ValueError, match="1572864 finest cubes"):
+        validate_levels((512,), (64,), (0.5,), (0, 0), (2, 3))
+
+
 def test_validate_levels_chain_violation():
     # g1 = 4 not divisible by n0 = 8
     with pytest.raises(ValueError, match="n\\[0\\]"):
