@@ -198,11 +198,7 @@ def snap(value, exponent: int) -> tuple[Dyadic, Fraction]:
     """
     if isinstance(value, Dyadic):
         frac = value.as_fraction()
-    elif isinstance(value, float):
-        frac = Fraction(value)
-    elif isinstance(value, (int, Fraction)):
-        frac = Fraction(value)
-    elif isinstance(value, str):
+    elif isinstance(value, (int, float, Fraction)):
         frac = Fraction(value)
     else:
         raise TypeError(f"cannot snap {value!r}")

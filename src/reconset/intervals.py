@@ -75,7 +75,7 @@ class Window:
 
     def to_json(self):
         nums, exp = common_numerators([self.lo, self.hi])
-        return _encode_rows(_as_int64(nums).reshape(1, 2), exp)[0]
+        return _encode_rows(_as_int64(nums).reshape(1, 2), exp)[0].tolist()
 
     @staticmethod
     def from_json(obj) -> "Window":
@@ -284,9 +284,14 @@ class IntervalSet:
 
     # -- JSON ----------------------------------------------------------------
 
-    def to_json(self):
-        """Array of [num_lo, exp_lo, num_hi, exp_hi] in canonical form."""
+    def rows(self) -> np.ndarray:
+        """The rows [num_lo, exp_lo, num_hi, exp_hi] in canonical form, as an
+        int64 (N, 4) array: what an interval-set artifact stores."""
         return _encode_rows(self._nums, self._exp)
+
+    def to_json(self):
+        """The canonical rows as lists of Python ints."""
+        return self.rows().tolist()
 
     @staticmethod
     def from_json(obj) -> "IntervalSet":
@@ -324,10 +329,10 @@ def _canonical(nums: np.ndarray, exps: np.ndarray):
     return nums >> strip, exps - strip
 
 
-def _encode_rows(nums: np.ndarray, exp: int) -> list:
-    """Canonical rows of (N, 2) numerators at one exponent."""
+def _encode_rows(nums: np.ndarray, exp: int) -> np.ndarray:
+    """Canonical int64 (N, 4) rows of (N, 2) numerators at one exponent."""
     n, e = _canonical(nums, np.full(nums.shape, exp, dtype=np.int64))
-    return np.stack([n[:, 0], e[:, 0], n[:, 1], e[:, 1]], axis=1).tolist()
+    return np.stack([n[:, 0], e[:, 0], n[:, 1], e[:, 1]], axis=1)
 
 
 def _decode_rows(rows):

@@ -11,14 +11,55 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
+
 from .errors import decoding
 from .intervals import IntervalSet, Window
 from .profiles import Profile
 
 
+# one row of an int64 (N, 4) array, laid out as json.dumps(indent=1) lays out
+# a list of four integers held by a value of the top-level dict
+_ROW = "  [\n   %d,\n   %d,\n   %d,\n   %d\n  ]"
+# rows formatted per write: the Python ints and text of one block stay a few
+# MB, where a whole 2.8M-row artifact at once would take ~250 MB more
+_ROWS_PER_WRITE = 1 << 16
+
+
+def _is_rows(value) -> bool:
+    return isinstance(value, np.ndarray) and value.dtype == np.int64 and value.shape[1:] == (4,)
+
+
 def write_json(path, obj):
-    """Standard JSON only: NaN or an infinity raises ValueError."""
-    Path(path).write_text(json.dumps(obj, sort_keys=True, indent=1, allow_nan=False) + "\n")
+    """Write ``json.dumps(obj, sort_keys=True, indent=1)`` and a newline.
+
+    ``obj`` is a dict.  A value of it that is an int64 (N, 4) array, such as the
+    rows of an interval-set artifact, is written as the list of its rows, in
+    the same layout, from one %-format per block of rows: the pure-Python
+    encoder that ``indent`` selects never walks the rows.  Standard JSON
+    only: NaN or an infinity raises ValueError, and nothing is written.
+    """
+    rows = {k: v for k, v in obj.items() if _is_rows(v)}
+    if rows:
+        obj = {**obj, **dict.fromkeys(rows, [])}
+    text = json.dumps(obj, sort_keys=True, indent=1, allow_nan=False) + "\n"
+    with open(path, "w") as fh:
+        done = 0
+        for key in sorted(k for k, v in rows.items() if len(v)):
+            # a top-level key opens the only line that starts with one space
+            # and a quote: deeper lines are indented further, and a string
+            # holds no raw newline
+            marker = f"\n {json.dumps(key)}: ["
+            at = text.index(marker) + len(marker)
+            fh.write(text[done:at] + "\n")
+            block = rows[key]
+            for i in range(0, len(block), _ROWS_PER_WRITE):
+                chunk = block[i:i + _ROWS_PER_WRITE]
+                fh.write((",\n" if i else "")
+                         + ",\n".join([_ROW] * len(chunk)) % tuple(chunk.ravel().tolist()))
+            fh.write("\n ")
+            done = at
+        fh.write(text[done:])
 
 
 def _finite(text):
@@ -39,7 +80,7 @@ def read_json(path):
 
 
 def interval_set_artifact(T: IntervalSet, window: Window | None = None, meta: dict | None = None):
-    out = {"kind": "interval_set", "intervals": T.to_json()}
+    out = {"kind": "interval_set", "intervals": T.rows()}
     if window is not None:
         out["window"] = window.to_json()
     if meta:

@@ -469,6 +469,9 @@ def test_write_json_refuses_non_finite(tmp_path):
     for value in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError):
             write_json(tmp_path / "x.json", {"min_separation": value})
+    # also beside the rows array of an interval-set artifact
+    with pytest.raises(ValueError):
+        write_json(tmp_path / "x.json", interval_set_artifact(IntervalSet([(0, 8)]), meta={"tol": math.nan}))
     assert not (tmp_path / "x.json").exists()
 
 

@@ -45,6 +45,13 @@ def test_snap_reports_error():
     assert abs(float(lossy) - 0.1) < 2**-10
 
 
+def test_snap_refuses_text():
+    # Fraction would spend seconds building 10**9999999 before answering
+    for text in ("1e9999999", "0.5"):
+        with pytest.raises(TypeError):
+            snap(text, 4)
+
+
 def test_parse_or_snap_bounds_decimal_exponents():
     assert parse_or_snap("1e400")[0] == Dyadic(10**400)
     assert parse_or_snap(" 1E-0_400 ")[0] == Dyadic(0)
