@@ -372,7 +372,7 @@ def ac_diagnostic(
     if power < 0:
         raise ValueError("power must be non-negative")
     cutoffs = np.asarray(cutoffs, dtype=np.float64)
-    if cutoffs.size == 0 or np.any(np.diff(cutoffs) <= 0):
+    if cutoffs.size == 0 or not np.all(np.diff(cutoffs) > 0):
         raise ValueError("cutoffs must be ascending and non-empty")
     s0, s1 = p.support
     width = s1 - s0
@@ -389,10 +389,18 @@ def ac_diagnostic(
     dx = span / samples
     spectrum = np.fft.fft(vals * taper) * dx
     freqs = np.fft.fftfreq(samples, dx)
-    density = np.abs(spectrum) ** 2 * np.abs(freqs) ** power
-    order = np.argsort(np.abs(freqs), kind="stable")
-    absf = np.abs(freqs)[order]
-    cum = np.cumsum(density[order]) * (1.0 / span)
+    # |freqs| sorted stably is bins 0, 1, N-1, 2, N-2, ..., ending at N/2;
+    # only its prefix up to the largest cutoff is needed, and cumsum adds in
+    # sequence, so the prefix carries the bits of the full sum
+    m = max(1, np.searchsorted(np.abs(freqs[: samples // 2 + 1]), cutoffs[-1], side="right"))
+    order = np.empty(2 * m - 1, dtype=np.intp)
+    order[0] = 0
+    order[1::2] = np.arange(1, m)
+    order[2::2] = samples - order[1::2]
+    order = order[:samples]
+    absf = np.abs(freqs[order])
+    density = np.abs(spectrum[order]) ** 2 * absf**power
+    cum = np.cumsum(density) * (1.0 / span)
     idx = np.searchsorted(absf, cutoffs, side="right") - 1
     if np.any(idx < 0):
         raise ValueError("cutoff below the frequency resolution")

@@ -640,6 +640,26 @@ def _is_convex(shape) -> bool:
     return False
 
 
+def _screened_test_set(profile: Profile, mode: str, d: int, options: FamilyOptions):
+    """(T, certificate) of one direction's section profile, or None when the
+    spectral screen or the growth certificate rejects the profile."""
+    # d-1 is the integrability exponent of the finiteness criterion
+    tails = ac_diagnostic(profile, d - 1.0, SCREEN_CUTOFFS)
+    if tails[-1] / max(tails[-2], 1e-300) >= SCREEN_PLATEAU:
+        return None
+    s0, s1 = profile.support
+    rad = max(abs(s0), abs(s1))
+    bmax = options.translate_radius * math.sqrt(d) + 1.0
+    if mode == "translate":
+        half = int(math.ceil(bmax + rad + 1))
+        return translate_test_set(profile, Window.of(-half, half))
+    half = int(math.ceil(options.a_max * rad + bmax + 1))
+    try:
+        return magnify_test_set(profile, Window.of(-half, half), MagnifyConfig(a_max=options.a_max))
+    except GrowthCertificateError:
+        return None
+
+
 def family_test_sets(
     shape, mode: str, options: FamilyOptions | None = None
 ) -> list[SlabTestSet]:
@@ -651,7 +671,8 @@ def family_test_sets(
     plateauing spectral diagnostic, and for magnification additionally the
     variation-growth certificate; convex bodies route magnification
     candidates through the squeezed diameter search.  The first passing
-    candidates win, so the family is deterministic per seed.
+    candidates win, so the family is deterministic per seed.  Directions with
+    the same section profile share one screen and one build.
     """
     if mode not in ("translate", "magnify"):
         raise ValueError(f"mode must be translate or magnify, got {mode!r}")
@@ -663,6 +684,7 @@ def family_test_sets(
     normals = _face_normals(shape)
     accepted: list[SlabTestSet] = []
     accepted_dirs: list[np.ndarray] = []
+    built: dict = {}  # profile bytes -> (T, cert), or None if rejected
     tried = 0
     for cand in _direction_candidates(d, SCREEN_CANDIDATES, options.seed):
         if len(accepted) == d:
@@ -686,25 +708,16 @@ def family_test_sets(
             profile = radon_profile(shape, theta, options.resolution)
         except NotImplementedError:
             continue
-        # d-1 is the integrability exponent of the finiteness criterion
-        tails = ac_diagnostic(profile, d - 1.0, SCREEN_CUTOFFS)
-        if tails[-1] / max(tails[-2], 1e-300) >= SCREEN_PLATEAU:
+        # the screen and the construction are pure in the profile, and a
+        # centered ball has the same one in every direction
+        key = tuple(a.tobytes() for a in (profile.xs, profile.vl, profile.vr)) + (
+            profile.abs_error.hex(), profile.l1_error.hex()
+        )
+        if key not in built:
+            built[key] = _screened_test_set(profile, mode, d, options)
+        if built[key] is None:
             continue
-        s0, s1 = profile.support
-        rad = max(abs(s0), abs(s1))
-        bmax = options.translate_radius * math.sqrt(d) + 1.0
-        try:
-            if mode == "translate":
-                win = Window.of(-int(math.ceil(bmax + rad + 1)), int(math.ceil(bmax + rad + 1)))
-                T, cert = translate_test_set(profile, win)
-            else:
-                reach = options.a_max * rad + bmax
-                win = Window.of(-int(math.ceil(reach + 1)), int(math.ceil(reach + 1)))
-                T, cert = magnify_test_set(
-                    profile, win, MagnifyConfig(a_max=options.a_max)
-                )
-        except GrowthCertificateError:
-            continue
+        T, cert = built[key]
         accepted.append(
             SlabTestSet(theta, T, cert.effective_window, certificate=cert)
         )

@@ -5,8 +5,8 @@ blocks (n a power of two) and keeps or skips each block so the running
 integral of (chi_T - phi) stays inside [0, 1/n]; a final left trim makes the
 cell integral vanish.  With the skip-preferring tie-break the kept-block
 count after m blocks equals ceil(n * ∫_c^{c+m/n} phi), which is what the
-vectorized implementation uses; `reference_greedy_mask` keeps the literal
-loop for cross-checks.
+vectorized implementation uses.  The cell total that fixes the trim is summed
+exactly, as `math.fsum` would round it.
 
 Tiling the rule over integer cells with per-shell budgets delta(k) yields a
 set T with |∫_a^b (chi_T - phi)| <= delta(floor|a|) + delta(floor|b|) over
@@ -42,27 +42,47 @@ def least_power_of_two_above(x: float) -> int:
     return n
 
 
-def reference_greedy_mask(block_integrals: np.ndarray, n: int) -> tuple[np.ndarray, float]:
-    """Literal block rule; returns (kept mask, final running integral)."""
-    s = 0.0
-    kept = np.zeros(n, dtype=bool)
-    for m in range(n):
-        skip = s - block_integrals[m]
-        if m == 0 or n * skip < -TIE_DUST:  # a tie skips, as in `greedy_mask`
-            kept[m] = True
-            s = skip + 1.0 / n
-        else:
-            s = skip
-    return kept, s
+def exact_sum(x) -> float:
+    """math.fsum(x) bit for bit, in numpy.
+
+    x is scaled by a power of two below 2**B, B = 52 - bit_length(len(x)),
+    and cut into levels of B bits: the integer parts, then the integer parts
+    of the remainders times 2**B, and so on.  Every level's float sum is exact
+    (all its partial sums are integers below 2**52); the levels meet in a
+    Python int, and one int/int true division rounds it correctly.  Non-finite
+    input, an exact zero (whose sign fsum decides) and max|x| >= 2**B go to
+    math.fsum itself.
+    """
+    x = np.asarray(x, dtype=np.float64).ravel()
+    bits = 52 - x.size.bit_length()
+    top = float(np.max(np.abs(x), initial=0.0))
+    if not top < 2.0**bits:  # also inf and nan
+        return math.fsum(x)
+    exp = bits - math.frexp(top)[1]  # top * 2**exp < 2**bits
+    r = np.ldexp(x, exp)
+    q = np.empty_like(r)
+    total = 0  # sum(x) = total / 2**exp once r is spent
+    while True:
+        np.trunc(r, out=q)
+        total = (total << bits) + int(np.sum(q))
+        r -= q
+        if not r.any():
+            break
+        np.ldexp(r, bits, out=r)
+        exp += bits
+    if total == 0:
+        return math.fsum(x)
+    return total / (1 << exp)
 
 
 def greedy_mask(block_integrals: np.ndarray, n: int) -> tuple[np.ndarray, float]:
     """Vectorized block rule via the kept-count identity k_m = ceil(n A_m)."""
+    # summed first, so that its two n-sized buffers are freed before a and k exist
+    total = exact_sum(block_integrals)
     a = np.cumsum(block_integrals)
     k = np.ceil(n * a - TIE_DUST)  # tolerate float dust just above integers
     k = np.maximum.accumulate(np.maximum(k, 1.0))  # block 0 is always kept
     kept = np.diff(np.concatenate([[0.0], k])) > 0.5
-    total = float(math.fsum(block_integrals))
     return kept, float(k[-1]) / n - total
 
 

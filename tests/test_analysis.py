@@ -219,6 +219,74 @@ def test_ac_diagnostic_nondecreasing_partials():
     assert np.all(np.diff(vals) >= 0)
 
 
+def _oracle_ac_diagnostic(p: Profile, power: float, cutoffs, samples: int = 1 << 20):
+    """The spectral partial integrals with a stable argsort of |freqs| and a
+    cumulative sum over the whole spectrum."""
+    cutoffs = np.asarray(cutoffs, dtype=np.float64)
+    s0, s1 = p.support
+    width = s1 - s0
+    center = (s0 + s1) / 2.0
+    span = 4.0 * width
+    xs = center - span / 2.0 + span * np.arange(samples) / samples
+    vals = p(xs)
+    rel = (xs - (center - span / 2.0)) / span
+    taper = np.ones(samples)
+    left = rel < 0.25
+    right = rel > 0.75
+    taper[left] = 0.5 * (1.0 - np.cos(4.0 * np.pi * rel[left]))
+    taper[right] = 0.5 * (1.0 - np.cos(4.0 * np.pi * (1.0 - rel[right])))
+    dx = span / samples
+    spectrum = np.fft.fft(vals * taper) * dx
+    freqs = np.fft.fftfreq(samples, dx)
+    density = np.abs(spectrum) ** 2 * np.abs(freqs) ** power
+    order = np.argsort(np.abs(freqs), kind="stable")
+    absf = np.abs(freqs)[order]
+    cum = np.cumsum(density[order]) * (1.0 / span)
+    idx = np.searchsorted(absf, cutoffs, side="right") - 1
+    if np.any(idx < 0):
+        raise ValueError("cutoff below the frequency resolution")
+    return cum[idx]
+
+
+@pytest.fixture(scope="module")
+def section_profiles():
+    from reconset.shapes import Ball, Box, Direction, Polygon, radon_profile
+
+    theta = Direction((0.6, 0.8))
+    return [
+        radon_profile(Ball((0.0, 0.0), 1.0), Direction((1.0, 0.0)), 512),
+        radon_profile(Box((0.0, 0.0), (1.0, 2.0)), theta, 64),
+        radon_profile(Polygon([(0.0, 0.0), (2.0, 0.0), (0.5, 1.5)]), theta, 64),
+    ]
+
+
+@pytest.mark.parametrize("power", [1.0, 2.0])
+def test_ac_diagnostic_matches_argsort_oracle(section_profiles, power):
+    from reconset.construct import SCREEN_CUTOFFS
+
+    for p in section_profiles:
+        got = ac_diagnostic(p, power, SCREEN_CUTOFFS)
+        assert got.tobytes() == _oracle_ac_diagnostic(p, power, SCREEN_CUTOFFS).tobytes()
+
+
+def test_ac_diagnostic_clamps_at_nyquist(section_profiles):
+    # 64 samples over a span of 8-9 put Nyquist near 4: the cutoff 1e6 takes
+    # every bin, and for even N the bin N/2 comes once, last
+    for p in section_profiles:
+        for samples in (64, 63):
+            cutoffs = [0.5, 3.0, 1e6]
+            got = ac_diagnostic(p, 2.0, cutoffs, samples)
+            want = _oracle_ac_diagnostic(p, 2.0, cutoffs, samples)
+            assert got.tobytes() == want.tobytes()
+
+
+def test_ac_diagnostic_refuses_cutoff_below_resolution():
+    with pytest.raises(ValueError, match="below the frequency resolution"):
+        ac_diagnostic(TENT, 1.0, [-2.0, -1.0], 64)
+    with pytest.raises(ValueError, match="ascending"):
+        ac_diagnostic(TENT, 1.0, [1.0, math.nan, 3.0], 64)
+
+
 # -- concavity_check -------------------------------------------------------------------
 
 

@@ -28,10 +28,11 @@ from reconset.errors import (
     ExactnessOverflowError,
     GrowthCertificateError,
     InfeasibleResolutionError,
+    SearchBudgetError,
 )
 from reconset.intervals import IntervalSet, Window
 from reconset.profiles import Profile, StepProfile
-from reconset.shapes import Ball, Box, Direction, radon_profile
+from reconset.shapes import Ball, Box, Direction, Polygon, SlabTestSet, radon_profile
 
 
 # -- semigroup ---------------------------------------------------------------
@@ -557,3 +558,103 @@ def test_family_rejects_1d():
         family_test_sets(
             IntervalUnion(IntervalSet([(0, 1)])), "translate", FamilyOptions()
         )
+
+
+def _translate_window(profile, d: int, options: FamilyOptions) -> Window:
+    s0, s1 = profile.support
+    bmax = options.translate_radius * math.sqrt(d) + 1.0
+    half = int(math.ceil(bmax + max(abs(s0), abs(s1)) + 1))
+    return Window.of(-half, half)
+
+
+def _per_direction_family(shape, mode, options):
+    """The family screened and built afresh for every candidate direction."""
+    from reconset import construct as c
+
+    normals = c._face_normals(shape)
+    accepted, dirs = [], []
+    for theta in c._direction_candidates(shape.d, c.SCREEN_CANDIDATES, options.seed):
+        if len(accepted) == shape.d:
+            break
+        if mode == "magnify" and c._is_convex(shape) and not isinstance(shape, Ball):
+            try:
+                theta = c.diameter_direction(shape, c.DIAMETER_SQUEEZE, theta)
+            except ValueError:
+                pass
+        tv = theta.as_array()
+        if any(abs(float(tv @ n)) > 1.0 - 1e-9 for n in normals):
+            continue
+        if dirs and np.linalg.svd(np.stack(dirs + [tv]), compute_uv=False)[-1] < c.SCREEN_MIN_SINGULAR:
+            continue
+        built = c._screened_test_set(
+            radon_profile(shape, theta, options.resolution), mode, shape.d, options
+        )
+        if built is not None:
+            accepted.append(SlabTestSet(theta, built[0], built[1].effective_window, certificate=built[1]))
+            dirs.append(tv)
+    return accepted
+
+
+def _same_slabs(got, want):
+    assert [s.theta.theta for s in got] == [s.theta.theta for s in want]
+    for g, w in zip(got, want):
+        assert np.array_equal(g.T.rows(), w.T.rows())
+        assert g.window == w.window
+        assert json.dumps(g.certificate.to_json()) == json.dumps(w.certificate.to_json())
+
+
+def test_family_disk_slabs_equal_direct_builds():
+    options = FamilyOptions(resolution=512, seed=1)
+    disk = Ball((0.0, 0.0), 1.0)
+    slabs = family_test_sets(disk, "translate", options)
+    for s in slabs:
+        profile = radon_profile(disk, s.theta, options.resolution)
+        T, cert = translate_test_set(profile, _translate_window(profile, 2, options))
+        assert np.array_equal(s.T.rows(), T.rows())
+        assert json.dumps(s.certificate.to_json()) == json.dumps(cert.to_json())
+
+
+def test_family_centered_ball_is_built_once(monkeypatch):
+    from reconset import construct
+
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return translate_test_set(*args, **kwargs)
+
+    monkeypatch.setattr(construct, "translate_test_set", counted)
+    slabs = family_test_sets(Ball((0.0, 0.0, 0.0), 1.0), "translate", FamilyOptions(resolution=16))
+    assert len(slabs) == 3 and len(calls) == 1
+    assert all(s.T is slabs[0].T for s in slabs)
+
+
+@pytest.mark.parametrize(
+    "shape",
+    [
+        Ball((0.25, -0.5), 1.0),
+        Box((0.0, 0.0), (1.0, 1.0)),
+        # both axes project the vertices to knots 0, 1, 2, 3; the sections
+        # differ (1.5 and 2.5 wide along x, 7/3 and 5/3 along y)
+        Polygon([(0.0, 1.0), (2.0, 0.0), (3.0, 3.0), (1.0, 2.0)]),
+    ],
+    ids=["off-center-ball", "box", "polygon"],
+)
+def test_family_matches_per_direction_builds(shape):
+    options = FamilyOptions(resolution=16, seed=3)
+    _same_slabs(family_test_sets(shape, "translate", options), _per_direction_family(shape, "translate", options))
+
+
+def test_family_growth_rejection_recorded_once(monkeypatch):
+    from reconset import construct
+
+    calls = []
+
+    def rejecting(*args, **kwargs):
+        calls.append(args)
+        raise GrowthCertificateError("steep growth", slope=1.0, slope_max=0.0)
+
+    monkeypatch.setattr(construct, "magnify_test_set", rejecting)
+    with pytest.raises(SearchBudgetError, match="only 0 of 2 directions"):
+        family_test_sets(Ball((0.0, 0.0), 1.0), "magnify", FamilyOptions(resolution=8))
+    assert len(calls) == 1

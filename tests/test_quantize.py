@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -8,17 +9,32 @@ from hypothesis import given, settings, strategies as st
 from reconset.dyadic import Dyadic
 from reconset.intervals import IntervalSet, Window
 from reconset.quantize import (
+    TIE_DUST,
     ShellBudget,
     cells_to_interval_set,
+    exact_sum,
     greedy_mask,
     greedy_quantizer,
     least_power_of_two_above,
     quantize_cell,
     quantizer_residual,
-    reference_greedy_mask,
     tiled_quantizer,
 )
 from reconset.targets import AffineTarget, LogSquaredDecay, Logistic
+
+
+def reference_greedy_mask(block_integrals: np.ndarray, n: int) -> tuple[np.ndarray, float]:
+    """Literal block rule; returns (kept mask, final running integral)."""
+    s = 0.0
+    kept = np.zeros(n, dtype=bool)
+    for m in range(n):
+        skip = s - block_integrals[m]
+        if m == 0 or n * skip < -TIE_DUST:  # a tie skips, as in `greedy_mask`
+            kept[m] = True
+            s = skip + 1.0 / n
+        else:
+            s = skip
+    return kept, s
 
 
 def test_least_power_of_two_above():
@@ -232,3 +248,83 @@ def test_logistic_matches_expit_bit_for_bit():
             got = Logistic(rate).phi(x)
         assert got.tobytes() == special.expit(rate * x).tobytes()
         assert Logistic(rate).phi(x[7]) == special.expit(rate * x[7])
+
+
+# -- exact_sum against math.fsum ----------------------------------------------------
+
+
+def _assert_same_sum(x):
+    """exact_sum(x) and math.fsum(x) give the same bits, or raise alike."""
+    x = np.asarray(x, dtype=np.float64)
+    try:
+        want = math.fsum(x)
+    except (OverflowError, ValueError) as e:
+        with pytest.raises(type(e), match=re.escape(str(e))):
+            exact_sum(x)
+        return
+    got = exact_sum(x)
+    assert type(got) is float
+    assert np.float64(got).tobytes() == np.float64(want).tobytes(), (x, got, want)
+
+
+# m * 2**e with a 53-bit mantissa: |value| from 2**-1074 up to 2**61
+wide_floats = st.builds(
+    lambda m, e: math.ldexp(m, e),
+    st.integers(min_value=-(2**53 - 1), max_value=2**53 - 1),
+    st.integers(min_value=-1074, max_value=8),
+)
+finite_floats = st.floats(
+    min_value=-(2.0**60), max_value=2.0**60, allow_nan=False, allow_infinity=False
+)
+tie_floats = st.sampled_from(
+    [1.0, -1.0, 2.0**-52, 2.0**-53, -(2.0**-53), 3 * 2.0**-53, 2.0**-1074, -(2.0**-1074)]
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(wide_floats, finite_floats), max_size=300))
+def test_exact_sum_matches_fsum_signed_subnormal_wide(xs):
+    _assert_same_sum(xs)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(tie_floats, min_size=1, max_size=64))
+def test_exact_sum_matches_fsum_on_ties(xs):
+    _assert_same_sum(xs)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(st.sampled_from([0.0, -0.0]), max_size=40))
+def test_exact_sum_matches_fsum_on_zeros(xs):
+    _assert_same_sum(xs)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(
+        st.one_of(
+            st.sampled_from([math.inf, -math.inf, math.nan, 1.7e308, -1.7e308]),
+            finite_floats,
+        ),
+        min_size=1,
+        max_size=20,
+    )
+)
+def test_exact_sum_matches_fsum_on_non_finite_and_huge(xs):
+    _assert_same_sum(xs)
+
+
+def test_exact_sum_matches_fsum_on_four_million_values():
+    rng = np.random.default_rng(11)
+    x = np.ldexp(rng.standard_normal(1 << 22), rng.integers(-80, 29, 1 << 22))
+    _assert_same_sum(x)
+
+
+@pytest.mark.parametrize("target", [AffineTarget(1.0, 0.25), Logistic(0.5), LogSquaredDecay()])
+def test_exact_sum_matches_fsum_on_block_integrals(target):
+    # 2**5 blocks take 16 Gauss-Legendre nodes in LogSquaredDecay, 2**8 take 6
+    # and 2**10 and finer take 4
+    for cell in (-5, -1, 0, 3):
+        for n in (1 << 5, 1 << 8, 1 << 10, 1 << 16, 1 << 20):
+            edges = cell + np.arange(n + 1, dtype=np.float64) / n
+            _assert_same_sum(target.consecutive_block_integrals(edges))
