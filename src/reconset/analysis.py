@@ -302,30 +302,6 @@ def _sliding_direct(p: Profile, ends: np.ndarray, a: float, b: np.ndarray) -> np
     return out
 
 
-class _Coverage:
-    """Q(x) = ∫_{-inf}^x C(t) dt for the cumulative measure C of a set."""
-
-    def __init__(self, T: IntervalSet):
-        xs, c = T.cumulative_knots()
-        slopes = np.zeros(xs.size - 1)
-        slopes[0::2] = 1.0  # inside intervals C has slope 1, outside 0
-        areas = np.diff(xs) * (c[:-1] + c[1:]) / 2.0
-        self.xs = xs
-        self.c = c
-        self.q = np.concatenate([[0.0], np.cumsum(areas)])
-        self.slopes = slopes
-
-    def Q(self, x):
-        x = np.asarray(x, dtype=np.float64)
-        idx = np.clip(np.searchsorted(self.xs, x, side="right") - 1, 0, self.xs.size - 2)
-        t = x - self.xs[idx]
-        val = self.q[idx] + t * (self.c[idx] + t * self.slopes[idx] / 2.0)
-        below = x <= self.xs[0]
-        above = x >= self.xs[-1]
-        val = np.where(below, 0.0, val)
-        return np.where(above, self.q[-1] + (x - self.xs[-1]) * self.c[-1], val)
-
-
 def _sliding_by_parts(p: Profile, T: IntervalSet, a: float, b: np.ndarray) -> np.ndarray:
     """F(b) = -∫ C(x) d/dx[p((x-b)/a)] dx; needs only O(knots) evaluations
     of the coverage antiderivative per b, independent of |T|."""
@@ -345,7 +321,7 @@ def _sliding_by_parts(p: Profile, T: IntervalSet, a: float, b: np.ndarray) -> np
     jv = np.array(jumps_v)
 
     knots = b[:, None] + a * xs[None, :]
-    Q = _Coverage(T).Q(knots.ravel()).reshape(knots.shape)
+    Q = T.coverage_f(knots.ravel()).reshape(knots.shape)
     piece_term = -(slopes[None, :] / a) * (Q[:, 1:] - Q[:, :-1])
     jump_pts = b[:, None] + a * jx[None, :]
     jump_term = -jv[None, :] * T.cumulative_f(jump_pts.ravel()).reshape(jump_pts.shape)

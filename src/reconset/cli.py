@@ -11,39 +11,17 @@ Exit codes: 0 success, 1 usage error or invalid input, 2 a verification check fa
 
 from __future__ import annotations
 
+import json
 import sys
 
 import click
 
 from . import io as rio
-from .construct import (
-    MagnifyConfig,
-    magnify_test_set,
-    translate_test_set,
-    union_test_set,
-)
 from .dyadic import Dyadic, check_decimal_exponent, parse_or_snap
 from .errors import IndeterminateError, CheckFailedError, ReconsetError
-from .gridsets import (
-    grid_summary,
-    load_grid_set,
-    sample_grid_set,
-    save_grid_set,
-    validate_levels,
-)
-from .intervals import Window
-from .profiles import Profile
-from .shapes import Ball, Direction, IntervalUnion, radon_profile, shape_from_json
-from .verify import (
-    IntervalFamilyGrid,
-    check_span,
-    grid_points,
-    interval_counterexample,
-    injectivity_report,
-    monotonicity_report,
-)
 
-import json
+# every command imports the modules it runs in its own body: `report` of a
+# JSON report loads no numpy, and `random sample` no construction code
 
 
 def _dyadic_arg(text: str, what: str = "value") -> Dyadic:
@@ -72,7 +50,10 @@ def _parse_lengths(values) -> list:
     return out
 
 
-def _named_profile(spec: str, resolution: int) -> Profile:
+def _named_profile(spec: str, resolution: int):
+    from .profiles import Profile
+    from .shapes import Ball, Direction, radon_profile
+
     if spec == "tent":
         return Profile.tent()
     if spec == "disk":
@@ -81,6 +62,8 @@ def _named_profile(spec: str, resolution: int) -> Profile:
 
 
 def _load_shape(spec: str):
+    from .shapes import shape_from_json
+
     try:
         obj = rio.parse_json(spec)
     except json.JSONDecodeError:
@@ -105,6 +88,9 @@ def construct():
 @click.option("-o", "--output", required=True, type=click.Path())
 def construct_interval_union(lengths, window, rho, output):
     """Semigroup test set T = A ∪ (A+G) for translates of interval unions."""
+    from .construct import union_test_set
+    from .intervals import Window
+
     win = Window(_dyadic_arg(window[0], "window lo"), _dyadic_arg(window[1], "window hi"))
     rho_d = _dyadic_arg(rho, "rho")
     T = union_test_set(_parse_lengths(lengths), win, rho_d)
@@ -125,6 +111,9 @@ def construct_interval_union(lengths, window, rho, output):
 @click.option("-o", "--output", required=True, type=click.Path())
 def construct_translate(profile, window, resolution, rate, output):
     """Test set making the sliding integral of a profile strictly increasing."""
+    from .construct import translate_test_set
+    from .intervals import Window
+
     p = _named_profile(profile, resolution)
     win = Window(_dyadic_arg(window[0]), _dyadic_arg(window[1]))
     T, cert = translate_test_set(p, win, rate=rate)
@@ -142,6 +131,9 @@ def construct_translate(profile, window, resolution, rate, output):
 @click.option("-o", "--output", required=True, type=click.Path())
 def construct_magnify(profile, window, a_max, resolution, output):
     """Test set monotone under every magnification a in [1, a_max]."""
+    from .construct import MagnifyConfig, magnify_test_set
+    from .intervals import Window
+
     p = _named_profile(profile, resolution)
     win = Window(_dyadic_arg(window[0]), _dyadic_arg(window[1]))
     T, cert = magnify_test_set(p, win, MagnifyConfig(a_max=a_max))
@@ -159,6 +151,8 @@ def construct_magnify(profile, window, a_max, resolution, output):
 @click.option("--emit-plot-data", type=click.Path(), default=None)
 def radon_cmd(shape, theta, resolution, output, emit_plot_data):
     """Section-measure profile of a shape in a direction."""
+    from .shapes import Direction, radon_profile
+
     E = _load_shape(shape)
     th = Direction.of([float(x) for x in theta.split(",")])
     p = radon_profile(E, th, resolution)
@@ -183,6 +177,8 @@ def random():
 @click.option("--summary", type=click.Path(), default=None)
 def random_sample(n_, g_, p_, box, seed, output, summary):
     """Sample a multi-level random cube set (binary npz + JSON summary)."""
+    from .gridsets import grid_summary, sample_grid_set, save_grid_set, validate_levels
+
     levels = validate_levels(n_, g_, p_, (box[0],), (box[1],))
     gs = sample_grid_set(levels, seed)
     save_grid_set(gs, output)
@@ -209,6 +205,9 @@ def verify_monotonicity(test_path, shape, grid, output, emit_plot_data):
     every translation step of at least rho, at any offset; a finer grid can
     meet flats (the README set reports 192 zero increments at step 1/64).
     """
+    from .shapes import IntervalUnion
+    from .verify import check_span, grid_points, monotonicity_report
+
     T, window = rio.load_interval_set(test_path)
     E = _load_shape(shape)
     if not isinstance(E, IntervalUnion):
@@ -245,6 +244,9 @@ def verify_monotonicity(test_path, shape, grid, output, emit_plot_data):
 @click.option("-o", "--output", type=click.Path(), default=None)
 def verify_injectivity(x_, l_, tests, output):
     """Pairwise separation of interval-family measure vectors (exact)."""
+    from .gridsets import load_grid_set
+    from .verify import IntervalFamilyGrid, check_span, injectivity_report
+
     grid = IntervalFamilyGrid.of(
         _dyadic_arg(x_[0]), _dyadic_arg(x_[1]), _dyadic_arg(x_[2]),
         _dyadic_arg(l_[0]), _dyadic_arg(l_[1]), _dyadic_arg(l_[2]),
@@ -287,6 +289,8 @@ def search():
 @click.option("-o", "--output", type=click.Path(), default=None)
 def search_counterexample(a_path, b_path, min_length, tol, output):
     """Two long intervals that two given test sets cannot distinguish."""
+    from .verify import interval_counterexample
+
     A, a_window = rio.load_interval_set(a_path)
     B, b_window = rio.load_interval_set(b_path)
     windows = [w for w in (a_window, b_window) if w is not None]
@@ -310,6 +314,8 @@ def report_cmd(input_path, csv_path):
     obj = rio.read_json(input_path)
     # a bare list is an interval set, as the interval-set loader reads it
     kind = obj.get("kind", "unknown") if isinstance(obj, dict) else "interval_set"
+    if csv_path and kind not in ("interval_set", "profile"):
+        raise ValueError(f"{input_path}: a {kind} artifact has no tabular data")
     click.echo(f"kind: {kind}")
     if kind == "interval_set":
         T, _ = rio.decode_interval_set(obj, input_path)

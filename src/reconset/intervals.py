@@ -89,7 +89,7 @@ class Window:
 class IntervalSet:
     """Normalized finite union of disjoint half-open dyadic intervals."""
 
-    __slots__ = ("_nums", "_exp", "_prefix")
+    __slots__ = ("_nums", "_exp", "_prefix", "_knots")
 
     def __init__(self, pairs=()):
         """Build from (lo, hi) pairs; degenerate pairs dropped, overlaps merged."""
@@ -98,7 +98,7 @@ class IntervalSet:
             lo, hi = as_dyadic(lo), as_dyadic(hi)
             rows.append([lo.num, lo.exp, hi.num, hi.exp])
         self._nums, self._exp = _normalize_arrays(*_decode_rows(rows))
-        self._prefix = None
+        self._prefix = self._knots = None
 
     # -- raw constructors ------------------------------------------------
 
@@ -108,7 +108,7 @@ class IntervalSet:
         obj = cls.__new__(cls)
         obj._nums = nums
         obj._exp = exp
-        obj._prefix = None
+        obj._prefix = obj._knots = None
         return obj
 
     @classmethod
@@ -229,16 +229,36 @@ class IntervalSet:
         v, _, e = self.cumulative_nums(*common_numerators([lo, hi]))
         return Dyadic(int(v[1] - v[0]), e)
 
-    def cumulative_knots(self) -> tuple[np.ndarray, np.ndarray]:
-        """Float knots (x, C(x)) of the piecewise-linear C at every endpoint."""
-        prefix = self._prefix_sums().astype(np.float64) * 2.0 ** (-self._exp)
-        return self.to_floats().ravel(), np.repeat(prefix, 2)[1:-1]
+    def _coverage_knots(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Float knots x at every endpoint, with C(x) and Q(x) = ∫_{-inf}^x C
+        there; built on first use and kept with the (immutable) set."""
+        if self._knots is None:
+            prefix = self._prefix_sums().astype(np.float64) * 2.0 ** (-self._exp)
+            xs, c = self.to_floats().ravel(), np.repeat(prefix, 2)[1:-1]
+            areas = np.diff(xs) * (c[:-1] + c[1:]) / 2.0
+            self._knots = xs, c, np.concatenate([[0.0], np.cumsum(areas)])
+        return self._knots
 
     def cumulative_f(self, x) -> np.ndarray:
         """Float view of C at float points, interpolated between the knots."""
         if not self:
             return np.zeros_like(np.asarray(x, dtype=np.float64))
-        return np.interp(x, *self.cumulative_knots())
+        xs, c, _ = self._coverage_knots()
+        return np.interp(x, xs, c)
+
+    def coverage_f(self, x) -> np.ndarray:
+        """Float Q(x) = ∫_{-inf}^x C(t) dt at float points, integrated exactly
+        over the linear pieces of C between the knots."""
+        x = np.asarray(x, dtype=np.float64)
+        if not self:
+            return np.zeros_like(x)
+        xs, c, q = self._coverage_knots()
+        idx = np.clip(np.searchsorted(xs, x, side="right") - 1, 0, xs.size - 2)
+        t = x - xs[idx]
+        slope = 1 - idx % 2  # C rises at slope 1 inside an interval, 0 in a gap
+        val = q[idx] + t * (c[idx] + t * slope / 2.0)
+        val = np.where(x <= xs[0], 0.0, val)
+        return np.where(x >= xs[-1], q[-1] + (x - xs[-1]) * c[-1], val)
 
     # -- set operations -----------------------------------------------------
 

@@ -11,11 +11,10 @@ import json
 import math
 from pathlib import Path
 
-import numpy as np
-
 from .errors import decoding
-from .intervals import IntervalSet, Window
-from .profiles import Profile
+
+# numpy, .intervals and .profiles are imported by the functions that use
+# them, so parse_json and read_json load none of them
 
 
 # one row of an int64 (N, 4) array, laid out as json.dumps(indent=1) lays out
@@ -27,6 +26,8 @@ _ROWS_PER_WRITE = 1 << 16
 
 
 def _is_rows(value) -> bool:
+    import numpy as np
+
     return isinstance(value, np.ndarray) and value.dtype == np.int64 and value.shape[1:] == (4,)
 
 
@@ -94,6 +95,8 @@ def load_interval_set(path) -> tuple[IntervalSet, Window | None]:
 
 def decode_interval_set(obj, path) -> tuple[IntervalSet, Window | None]:
     """An interval-set artifact, or a bare list of intervals, read from `path`."""
+    from .intervals import IntervalSet, Window
+
     with decoding("interval_set", path):
         if isinstance(obj, list):
             return IntervalSet.from_json(obj), None
@@ -117,6 +120,8 @@ def load_profile(path) -> Profile:
 
 def decode_profile(obj, path) -> Profile:
     """A profile artifact read from `path`."""
+    from .profiles import Profile
+
     with decoding("profile", path):
         if obj.get("kind") not in (None, "profile"):
             raise ValueError(f"{path}: expected a profile artifact")

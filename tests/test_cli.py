@@ -14,7 +14,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 import reconset
 
-from reconset.cli import main
+from reconset.cli import cli, main
 from reconset.dyadic import Dyadic
 from reconset.intervals import IntervalSet
 from reconset.io import interval_set_artifact, load_interval_set, read_json, write_json
@@ -290,11 +290,100 @@ def test_huge_window_exponent_exits_one(tmp_path, command):
                               "--shape", "[0,1]", "--grid", "0", "6", "1/16")
 
 
-def test_cli_import_loads_no_scipy():
+@pytest.fixture(scope="module")
+def json_reports(tmp_path_factory):
+    """A verification report, a monotonicity report and a counterexample."""
+    d = tmp_path_factory.mktemp("reports")
+    T, a, b = d / "T.json", d / "A.json", d / "B.json"
+    assert run(["construct", "interval-union", "--lengths", "1",
+                "--window", "0", "8", "--rho", "1/16", "-o", str(T)]) == 0
+    write_json(a, interval_set_artifact(IntervalSet([(0, 1), (2, 5)])))
+    write_json(b, interval_set_artifact(IntervalSet([(1, 3)])))
+    reports = {kind: d / f"{kind}.json" for kind in
+               ("verification_report", "monotonicity_report", "counterexample")}
+    assert run(["verify", "injectivity", "--x", "0", "1", "1/4", "--length", "1", "1", "1",
+                "--tests", str(T), "-o", str(reports["verification_report"])]) == 0
+    assert run(["verify", "monotonicity", "--test", str(T), "--shape", "[0,1]",
+                "--grid", "0", "6", "1/16", "-o", str(reports["monotonicity_report"])]) == 0
+    assert run(["search", "two-set-counterexample", "--A", str(a), "--B", str(b),
+                "-o", str(reports["counterexample"])]) == 0
+    return reports
+
+
+HEAVY = ["numpy", "scipy"] + [f"reconset.{m}" for m in (
+    "analysis", "construct", "gridsets", "intervals", "profiles", "quantize", "shapes",
+    "targets", "verify")]
+
+
+def test_cli_import_graph(json_reports):
+    # importing the CLI loads none of the computing modules
     p = _python("-c", "import sys, reconset.cli; "
-                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+                f"print(sorted(set({HEAVY!r}) & set(sys.modules)))")
     assert p.returncode == 0, p.stderr
     assert p.stdout.strip() == "[]"
+    # nor does `report` of a JSON report load numpy
+    for path in json_reports.values():
+        p = _python("-c", "import sys; from reconset.cli import main; "
+                    f"code = main(['report', '--input', {str(path)!r}]); "
+                    "print(code, 'numpy' in sys.modules)")
+        assert p.returncode == 0, p.stderr
+        assert p.stdout.splitlines()[-1] == "0 False", p.stdout
+
+
+@pytest.mark.parametrize("kind", ["verification_report", "monotonicity_report",
+                                  "counterexample", "unknown"])
+def test_report_csv_refused_without_table(tmp_path, capsys, json_reports, kind):
+    path = json_reports.get(kind, tmp_path / "unknown.json")
+    if kind == "unknown":
+        path.write_text('{"meta": 1}')
+    out = tmp_path / "out.csv"
+    capsys.readouterr()
+    assert run(["report", "--input", str(path), "--csv", str(out)]) == 1
+    assert capsys.readouterr() == ("", f"error: {path}: a {kind} artifact has no tabular data\n")
+    assert not out.exists()
+
+
+def _runs_clean(capsys, argv, *written):
+    capsys.readouterr()
+    assert run(argv) == 0
+    out = capsys.readouterr()
+    assert "Traceback" not in out.out + out.err
+    for path in written:
+        assert path.is_file(), path
+
+
+def test_cli_branches_run(tmp_path, capsys):
+    # each branch imports its modules when it runs, so each one is run once
+    T, csv, Tm = tmp_path / "T.json", tmp_path / "T.csv", tmp_path / "Tm.json"
+    _runs_clean(capsys, ["construct", "magnify", "--profile", "tent",
+                         "--window", "-2", "2", "-o", str(Tm)], Tm)
+    gs, summary = tmp_path / "g.npz", tmp_path / "g.json"
+    _runs_clean(capsys, ["random", "sample", "--n", "1024", "--g", "32", "--p", "0.5",
+                         "-o", str(gs), "--summary", str(summary)], gs, summary)
+    assert run(["construct", "interval-union", "--lengths", "1",
+                "--window", "0", "8", "--rho", "1/16", "-o", str(T)]) == 0
+    plot = tmp_path / "mono.csv"
+    _runs_clean(capsys, ["verify", "monotonicity", "--test", str(T), "--shape", "[0,1]",
+                         "--grid", "0", "6", "1/16", "--emit-plot-data", str(plot)], plot)
+    assert plot.read_text().startswith("x,measure\n")
+    _runs_clean(capsys, ["report", "--input", str(T), "--csv", str(csv)], csv)
+    assert csv.read_text().startswith("num_lo,exp_lo,num_hi,exp_hi\n")
+
+
+def _command_paths(group, path=()):
+    yield path
+    for name, cmd in group.commands.items():
+        if hasattr(cmd, "commands"):
+            yield from _command_paths(cmd, (*path, name))
+        else:
+            yield (*path, name)
+
+
+@pytest.mark.parametrize("path", list(_command_paths(cli)), ids=" ".join)
+def test_help_of_every_command(capsys, path):
+    assert run([*path, "--help"]) == 0
+    out = capsys.readouterr()
+    assert out.out.startswith("Usage: ") and out.err == ""
 
 
 MALFORMED = {
