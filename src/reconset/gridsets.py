@@ -10,7 +10,13 @@ counts.
 
 Randomness is counter-based: a Philox stream keyed by (seed, level, cell)
 makes every cell independent and the whole construction reproducible and
-order-independent.
+order-independent.  A cell draws as numpy's `Generator.integers` would on
+that stream: its count, then the Fisher-Yates draws k_j on [j, cell_size).
+One numpy pass computes Philox4x64-10 for every cell's counter blocks and
+reproduces numpy's `next_uint32` stream and Lemire bounded draws; a cell
+where numpy would reject a draw is drawn by the keyed Generator itself.  A
+numpy change to `Generator.integers` shows up as a mismatch against the
+scalar-draw oracle in the tests.
 
 The copy count r = floor(2 dim_P / (d - b)) + 1 gives the number of
 independent sets needed for a family with packing dimension dim_P whose
@@ -30,11 +36,12 @@ import numpy as np
 
 from .dyadic import Dyadic
 from .errors import decoding
-from .intervals import IntervalSet
 
 
 # finest cubes a box may hold: the benchmark's largest grid has 196,608
 MAX_CUBES = 1 << 20
+# a cell's Philox key is (seed, level << 48 ^ cell): 16 bits of level index
+MAX_LEVELS = 1 << 16
 
 
 def _is_pow2(n: int) -> bool:
@@ -77,6 +84,8 @@ def validate_levels(n, g, p, box_lo=(0,), box_hi=(1,)) -> RandomLevels:
     box_hi = tuple(int(x) for x in box_hi)
     if not (len(n) == len(g) == len(p)) or not n:
         raise ValueError("need equal, non-empty n/g/p level lists")
+    if len(n) > MAX_LEVELS:
+        raise ValueError(f"{len(n)} levels, more than {MAX_LEVELS}")
     if len(box_lo) != len(box_hi) or not box_lo:
         raise ValueError("box_lo/box_hi dimension mismatch")
     if any(b <= a for a, b in zip(box_lo, box_hi)):
@@ -131,12 +140,76 @@ def _philox(seed: int, level: int, cell: int, rng=None) -> np.random.Generator:
     return rng
 
 
+# Philox4x64-10's multipliers and key increments (Salmon et al., SC 2011)
+_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+_M32 = (1 << 32) - 1
+_M64 = (1 << 64) - 1
+
+
+def _mulhilo(a: int, b: np.ndarray) -> tuple:
+    """The low and high 64-bit words of the 128-bit products a * b, the high
+    word summed from 32-bit halves."""
+    a0, a1 = np.uint64(a & _M32), np.uint64(a >> 32)
+    b0, b1 = b & _M32, b >> 32
+    p00, p01, p10 = a0 * b0, a0 * b1, a1 * b0
+    mid = (p00 >> 32) + (p01 & _M32) + (p10 & _M32)
+    return np.uint64(a) * b, a1 * b1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32)
+
+
+def _philox4x64(key0: np.ndarray, key1: int, ctr: np.ndarray) -> tuple:
+    """Philox4x64-10 of the counters (ctr, 0, 0, 0) under the keys
+    (key0, key1): the four words numpy's Philox buffers for those blocks."""
+    x0, x1, x2, x3 = ctr, np.zeros_like(ctr), np.zeros_like(ctr), np.zeros_like(ctr)
+    key1 = int(key1)
+    for r in range(10):
+        if r:
+            key0 = key0 + np.uint64(_PHILOX_W[0])
+            key1 = (key1 + _PHILOX_W[1]) & _M64
+        lo0, hi0 = _mulhilo(_PHILOX_M[0], x0)
+        lo1, hi1 = _mulhilo(_PHILOX_M[1], x2)
+        x0, x1, x2, x3 = hi1 ^ x1 ^ key0, lo1, hi0 ^ x3 ^ np.uint64(key1), lo0
+    return x0, x1, x2, x3
+
+
+def _lemire(x: np.ndarray, r) -> tuple:
+    """numpy's draws on [0, r) from the uint32s `x` (Lemire's multiply-shift)
+    and whether numpy rejects each x and draws again."""
+    r = np.asarray(r, dtype=np.uint64)
+    prod = x * r
+    rejected = (prod & _M32) < (2**32 - r) % r
+    prod >>= 32
+    return prod.view(np.int64), rejected
+
+
+def _cell_draws(key: np.ndarray, seed: int, m: np.ndarray, cell_size: int) -> tuple:
+    """The draws k_j on [j, cell_size), j < m, that follow the count on each
+    keyed stream, laid end to end, and a mask of the streams on which numpy
+    would reject one of them; their draws are left out."""
+    blocks = (m + 8) // 8  # a block holds 8 uint32s: the count and m draws
+    first = np.cumsum(blocks) - blocks
+    ctr = (np.arange(1, blocks.sum() + 1) - np.repeat(first, blocks)).astype(np.uint64)
+    words = np.stack(_philox4x64(np.repeat(key, blocks), seed, ctr), axis=1)
+    # numpy's next_uint32 hands out a word's low half, then its high half
+    stream = words.astype("<u8", copy=False).view("<u4").ravel()
+    end = np.cumsum(m)
+    j = np.arange(m.sum()) - np.repeat(end - m, m)
+    k, rejected = _lemire(stream[np.repeat(8 * first + 1, m) + j], cell_size - j)
+    k += j
+    bad = np.zeros(m.size, dtype=bool)
+    bad[np.searchsorted(end, np.flatnonzero(rejected), side="right")] = True
+    return k[np.repeat(~bad, m)].tolist(), bad
+
+
 def sample_level(levels: RandomLevels, i: int, seed: int) -> np.ndarray:
     """Select fine cubes for level i; deterministic given (seed, i, cell).
 
     Returns sorted flat indices into the box-wide fine grid at resolution
     n_i.  Per coarse cell D, m_D is uniform on {0, ..., floor(p (n/g)^d)} and
-    the m_D distinct cubes are drawn by a sparse partial Fisher-Yates.
+    the m_D distinct cubes are drawn by a sparse partial Fisher-Yates.  The
+    draws are those of `_philox(seed, i, D).integers(0, m_max + 1)` and then
+    `.integers(np.arange(m_D), cell_size)`, computed for every cell at once;
+    a cell where numpy would reject a draw is drawn by that Generator itself.
     """
     if not (0 <= i < levels.levels):
         raise IndexError(f"level {i} out of range")
@@ -146,37 +219,49 @@ def sample_level(levels: RandomLevels, i: int, seed: int) -> np.ndarray:
     cell_size = sub**levels.d
     m_max = int(math.floor(p * cell_size))
     coarse_counts = tuple(u * g for u in units)
-    cells, local = [], []
+    key = np.uint64(i << 48) ^ np.arange(math.prod(coarse_counts), dtype=np.uint64)
+    # a cell's count takes the first uint32 of its stream, its draws the next
+    m, redraw = _lemire(_philox4x64(key, seed, np.ones_like(key))[0] & _M32, m_max + 1)
+    # numpy rejects a draw on [j, cell_size) with chance below cell_size / 2^32:
+    # a cell likely to meet a rejection goes to numpy whole
+    redraw |= m * cell_size >= 1 << 32
+    cells = np.flatnonzero(~redraw & (m > 0))
+    draws, bad = _cell_draws(key[cells], seed, m[cells], cell_size)
+    again = [*np.flatnonzero(redraw).tolist(), *cells[bad].tolist()]
+    kept = cells[~bad]
+    cells, counts = kept.tolist(), m[kept].tolist()
     rng = None
-    for cell in range(int(np.prod(coarse_counts))):
+    for cell in again:
         rng = _philox(seed, i, cell, rng)
-        m = int(rng.integers(0, m_max + 1))
-        if m:
-            cells.append(np.full(m, cell))
-            local.append(_sparse_fisher_yates(rng, cell_size, m))
+        m_cell = int(rng.integers(0, m_max + 1))
+        if m_cell:
+            cells.append(cell)
+            counts.append(m_cell)
+            draws += rng.integers(np.arange(m_cell), cell_size).tolist()
     if not cells:
         return np.empty(0, dtype=np.int64)
     # global fine coordinate = coarse coordinate * sub + offset inside the cell
-    coarse = np.unravel_index(np.concatenate(cells), coarse_counts)
-    offset = np.unravel_index(np.concatenate(local), (sub,) * levels.d)
+    coarse = np.unravel_index(np.repeat(cells, counts), coarse_counts)
+    offset = np.unravel_index(_fisher_yates(draws, counts), (sub,) * levels.d)
     flat = np.ravel_multi_index(
         tuple(c * sub + o for c, o in zip(coarse, offset)), tuple(u * n for u in units)
     )
     return np.sort(flat)
 
 
-def _sparse_fisher_yates(rng: np.random.Generator, n: int, m: int) -> list:
-    """m distinct values from range(n): partial Fisher-Yates on a sparse map.
-    One array call draws every k_j on [j, n), as m scalar calls would."""
-    swap: dict[int, int] = {}
-    out = []
-    for j, k in enumerate(rng.integers(np.arange(m), n).tolist()):
-        vj = swap.get(j, j)
-        vk = swap.get(k, k)
-        out.append(vk)
-        swap[k] = vj
-        swap[j] = vk
-    return out
+def _fisher_yates(draws: list, counts: list) -> list:
+    """The values a partial Fisher-Yates on range(cell_size) selects in each
+    cell, from the cell's draws k_j on [j, cell_size), cells laid end to end;
+    `draws` is overwritten with them.  Only swapped positions are stored, and
+    no step after j reads position j."""
+    start = 0
+    for m in counts:
+        swap: dict[int, int] = {}
+        for j, k in enumerate(draws[start : start + m]):
+            draws[start + j] = swap.get(k, k)
+            swap[k] = swap.get(j, j)
+        start += m
+    return draws
 
 
 @dataclass(frozen=True)
@@ -202,6 +287,8 @@ class GridSet:
     @cached_property
     def runs(self) -> IntervalSet:
         """A 1-D set as an interval set: its runs of selected finest cells."""
+        from .intervals import IntervalSet  # here: `random sample` never compiles it
+
         if self.levels.d != 1:
             raise ValueError("interval intersections need a 1-D grid set")
         edges = np.diff(np.concatenate([[0], self.parity.view(np.int8), [0]]))
@@ -239,7 +326,10 @@ def assemble(levels: RandomLevels, selections, seed: int = -1) -> GridSet:
 
 
 def sample_grid_set(levels: RandomLevels, seed: int) -> GridSet:
-    """Sample every level and assemble; fully determined by (levels, seed)."""
+    """Sample every level and assemble; fully determined by (levels, seed),
+    a seed in [0, 2**64)."""
+    if not 0 <= seed < 1 << 64:
+        raise ValueError(f"seed {seed} is outside [0, 2**64)")
     selections = tuple(sample_level(levels, i, seed) for i in range(levels.levels))
     return assemble(levels, selections, seed)
 

@@ -204,6 +204,18 @@ def test_library_value_error_exit_one(tmp_path, monkeypatch, capsys, argv):
     assert out.err.startswith("error: ")
 
 
+@pytest.mark.parametrize("seed", ["-1", "18446744073709551616"])
+@pytest.mark.parametrize("n", ["16", "4"], ids=["draws", "no-draws"])
+def test_random_sample_seed_outside_64_bits_exits_one(tmp_path, capsys, seed, n):
+    # --n 4 --g 4 makes one-cube cells: m_max = 0, so no level draws at all
+    out = tmp_path / "x.npz"
+    argv = ["random", "sample", "--n", n, "--g", "4", "--p", "0.5", "--seed", seed, "-o", str(out)]
+    assert run(argv) == 1
+    got = capsys.readouterr()
+    assert got.err == f"error: seed {seed} is outside [0, 2**64)\n"
+    assert got.out == "" and not out.exists()
+
+
 def test_injectivity_report_byte_identical(tmp_path):
     T = tmp_path / "T.json"
     assert run(["construct", "interval-union", "--lengths", "1",
@@ -315,7 +327,7 @@ HEAVY = ["numpy", "scipy"] + [f"reconset.{m}" for m in (
     "targets", "verify")]
 
 
-def test_cli_import_graph(json_reports):
+def test_cli_import_graph(json_reports, tmp_path):
     # importing the CLI loads none of the computing modules
     p = _python("-c", "import sys, reconset.cli; "
                 f"print(sorted(set({HEAVY!r}) & set(sys.modules)))")
@@ -328,6 +340,12 @@ def test_cli_import_graph(json_reports):
                     "print(code, 'numpy' in sys.modules)")
         assert p.returncode == 0, p.stderr
         assert p.stdout.splitlines()[-1] == "0 False", p.stdout
+    # nor does `random sample` load the interval-set code
+    argv = ["random", "sample", "--n", "16", "--g", "4", "--p", "0.5", "-o", str(tmp_path / "g.npz")]
+    p = _python("-c", "import sys; from reconset.cli import main; "
+                f"code = main({argv!r}); print(code, 'reconset.intervals' in sys.modules)")
+    assert p.returncode == 0, p.stderr
+    assert p.stdout.splitlines()[-1] == "0 False", p.stdout
 
 
 @pytest.mark.parametrize("kind", ["verification_report", "monotonicity_report",

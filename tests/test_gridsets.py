@@ -1,14 +1,19 @@
 import math
+import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from reconset import gridsets
 from reconset.dyadic import Dyadic
 from reconset.gridsets import (
+    MAX_LEVELS,
     CopyCount,
     GridSet,
+    RandomLevels,
     _philox,
-    _sparse_fisher_yates,
+    _fisher_yates,
     assemble,
     grid_summary,
     load_grid_set,
@@ -36,6 +41,16 @@ def test_validate_levels_bounds_the_finest_cubes():
     validate_levels((512,), (64,), (0.5,), (0, 0), (2, 2))
     with pytest.raises(ValueError, match="1572864 finest cubes"):
         validate_levels((512,), (64,), (0.5,), (0, 0), (2, 3))
+
+
+def test_validate_levels_bounds_the_level_count():
+    # a level index keys 16 bits: level 2**16 would share the streams of seed + 1
+    assert _philox(5, 1 << 16, 7).integers(0, 1 << 62, 4).tolist() == (
+        _philox(4, 0, 7).integers(0, 1 << 62, 4).tolist())
+    p = [(MAX_LEVELS + 1 - k) * 1e-11 for k in range(MAX_LEVELS + 1)]
+    assert validate_levels((4,) * MAX_LEVELS, (4,) * MAX_LEVELS, p[1:]).levels == MAX_LEVELS
+    with pytest.raises(ValueError, match="65537 levels, more than 65536"):
+        validate_levels((4,) * (MAX_LEVELS + 1), (4,) * (MAX_LEVELS + 1), p)
 
 
 def test_validate_levels_chain_violation():
@@ -148,11 +163,93 @@ def test_sample_level_matches_scalar_oracle(levels):
             assert np.array_equal(got, _sample_level_oracle(levels, i, seed))
 
 
+@st.composite
+def _one_level(draw):
+    """A level of a 1-3-D box, possibly offset below 0, with any count bound
+    m_max + 1 (1, powers of two among them) and a level index 0-2.
+    sample_level reads only level i and the box, so the other levels repeat it."""
+    d = draw(st.integers(1, 3))
+    e_sub = draw(st.integers(0, 8 // d))
+    g = 1 << draw(st.integers(0, 8 // d - e_sub))
+    cell_size = 1 << (e_sub * d)
+    m_max = draw(st.integers(0, cell_size - 1)
+                 | st.sampled_from([(1 << a) - 1 for a in range(e_sub * d + 1)]))
+    lo = draw(st.lists(st.integers(-3, 2), min_size=d, max_size=d))
+    units = draw(st.lists(st.integers(1, 3), min_size=d, max_size=d))
+    copies = draw(st.integers(1, 3))
+    levels = RandomLevels(
+        (g << e_sub,) * copies, (g,) * copies, ((m_max + 0.5) / cell_size,) * copies,
+        tuple(lo), tuple(a + u for a, u in zip(lo, units)),
+    )
+    return levels, copies - 1
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=_one_level(), seed=st.integers(0, 2**64 - 1))
+def test_sample_level_matches_scalar_oracle_on_random_levels(case, seed):
+    levels, i = case
+    assert np.array_equal(sample_level(levels, i, seed), _sample_level_oracle(levels, i, seed))
+
+
+def _counting_philox(monkeypatch):
+    calls = []
+    keyed = gridsets._philox
+
+    def counting(seed, level, cell, rng=None):
+        calls.append(cell)
+        return keyed(seed, level, cell, rng)
+
+    monkeypatch.setattr(gridsets, "_philox", counting)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "args, seed, cell",
+    [
+        # m_D * cell_size >= 2**32 expects a rejection: the cell goes to numpy whole
+        (((1 << 20,), (1,), (0.5,), (0,), (1,)), 3, 0),
+        # numpy rejects one of cell 1's 1,750 draws on [j, 2**16)
+        (((1 << 16,), (1,), (0.125,), (0,), (16,)), 1, 1),
+        # numpy rejects the count draw on [0, 32513)
+        (((1 << 15,), (1,), (32512.5 / 32768,), (0,), (1,)), 112826, 0),
+    ],
+    ids=["one-cell-of-2^20", "draw-rejected", "count-rejected"],
+)
+def test_rejecting_cells_are_drawn_by_the_keyed_generator(monkeypatch, args, seed, cell):
+    levels = validate_levels(*args)
+    calls = _counting_philox(monkeypatch)
+    got = sample_level(levels, 0, seed)
+    assert calls == [cell]
+    monkeypatch.undo()
+    assert np.array_equal(got, _sample_level_oracle(levels, 0, seed))
+
+
+def test_benchmark_levels_key_no_generator(monkeypatch):
+    # the levels and the five seeds of perfbench's small-queries workload at seed 1
+    levels = validate_levels((512, 65536), (64, 1024), (0.5, 0.25), (0,), (3,))
+    rng = random.Random(1)
+    seeds = [rng.randrange(2**32) for _ in range(5)]
+    calls = _counting_philox(monkeypatch)
+    for s in seeds:
+        sample_grid_set(levels, s)
+    assert calls == []
+
+
+@pytest.mark.parametrize("seed", [-1, 1 << 64])
+def test_seed_outside_64_bits_refused(seed):
+    # also where no level draws at all (m_max = 0 on every level)
+    for levels in (validate_levels((16,), (4,), (0.5,)), validate_levels((4,), (4,), (0.5,))):
+        with pytest.raises(ValueError, match=rf"seed {seed} is outside \[0, 2\*\*64\)"):
+            sample_grid_set(levels, seed)
+    assert sample_grid_set(validate_levels((16,), (4,), (0.5,)), (1 << 64) - 1).seed == (1 << 64) - 1
+
+
 @pytest.mark.parametrize("n", [8, 4096, 2**40])
 def test_fisher_yates_leaves_stream_where_scalar_draws_would(n):
     for m in sorted({1, min(n, 8), min(n, 300)}):
         a, b = _philox(5, 1, m), _philox(5, 1, m)
-        assert _sparse_fisher_yates(a, n, m) == _fisher_yates_oracle(b, n, m)
+        draws = a.integers(np.arange(m), n).tolist()
+        assert _fisher_yates(draws, [m]) == _fisher_yates_oracle(b, n, m)
         assert a.integers(0, 2**62) == b.integers(0, 2**62)
 
 
