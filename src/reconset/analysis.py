@@ -269,9 +269,11 @@ def sliding_integral(
     Precondition: the support of x -> p((x - b)/a), which is
     [b + a*s0, b + a*s1], must lie inside the window for every b.
     """
-    if a <= 0:
-        raise ValueError("scale a must be positive")
+    if not (a > 0 and math.isfinite(a)):
+        raise ValueError(f"scale a must be positive and finite, got {a}")
     b = np.atleast_1d(np.asarray(b_grid, dtype=np.float64))
+    if not np.all(np.isfinite(b)):
+        raise ValueError("offsets b must be finite")
     s0, s1 = p.support
     lo_need = float(np.min(b)) + a * s0
     hi_need = float(np.max(b)) + a * s1

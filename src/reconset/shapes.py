@@ -80,8 +80,12 @@ class Pose:
         object.__setattr__(
             self, "translation", tuple(float(v) for v in self.translation)
         )
-        if self.magnification < 1.0:
-            raise ValueError("magnification must be >= 1 (translate-only uses r = 1)")
+        if not all(map(math.isfinite, self.translation)):
+            raise ValueError(f"translation components must be finite, got {self.translation}")
+        if not 1.0 <= self.magnification < math.inf:
+            raise ValueError(
+                "magnification must be finite and >= 1 (translate-only uses r = 1)"
+            )
 
     @staticmethod
     def identity(d: int) -> "Pose":
@@ -614,8 +618,9 @@ def intersection_measures(
 ) -> tuple[np.ndarray, np.ndarray]:
     """lambda^d((rE+x) ∩ V) for each pose, with quadrature error bounds.
 
-    One sliding integral per magnification covers all poses sharing it.
-    Exact (error 0) for the full-space sentinel: r^d * lambda^d(E).
+    The measure depends on x only through the offset <x, theta>, so one
+    sliding integral per distinct (magnification, offset) covers all poses
+    sharing it.  Exact (error 0) for the full-space sentinel: r^d * lambda^d(E).
     """
     rs = [pose.magnification for pose in poses]
     if V.full_space:
@@ -626,8 +631,11 @@ def intersection_measures(
     errors = np.empty(len(rs))
     for r in dict.fromkeys(rs):
         idx = [i for i, ri in enumerate(rs) if ri == r]
-        b = [V.theta.dot(poses[i].translation) for i in idx]
-        vals = sliding_integral(profile, V.T, r, b, V.window)
+        b = np.array([V.theta.dot(poses[i].translation) for i in idx])
+        # F(b) is computed for each b alone, so each distinct offset is integrated
+        # once; 0.0 and -0.0 merge at equal bits, and a NaN stays to be refused
+        offsets, where = np.unique(b, return_inverse=True)
+        vals = sliding_integral(profile, V.T, r, offsets, V.window)[where]
         values[idx] = np.maximum(r ** (shape.d - 1) * vals, 0.0)
         # |error| = r^(d-1) |∫_T Δ((t-b)/r) dt| <= r^d ||Δ||_1
         errors[idx] = r**shape.d * profile.l1_error

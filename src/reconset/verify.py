@@ -182,7 +182,7 @@ def measure_vector(instances, tests, profiles=None) -> tuple[np.ndarray, np.ndar
     shape for slab tests, whose profiles (one per test) may be passed in.
     Interval and grid tests take C(x+L) - C(x) from the exact cumulative
     measure C of the test: int64, zero error; slab tests one sliding integral
-    per magnification: floats at e = 0.
+    per distinct (magnification, offset): floats at e = 0.
     """
     values = np.zeros((_count(instances), len(tests)))
     errors = np.zeros_like(values)

@@ -185,6 +185,31 @@ def test_sliding_direct_and_by_parts_agree():
     assert np.allclose(direct, parts, atol=1e-11)
 
 
+@pytest.mark.parametrize("n", [40, 5000], ids=["direct", "by_parts"])
+def test_sliding_batch_equals_one_offset_at_a_time(n):
+    # the path is chosen by |T| alone, so F(b) has the same bits whether b
+    # comes in a batch or alone; slab measures deduplicate offsets on this
+    rng = np.random.default_rng(5)
+    lows = np.sort(rng.choice(1 << 16, size=n, replace=False)).astype(np.int64) * 2
+    T = IntervalSet.from_arrays(lows - (1 << 16), lows - (1 << 16) + 1, 14)
+    assert len(T) == n
+    b = np.concatenate([rng.uniform(-3, 3, size=30), [0.0, -0.0, 1.5, 1.5]])
+    for p, a in ((Profile.from_knots([-1, -0.25, 0.5, 1], [0, 0.5, 2, 0]), 1.5),
+                 (Profile.step([-1, 0, 1], [1.0, 0.25]), 2.0)):
+        batch = sliding_integral(p, T, a, b, big_window())
+        alone = np.concatenate([sliding_integral(p, T, a, [x], big_window()) for x in b])
+        assert np.array_equal(batch.view(np.int64), alone.view(np.int64))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_sliding_refuses_non_finite_scale_and_offsets(bad):
+    T = IntervalSet([(0, 1)])
+    with pytest.raises(ValueError, match="scale"):
+        sliding_integral(TENT, T, bad, [0.0], big_window())
+    with pytest.raises(ValueError, match="offsets"):
+        sliding_integral(TENT, T, 1.0, [0.0, bad, bad], big_window())
+
+
 # -- ac_diagnostic -------------------------------------------------------------------
 
 

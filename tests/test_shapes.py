@@ -312,6 +312,20 @@ def test_pose_validation():
         Pose((0.0, 0.0), 0.5)
     p = Pose.identity(3)
     assert p.magnification == 1.0 and p.translation == (0.0, 0.0, 0.0)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="translation"):
+            Pose((0.0, bad), 1.0)
+        with pytest.raises(ValueError, match="magnification"):
+            Pose((0.0, 0.0), bad)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered in dot")
+def test_overflowing_offset_refused():
+    # finite poses whose offset <x, theta> overflows to inf are refused, not
+    # reported as a window overrun
+    V = SlabTestSet(Direction.of((1.0, 1.0)), IntervalSet([(0, 1)]), Window.of(-4, 4))
+    with pytest.raises(ValueError, match="offsets"):
+        intersection_measure_detailed(SQUARE, Pose((1.5e308, 1.5e308), 1.0), V)
 
 
 def test_polygon_validation():

@@ -12,9 +12,11 @@ from reconset.errors import ExactnessOverflowError, SearchBudgetError, WindowExc
 from reconset.gridsets import validate_levels, sample_grid_set
 from reconset.intervals import IntervalSet, Window
 from reconset.profiles import Profile
+from reconset import shapes
 from reconset.shapes import (
     Ball,
     Direction,
+    IntervalUnion,
     Pose,
     SlabTestSet,
     intersection_measure_detailed,
@@ -305,23 +307,76 @@ def test_injectivity_translate_family_disk_smoke():
     assert rep.min_separation > 0
 
 
+def test_translate_grid_with_nan_corner_refused():
+    disk = Ball((0.0, 0.0), 1.0)
+    grid = TranslateFamilyGrid(disk, (math.nan, -0.5), (0.5, 0.5), (3, 3))
+    T = IntervalSet([(Dyadic(-3), Dyadic(0))])
+    V = SlabTestSet(Direction((1.0, 0.0)), T, Window.of(-6, 6))
+    with pytest.raises(ValueError, match="translation"):
+        injectivity_report(grid, [V])
+
+
+def _bits(x):
+    return np.asarray(x, dtype=np.float64).view(np.int64)
+
+
+def _long_slab_set(n=5000):
+    # n disjoint intervals inside [-3, 0): more than 4096, so sliding_integral
+    # integrates by parts
+    lows = -3 * 2**12 + 2 * np.arange(n, dtype=np.int64)
+    T = IntervalSet.from_arrays(lows, lows + 1, 12)
+    assert len(T) == n
+    return T
+
+
 def test_slab_measure_vector_matches_per_pose():
-    # one sliding integral per (test, magnification) equals one per pose,
-    # bit for bit, on the family above plus a magnified copy of it
+    # one sliding integral per (test, magnification, offset) equals one per
+    # pose, bit for bit, on both sliding_integral paths: axis directions,
+    # where offsets repeat; a non-axis direction, where none does; magnified
+    # copies sharing every translation; and, in 1-D, the offsets 0.0 and -0.0
+    # (<x, theta> for x = 0.0 against theta = -1), which np.unique merges
+    disk = Ball((0.0, 0.0), 1.0)
+    oblique = Direction.of((1.0, math.sqrt(2.0)))
+    poses = TranslateFamilyGrid(disk, (-0.5, -0.5), (0.5, 0.5), (5, 5)).instances()
+    assert len({oblique.dot(p.translation) for p in poses}) == len(poses)
+    poses += [Pose(p.translation, 1.5) for p in poses]
+    segment = IntervalUnion(IntervalSet([(Dyadic(-1, 1), Dyadic(1, 1))]))
+    line_poses = [Pose((0.0,)), Pose((-0.0,)), Pose((0.25,)), Pose((0.0,), 2.0)]
+    cases = [
+        (disk, poses, [Direction((1.0, 0.0)), Direction((0.0, 1.0)), oblique]),
+        (segment, line_poses, [Direction((1.0,)), Direction((-1.0,))]),
+    ]
+    for theta in cases[1][2]:
+        signs = [math.copysign(1.0, theta.dot(p.translation)) for p in line_poses[:2]]
+        assert sorted(signs) == [-1.0, 1.0]
+    for T in (IntervalSet([(Dyadic(-3), Dyadic(0))]), _long_slab_set()):
+        for shape, family, thetas in cases:
+            tests = [SlabTestSet(theta, T, Window.of(-6, 6)) for theta in thetas]
+            profiles = [radon_profile(shape, V.theta, 128) for V in tests]
+            values, errors, _ = measure_vector([(shape, p) for p in family], tests, profiles)
+            for i, pose in enumerate(family):
+                for j, V in enumerate(tests):
+                    v, e = intersection_measure_detailed(shape, pose, V, profile=profiles[j])
+                    assert _bits(values[i, j]) == _bits(v) and errors[i, j] == e
+
+
+def test_axis_grid_takes_one_sliding_integral_per_distinct_offset(monkeypatch):
+    # the 33 x 33 translate grid of AC-06 against the two axis slabs: each
+    # slab sees the 33 distinct coordinates, not the 1,089 poses
+    calls = []
+
+    def spy(p, T, a, b, window):
+        calls.append(len(b))
+        return sliding_integral(p, T, a, b, window)
+
+    monkeypatch.setattr(shapes, "sliding_integral", spy)
     disk = Ball((0.0, 0.0), 1.0)
     T = IntervalSet([(Dyadic(-3), Dyadic(0))])
-    tests = [
-        SlabTestSet(Direction((1.0, 0.0)), T, Window.of(-6, 6)),
-        SlabTestSet(Direction((0.0, 1.0)), T, Window.of(-6, 6)),
-    ]
-    poses = TranslateFamilyGrid(disk, (-0.5, -0.5), (0.5, 0.5), (5, 5)).instances()
-    poses += [Pose(p.translation, 1.5) for p in poses]
-    profiles = [radon_profile(disk, V.theta, 128) for V in tests]
-    values, errors, _ = measure_vector([(disk, p) for p in poses], tests, profiles)
-    for i, pose in enumerate(poses):
-        for j, V in enumerate(tests):
-            v, e = intersection_measure_detailed(disk, pose, V, profile=profiles[j])
-            assert values[i, j] == v and errors[i, j] == e
+    slabs = [SlabTestSet(Direction.axis(i, 2), T, Window.of(-6, 6)) for i in range(2)]
+    grid = TranslateFamilyGrid(disk, (-1.0, -1.0), (1.0, 1.0), (33, 33))
+    rep = injectivity_report(grid, slabs, resolution=128)
+    assert calls == [33, 33]
+    assert rep.instance_count == 33 * 33 and not rep.collisions
 
 
 # -- interval counterexample -------------------------------------------------------------
