@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .blocks import spans
 from .errors import WindowExceededError
 from .intervals import IntervalSet, Window
 from .profiles import Profile, StepProfile
@@ -356,27 +357,33 @@ def ac_diagnostic(
     width = s1 - s0
     center = (s0 + s1) / 2.0
     span = 4.0 * width
-    xs = center - span / 2.0 + span * np.arange(samples) / samples
-    vals = p(xs)
-    rel = (xs - (center - span / 2.0)) / span
-    taper = np.ones(samples)
-    left = rel < 0.25
-    right = rel > 0.75
-    taper[left] = 0.5 * (1.0 - np.cos(4.0 * np.pi * rel[left]))
-    taper[right] = 0.5 * (1.0 - np.cos(4.0 * np.pi * (1.0 - rel[right])))
+    # the tapered samples go block by block into one complex buffer, which
+    # the FFT then overwrites: no real copy, cast copy or second output
+    spectrum = np.zeros(samples, dtype=np.complex128)
+    for start, stop in spans(samples):
+        xs = center - span / 2.0 + span * np.arange(start, stop) / samples
+        rel = (xs - (center - span / 2.0)) / span
+        taper = np.ones(stop - start)
+        left = rel < 0.25
+        right = rel > 0.75
+        taper[left] = 0.5 * (1.0 - np.cos(4.0 * np.pi * rel[left]))
+        taper[right] = 0.5 * (1.0 - np.cos(4.0 * np.pi * (1.0 - rel[right])))
+        spectrum.real[start:stop] = p(xs) * taper
     dx = span / samples
-    spectrum = np.fft.fft(vals * taper) * dx
-    freqs = np.fft.fftfreq(samples, dx)
+    np.fft.fft(spectrum, out=spectrum)
+    spectrum *= dx
+    # |fftfreq(samples, dx)| of bins 0 .. N/2, as fftfreq computes it
+    half = np.arange(samples // 2 + 1) * (1.0 / (samples * dx))
     # |freqs| sorted stably is bins 0, 1, N-1, 2, N-2, ..., ending at N/2;
     # only its prefix up to the largest cutoff is needed, and cumsum adds in
     # sequence, so the prefix carries the bits of the full sum
-    m = max(1, np.searchsorted(np.abs(freqs[: samples // 2 + 1]), cutoffs[-1], side="right"))
+    m = max(1, np.searchsorted(half, cutoffs[-1], side="right"))
     order = np.empty(2 * m - 1, dtype=np.intp)
     order[0] = 0
     order[1::2] = np.arange(1, m)
     order[2::2] = samples - order[1::2]
     order = order[:samples]
-    absf = np.abs(freqs[order])
+    absf = half[np.minimum(order, samples - order)]
     density = np.abs(spectrum[order]) ** 2 * absf**power
     cum = np.cumsum(density) * (1.0 / span)
     idx = np.searchsorted(absf, cutoffs, side="right") - 1

@@ -18,6 +18,7 @@ from itertools import chain
 
 import numpy as np
 
+from .blocks import spans
 from .dyadic import Dyadic, as_dyadic, common_numerators
 from .errors import ExactnessOverflowError
 
@@ -27,7 +28,7 @@ _MAX_BITS = 58
 
 def _check_bits(arr: np.ndarray, bits: int = _MAX_BITS, what: str = "endpoint"):
     if arr.size:
-        _check_magnitude(int(np.max(np.abs(arr))), bits, what)
+        _check_magnitude(max(int(arr.max()), -int(arr.min())), bits, what)
 
 
 def _check_magnitude(m: int, bits: int = _MAX_BITS, what: str = "endpoint"):
@@ -165,7 +166,9 @@ class IntervalSet:
 
     def to_floats(self) -> np.ndarray:
         """(N, 2) float endpoints; exact whenever numerators fit in 53 bits."""
-        return self._nums.astype(np.float64) * 2.0 ** (-self._exp)
+        out = self._nums.astype(np.float64)
+        out *= 2.0 ** (-self._exp)
+        return out
 
     def span(self) -> tuple[Dyadic, Dyadic]:
         if not self:
@@ -233,10 +236,19 @@ class IntervalSet:
         """Float knots x at every endpoint, with C(x) and Q(x) = ∫_{-inf}^x C
         there; built on first use and kept with the (immutable) set."""
         if self._knots is None:
-            prefix = self._prefix_sums().astype(np.float64) * 2.0 ** (-self._exp)
+            prefix = self._prefix_sums().astype(np.float64)
+            prefix *= 2.0 ** (-self._exp)
             xs, c = self.to_floats().ravel(), np.repeat(prefix, 2)[1:-1]
-            areas = np.diff(xs) * (c[:-1] + c[1:]) / 2.0
-            self._knots = xs, c, np.concatenate([[0.0], np.cumsum(areas)])
+            del prefix
+            # the trapezoid areas between knots, block by block, then Q is
+            # one cumsum of them
+            q = np.empty(xs.size)
+            q[0] = 0.0
+            for start, stop in spans(xs.size - 1):
+                x, cx = xs[start : stop + 1], c[start : stop + 1]
+                q[start + 1 : stop + 1] = np.diff(x) * (cx[:-1] + cx[1:]) / 2.0
+            np.cumsum(q[1:], out=q[1:])
+            self._knots = xs, c, q
         return self._knots
 
     def cumulative_f(self, x) -> np.ndarray:
@@ -296,7 +308,9 @@ class IntervalSet:
         # the guard, every term below is within the image span, below 2**59
         lo = int(self._nums[0, 0]) * s + t
         _check_magnitude(max(abs(lo), abs(int(self._nums[-1, 1]) * s + t)))
-        image = lo + (self._nums - self._nums[0, 0]) * s
+        image = self._nums - self._nums[0, 0]
+        image *= s
+        image += lo
         return IntervalSet._raw(*_reduce_exponent(image, e))
 
     def translate(self, shift) -> "IntervalSet":
@@ -384,7 +398,12 @@ def _decode_rows(rows):
 
 
 def _normalize_arrays(lows: np.ndarray, highs: np.ndarray, exp: int):
-    """Sort, drop degenerate, merge overlapping/adjacent; reduce exponent."""
+    """Sort, drop degenerate, merge overlapping/adjacent; reduce exponent.
+
+    Input already sorted by its lows (a quantizer's cells in order, an
+    artifact's rows) is not sorted again: a stable sort would leave it as it
+    is.
+    """
     if np.any(lows > highs):
         i = int(np.argmax(lows > highs))
         raise ValueError(
@@ -392,27 +411,34 @@ def _normalize_arrays(lows: np.ndarray, highs: np.ndarray, exp: int):
             f"{Dyadic(int(highs[i]), exp)})"
         )
     keep = lows < highs
-    lows, highs = lows[keep], highs[keep]
+    if not keep.all():
+        lows, highs = lows[keep], highs[keep]
+    del keep
     if lows.size == 0:
         return np.empty((0, 2), dtype=np.int64), 0
     _check_bits(lows)
     _check_bits(highs)
-    order = np.argsort(lows, kind="stable")
-    lows, highs = lows[order], highs[order]
+    if np.any(lows[1:] < lows[:-1]):
+        order = np.argsort(lows, kind="stable")
+        lows, highs = lows[order], highs[order]
+        del order
     # merge: a new interval starts where lo strictly exceeds the running max hi
     run_hi = np.maximum.accumulate(highs)
-    starts = np.empty(lows.size, dtype=bool)
-    starts[0] = True
-    starts[1:] = lows[1:] > run_hi[:-1]
-    idx = np.flatnonzero(starts)
-    out = np.empty((idx.size, 2), dtype=np.int64)
-    out[:, 0] = lows[idx]
-    ends = np.append(idx[1:], lows.size)
-    out[:, 1] = run_hi[ends - 1]
+    mark = np.empty(lows.size, dtype=bool)
+    mark[0] = True
+    np.greater(lows[1:], run_hi[:-1], out=mark[1:])
+    out = np.empty((np.count_nonzero(mark), 2), dtype=np.int64)
+    out[:, 0] = lows[mark]
+    # each merged interval ends at the running max hi just before the next start
+    mark[:-1] = mark[1:]
+    mark[-1] = True
+    out[:, 1] = run_hi[mark]
     return _reduce_exponent(out, exp)
 
 
 def _reduce_exponent(nums: np.ndarray, exp: int):
+    """Strip the trailing zero bits every numerator shares, up to exp; nums
+    is a fresh array, shifted in place."""
     if exp == 0 or nums.size == 0:
         return nums, exp if nums.size else 0
     acc = int(np.bitwise_or.reduce(nums.ravel()))
@@ -421,7 +447,7 @@ def _reduce_exponent(nums: np.ndarray, exp: int):
     tz = (acc & -acc).bit_length() - 1
     shift = min(tz, exp)
     if shift:
-        nums = nums >> shift
+        nums >>= shift
         exp -= shift
     return nums, exp
 

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .blocks import spans
 from .dyadic import Dyadic
 from .errors import InfeasibleResolutionError
 from .intervals import IntervalSet, Window
@@ -49,40 +50,53 @@ def exact_sum(x) -> float:
     and cut into levels of B bits: the integer parts, then the integer parts
     of the remainders times 2**B, and so on.  Every level's float sum is exact
     (all its partial sums are integers below 2**52); the levels meet in a
-    Python int, and one int/int true division rounds it correctly.  Non-finite
-    input, an exact zero (whose sign fsum decides) and max|x| >= 2**B go to
-    math.fsum itself.
+    Python int, and one int/int true division rounds it correctly.  Each
+    block of x is cut on its own and joins the int at its own depth, which
+    is the same int.  Non-finite input, an exact zero (whose sign fsum
+    decides) and max|x| >= 2**B go to math.fsum itself.
     """
     x = np.asarray(x, dtype=np.float64).ravel()
     bits = 52 - x.size.bit_length()
-    top = float(np.max(np.abs(x), initial=0.0))
+    top = float(np.maximum(np.max(x, initial=0.0), -np.min(x, initial=0.0)))
     if not top < 2.0**bits:  # also inf and nan
         return math.fsum(x)
     exp = bits - math.frexp(top)[1]  # top * 2**exp < 2**bits
-    r = np.ldexp(x, exp)
-    q = np.empty_like(r)
-    total = 0  # sum(x) = total / 2**exp once r is spent
-    while True:
-        np.trunc(r, out=q)
-        total = (total << bits) + int(np.sum(q))
-        r -= q
-        if not r.any():
-            break
-        np.ldexp(r, bits, out=r)
-        exp += bits
+    total, depth = 0, 0  # sum(x) = total / 2**(exp + bits*depth) once x is spent
+    for start, stop in spans(x.size):
+        r = np.ldexp(x[start:stop], exp)
+        q = np.empty_like(r)
+        part, level = 0, 0
+        while True:
+            np.trunc(r, out=q)
+            part = (part << bits) + int(np.sum(q))
+            r -= q
+            if not r.any():
+                break
+            np.ldexp(r, bits, out=r)
+            level += 1
+        if level > depth:
+            total <<= bits * (level - depth)
+            depth = level
+        total += part << bits * (depth - level)
     if total == 0:
         return math.fsum(x)
-    return total / (1 << exp)
+    return total / (1 << (exp + bits * depth))
 
 
 def greedy_mask(block_integrals: np.ndarray, n: int) -> tuple[np.ndarray, float]:
     """Vectorized block rule via the kept-count identity k_m = ceil(n A_m)."""
-    # summed first, so that its two n-sized buffers are freed before a and k exist
     total = exact_sum(block_integrals)
-    a = np.cumsum(block_integrals)
-    k = np.ceil(n * a - TIE_DUST)  # tolerate float dust just above integers
-    k = np.maximum.accumulate(np.maximum(k, 1.0))  # block 0 is always kept
-    kept = np.diff(np.concatenate([[0.0], k])) > 0.5
+    # k is one n-sized buffer, updated in place
+    k = np.cumsum(block_integrals)
+    k *= n
+    k -= TIE_DUST  # tolerate float dust just above integers
+    np.ceil(k, out=k)
+    np.maximum(k, 1.0, out=k)  # block 0 is always kept
+    np.maximum.accumulate(k, out=k)
+    # k holds whole numbers, so a step of k above 0.5 is a strict increase
+    kept = np.empty(k.size, dtype=bool)
+    kept[:1] = k[:1] > 0.5
+    np.greater(k[1:], k[:-1], out=kept[1:])
     return kept, float(k[-1]) / n - total
 
 
@@ -97,14 +111,16 @@ class CellQuantization:
 
     def interval_arrays(self) -> tuple[np.ndarray, np.ndarray, int]:
         """Run-length encode kept blocks into numerators at TRIM_EXPONENT."""
-        kept = self.kept
-        diff = np.diff(np.concatenate([[0], kept.view(np.int8), [0]]))
-        starts = np.flatnonzero(diff == 1).astype(np.int64)
-        stops = np.flatnonzero(diff == -1).astype(np.int64)
+        edge = np.zeros(self.kept.size + 2, dtype=np.int8)
+        edge[1:-1] = self.kept
+        edge = np.diff(edge)  # +1 where a run starts, -1 one past its end
         shift = TRIM_EXPONENT - (self.n.bit_length() - 1)
         lo0 = self.lo * self.n
-        lows = (lo0 + starts) << shift
-        highs = (lo0 + stops) << shift
+        lows = np.flatnonzero(edge == 1).astype(np.int64, copy=False)
+        highs = np.flatnonzero(edge == -1).astype(np.int64, copy=False)
+        for a in (lows, highs):
+            a += lo0
+            a <<= shift
         if lows.size and self.trim.num:
             t = self.trim.num << (TRIM_EXPONENT - self.trim.exp)
             first_width = int(highs[0] - lows[0])
@@ -122,6 +138,7 @@ def quantize_cell(target, cell_lo: int, n: int) -> CellQuantization:
         )
     edges = cell_lo + np.arange(n + 1, dtype=np.float64) / n
     block_ints = np.asarray(target.consecutive_block_integrals(edges), dtype=np.float64)
+    del edges  # freed before the mask's buffers exist
     kept, h = greedy_mask(block_ints, n)
     h = min(max(h, 0.0), 1.0 / n)
     trim_num = round(h * (1 << TRIM_EXPONENT))
@@ -129,18 +146,15 @@ def quantize_cell(target, cell_lo: int, n: int) -> CellQuantization:
 
 
 def cells_to_interval_set(cells) -> IntervalSet:
-    lows_all = []
-    highs_all = []
-    for cell in cells:
-        lows, highs, _ = cell.interval_arrays()
-        lows_all.append(lows)
-        highs_all.append(highs)
-    if not lows_all:
+    """The union of the cells' runs; cells in ascending order give the
+    normalizer sorted input, which it does not sort again."""
+    runs = [cell.interval_arrays()[:2] for cell in cells]
+    if not runs:
         return IntervalSet.empty()
-    lows = np.concatenate(lows_all)
-    highs = np.concatenate(highs_all)
-    keep = lows < highs
-    return IntervalSet.from_arrays(lows[keep], highs[keep], TRIM_EXPONENT)
+    lows = np.concatenate([lo for lo, _ in runs])
+    highs = np.concatenate([hi for _, hi in runs])
+    del runs
+    return IntervalSet.from_arrays(lows, highs, TRIM_EXPONENT)
 
 
 def greedy_quantizer(target, n: int) -> IntervalSet:

@@ -29,6 +29,13 @@ from .profiles import Profile
 _UNIT_TOL = 1e-12
 
 
+def _finite(what: str, values: tuple) -> tuple:
+    """values, after refusing a NaN or an infinity among them."""
+    if not all(map(math.isfinite, values)):
+        raise ValueError(f"{what} must be finite, got {values}")
+    return values
+
+
 @dataclass(frozen=True)
 class Direction:
     """A unit vector in R^d (norm checked to 1e-12)."""
@@ -36,10 +43,8 @@ class Direction:
     theta: tuple
 
     def __post_init__(self):
-        t = tuple(float(x) for x in self.theta)
+        t = _finite("direction components", tuple(map(float, self.theta)))
         object.__setattr__(self, "theta", t)
-        if not all(map(math.isfinite, t)):
-            raise ValueError(f"direction components must be finite, got {t}")
         n = math.sqrt(math.fsum(x * x for x in t))
         if abs(n - 1.0) > _UNIT_TOL:
             raise ValueError(f"direction norm {n} is not 1 within {_UNIT_TOL}")
@@ -77,11 +82,8 @@ class Pose:
     magnification: float = 1.0
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "translation", tuple(float(v) for v in self.translation)
-        )
-        if not all(map(math.isfinite, self.translation)):
-            raise ValueError(f"translation components must be finite, got {self.translation}")
+        x = _finite("translation components", tuple(map(float, self.translation)))
+        object.__setattr__(self, "translation", x)
         if not 1.0 <= self.magnification < math.inf:
             raise ValueError(
                 "magnification must be finite and >= 1 (translate-only uses r = 1)"
@@ -101,9 +103,9 @@ class Ball:
     radius: float
 
     def __post_init__(self):
-        object.__setattr__(self, "center", tuple(float(v) for v in self.center))
-        if self.radius <= 0:
-            raise ValueError("radius must be positive")
+        object.__setattr__(self, "center", _finite("center", tuple(map(float, self.center))))
+        if not 0 < self.radius < math.inf:
+            raise ValueError(f"radius must be positive and finite, got {self.radius}")
 
     @property
     def d(self) -> int:
@@ -120,8 +122,8 @@ class Box:
     hi: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "lo", tuple(float(v) for v in self.lo))
-        object.__setattr__(self, "hi", tuple(float(v) for v in self.hi))
+        object.__setattr__(self, "lo", _finite("box corner", tuple(map(float, self.lo))))
+        object.__setattr__(self, "hi", _finite("box corner", tuple(map(float, self.hi))))
         if len(self.lo) != len(self.hi):
             raise ValueError("lo/hi dimension mismatch")
         if any(a >= b for a, b in zip(self.lo, self.hi)):
@@ -150,7 +152,7 @@ class Polygon:
     vertices: tuple
 
     def __post_init__(self):
-        vs = tuple(tuple(float(c) for c in v) for v in self.vertices)
+        vs = tuple(_finite("polygon vertex", tuple(map(float, v))) for v in self.vertices)
         object.__setattr__(self, "vertices", vs)
         if len(vs) < 3:
             raise ValueError("polygon needs at least 3 vertices")
@@ -227,7 +229,7 @@ class Simplex:
     vertices: tuple
 
     def __post_init__(self):
-        vs = tuple(tuple(float(c) for c in v) for v in self.vertices)
+        vs = tuple(_finite("simplex vertex", tuple(map(float, v))) for v in self.vertices)
         object.__setattr__(self, "vertices", vs)
         d = len(vs[0])
         if len(vs) != d + 1:

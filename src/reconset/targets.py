@@ -23,6 +23,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from .blocks import spans
+
 
 @lru_cache(maxsize=8)
 def _gl_nodes(order: int):
@@ -110,8 +112,12 @@ class Logistic:
         return self._anti(hi) - self._anti(lo)
 
     def consecutive_block_integrals(self, edges: np.ndarray) -> np.ndarray:
-        a = self._anti(edges)
-        return a[1:] - a[:-1]
+        edges = np.asarray(edges, dtype=np.float64)
+        out = np.empty(max(edges.size - 1, 0))
+        for start, stop in spans(out.size):
+            a = self._anti(edges[start : stop + 1])
+            np.subtract(a[1:], a[:-1], out=out[start:stop])
+        return out
 
     def dphi_min(self, lo: float, hi: float) -> float:
         # phi' is even and decreasing in |x|: min at the endpoint farthest from 0
@@ -202,21 +208,34 @@ class LogSquaredDecay:
 
         One derivative evaluation per quadrature node serves both the
         edge-value cumulation and the moment term of the by-parts formula.
+        The n x order node arrays live one block of rows at a time; the edge
+        values are one cumsum of the derivative steps over the whole cell.
         """
         edges = np.asarray(edges, dtype=np.float64)
         width = edges[1] - edges[0] if edges.size > 1 else 1.0
         order = 4 if width <= 2.0**-10 else (6 if width <= 2.0**-6 else 16)
         x, w = _gl_nodes(order)
-        lo, hi = edges[:-1], edges[1:]
-        mid = (lo + hi) / 2.0
-        halfw = (hi - lo) / 2.0
-        pts = mid[:, None] + halfw[:, None] * x[None, :]
-        dvals = self.dphi(pts.ravel()).reshape(pts.shape)
-        dsteps = halfw * (dvals @ w)
-        moment = halfw * ((pts * dvals) @ w)
-        phi0 = float(self.phi(edges[0]))
-        phi_edges = phi0 + np.concatenate([[0.0], np.cumsum(dsteps)])
-        return hi * phi_edges[1:] - lo * phi_edges[:-1] - moment
+        n = max(edges.size - 1, 0)
+        phi_edges = np.empty(n + 1)
+        phi_edges[0] = 0.0
+        moment = np.empty(n)
+        for start, stop in spans(n):
+            lo, hi = edges[start:stop], edges[start + 1 : stop + 1]
+            mid = (lo + hi) / 2.0
+            halfw = (hi - lo) / 2.0
+            pts = mid[:, None] + halfw[:, None] * x[None, :]
+            dvals = self.dphi(pts.ravel()).reshape(pts.shape)
+            phi_edges[start + 1 : stop + 1] = halfw * (dvals @ w)
+            moment[start:stop] = halfw * ((pts * dvals) @ w)
+        np.cumsum(phi_edges[1:], out=phi_edges[1:])
+        phi_edges += float(self.phi(edges[0]))
+        for start, stop in spans(n):
+            lo, hi = edges[start:stop], edges[start + 1 : stop + 1]
+            moment[start:stop] = (
+                hi * phi_edges[start + 1 : stop + 1] - lo * phi_edges[start:stop]
+                - moment[start:stop]
+            )
+        return moment
 
     def dphi_min(self, lo: float, hi: float) -> float:
         return float(self.dphi(max(abs(lo), abs(hi))))

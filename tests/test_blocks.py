@@ -1,0 +1,282 @@
+"""Kernels that run in bounded blocks: the same bits as their whole-array
+forms, and a bounded peak of traced memory.
+
+Each oracle below is the whole-array code the blocked kernel replaced,
+kept verbatim.  Sizes straddle the block size B: 1, B-1, B, B+1 and 3B+5.
+"""
+
+import gc
+import math
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from reconset.analysis import ac_diagnostic
+from reconset.blocks import BLOCK
+from reconset.construct import SCREEN_CUTOFFS
+from reconset.dyadic import Dyadic
+from reconset.intervals import IntervalSet, _check_bits
+from reconset.quantize import (
+    TIE_DUST,
+    TRIM_EXPONENT,
+    CellQuantization,
+    cells_to_interval_set,
+    exact_sum,
+    greedy_mask,
+    quantize_cell,
+)
+from reconset.shapes import Ball, Direction, radon_profile
+from reconset.targets import LogSquaredDecay, Logistic, _gl_nodes
+
+SIZES = (1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 5)
+
+
+# -- whole-array oracles ----------------------------------------------------------
+
+
+def oracle_greedy_mask(block_integrals, n):
+    total = math.fsum(block_integrals)  # exact_sum returns math.fsum bit for bit
+    a = np.cumsum(block_integrals)
+    k = np.ceil(n * a - TIE_DUST)
+    k = np.maximum.accumulate(np.maximum(k, 1.0))
+    kept = np.diff(np.concatenate([[0.0], k])) > 0.5
+    return kept, float(k[-1]) / n - total
+
+
+def oracle_interval_arrays(cell):
+    kept = cell.kept
+    diff = np.diff(np.concatenate([[0], kept.view(np.int8), [0]]))
+    starts = np.flatnonzero(diff == 1).astype(np.int64)
+    stops = np.flatnonzero(diff == -1).astype(np.int64)
+    shift = TRIM_EXPONENT - (cell.n.bit_length() - 1)
+    lo0 = cell.lo * cell.n
+    lows = (lo0 + starts) << shift
+    highs = (lo0 + stops) << shift
+    if lows.size and cell.trim.num:
+        t = cell.trim.num << (TRIM_EXPONENT - cell.trim.exp)
+        first_width = int(highs[0] - lows[0])
+        lows[0] += min(t, first_width)
+    return lows, highs, TRIM_EXPONENT
+
+
+def oracle_reduce_exponent(nums, exp):
+    if exp == 0 or nums.size == 0:
+        return nums, exp if nums.size else 0
+    acc = int(np.bitwise_or.reduce(nums.ravel()))
+    if acc == 0:
+        return nums, 0
+    tz = (acc & -acc).bit_length() - 1
+    shift = min(tz, exp)
+    if shift:
+        nums = nums >> shift
+        exp -= shift
+    return nums, exp
+
+
+def oracle_normalize_arrays(lows, highs, exp):
+    if np.any(lows > highs):
+        raise ValueError("interval has lo > hi")
+    keep = lows < highs
+    lows, highs = lows[keep], highs[keep]
+    if lows.size == 0:
+        return np.empty((0, 2), dtype=np.int64), 0
+    _check_bits(lows)
+    _check_bits(highs)
+    order = np.argsort(lows, kind="stable")
+    lows, highs = lows[order], highs[order]
+    run_hi = np.maximum.accumulate(highs)
+    starts = np.empty(lows.size, dtype=bool)
+    starts[0] = True
+    starts[1:] = lows[1:] > run_hi[:-1]
+    idx = np.flatnonzero(starts)
+    out = np.empty((idx.size, 2), dtype=np.int64)
+    out[:, 0] = lows[idx]
+    ends = np.append(idx[1:], lows.size)
+    out[:, 1] = run_hi[ends - 1]
+    return oracle_reduce_exponent(out, exp)
+
+
+def oracle_cells_to_interval_set(cells):
+    lows_all = []
+    highs_all = []
+    for cell in cells:
+        lows, highs, _ = oracle_interval_arrays(cell)
+        lows_all.append(lows)
+        highs_all.append(highs)
+    lows = np.concatenate(lows_all)
+    highs = np.concatenate(highs_all)
+    keep = lows < highs
+    return oracle_normalize_arrays(lows[keep], highs[keep], TRIM_EXPONENT)
+
+
+def oracle_coverage_knots(T):
+    prefix = T._prefix_sums().astype(np.float64) * 2.0 ** (-T.exponent)
+    floats = T._nums.astype(np.float64) * 2.0 ** (-T.exponent)
+    xs, c = floats.ravel(), np.repeat(prefix, 2)[1:-1]
+    areas = np.diff(xs) * (c[:-1] + c[1:]) / 2.0
+    return xs, c, np.concatenate([[0.0], np.cumsum(areas)])
+
+
+def oracle_log_squared_decay_block_integrals(t, edges):
+    edges = np.asarray(edges, dtype=np.float64)
+    width = edges[1] - edges[0] if edges.size > 1 else 1.0
+    order = 4 if width <= 2.0**-10 else (6 if width <= 2.0**-6 else 16)
+    x, w = _gl_nodes(order)
+    lo, hi = edges[:-1], edges[1:]
+    mid = (lo + hi) / 2.0
+    halfw = (hi - lo) / 2.0
+    pts = mid[:, None] + halfw[:, None] * x[None, :]
+    dvals = t.dphi(pts.ravel()).reshape(pts.shape)
+    dsteps = halfw * (dvals @ w)
+    moment = halfw * ((pts * dvals) @ w)
+    phi0 = float(t.phi(edges[0]))
+    phi_edges = phi0 + np.concatenate([[0.0], np.cumsum(dsteps)])
+    return hi * phi_edges[1:] - lo * phi_edges[:-1] - moment
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+# -- bit identity -----------------------------------------------------------------
+
+
+@pytest.mark.parametrize("size", SIZES)
+def test_greedy_mask_matches_whole_array_oracle(size):
+    rng = np.random.default_rng(size)
+    for ints in (
+        rng.uniform(0.0, 1.0 / size, size),  # a plain cell: runs and gaps
+        np.full(size, 1.0 / (2 * size)),  # ties at every second block
+        Logistic(0.5).consecutive_block_integrals(-2.0 + np.arange(size + 1) / size),
+    ):
+        kept, h = greedy_mask(ints, size)
+        want_kept, want_h = oracle_greedy_mask(ints, size)
+        assert same_bits(kept, want_kept)
+        assert np.float64(h).tobytes() == np.float64(want_h).tobytes()
+
+
+@pytest.mark.parametrize("size", SIZES)
+def test_exact_sum_joins_blocks_of_different_depth(size):
+    # blocks whose remainders take different numbers of levels meet in one int
+    rng = np.random.default_rng(size + 1)
+    x = np.ldexp(rng.standard_normal(size), rng.integers(-60, 20, size))
+    x[: size // 3] = np.round(x[: size // 3])  # whole numbers: one level
+    for v in (x, x[::-1].copy(), -x):
+        assert np.float64(exact_sum(v)).tobytes() == np.float64(math.fsum(v)).tobytes()
+
+
+def _cells(size, seed):
+    """Four adjacent cells of `size` blocks with random runs, each ending on
+    a kept block: the runs of cells -1 and 0 meet and merge, cell 1 has a
+    trim inside its first run, and cell 2 a trim that swallows it."""
+    rng = np.random.default_rng(seed)
+    cells = []
+    for lo, trim in ((-1, 0), (0, 0), (1, 1), (2, 1 << 62)):
+        kept = rng.random(size) < 0.6
+        kept[0] = kept[-1] = True
+        cells.append(CellQuantization(lo, size, kept, Dyadic(trim, TRIM_EXPONENT)))
+    return cells
+
+
+@pytest.mark.parametrize("size", SIZES)
+def test_interval_arrays_match_whole_array_oracle(size):
+    for cell in _cells(size, size):
+        got = cell.interval_arrays()
+        want = oracle_interval_arrays(cell)
+        assert got[2] == want[2]
+        assert same_bits(got[0], want[0]) and same_bits(got[1], want[1])
+
+
+@pytest.mark.parametrize("size", SIZES)
+def test_cells_to_interval_set_matches_whole_array_oracle(size):
+    cells = _cells(size, size + 2)
+    T = cells_to_interval_set(cells)
+    nums, exp = oracle_cells_to_interval_set(cells)
+    assert T.exponent == exp and same_bits(T._nums, nums)
+
+
+@pytest.mark.parametrize("size", SIZES)
+def test_normalizer_matches_oracle_on_unsorted_overlapping_input(size):
+    rng = np.random.default_rng(size + 3)
+    lows = rng.integers(-(1 << 20), 1 << 20, size) << 4
+    highs = lows + (rng.integers(0, 1 << 12, size) << 4)  # some empty, many overlap
+    for lo, hi in ((lows, highs), (np.sort(lows), np.sort(lows) + 16)):
+        T = IntervalSet.from_arrays(lo, hi, 10)
+        nums, exp = oracle_normalize_arrays(lo, hi, 10)
+        assert T.exponent == exp and same_bits(T._nums, nums)
+
+
+@pytest.mark.parametrize("size", SIZES)
+def test_coverage_knots_match_whole_array_oracle(size):
+    rng = np.random.default_rng(size + 4)
+    ends = np.cumsum(rng.integers(1, 1 << 10, 2 * size)) - (1 << 20)
+    T = IntervalSet.from_arrays(ends[0::2], ends[1::2], 12)
+    want = oracle_coverage_knots(T)
+    for got, w in zip(T._coverage_knots(), want):
+        assert same_bits(got, w)
+
+
+# widths 2**-12, 2**-8 and 2**-4 take 4, 6 and 16 Gauss-Legendre nodes; cells
+# 2 and -3 are mirror images (one shell), cell 5 has no mirror in its window
+@pytest.mark.parametrize("width_exp", [12, 8, 4])
+@pytest.mark.parametrize("cell", [2, -3, 5])
+def test_log_squared_decay_block_integrals_match_whole_array_oracle(width_exp, cell):
+    t = LogSquaredDecay()
+    sizes = SIZES if width_exp == 12 else SIZES[:4]  # 16 nodes on 3B+5 rows is slow
+    for size in sizes:
+        edges = cell + np.arange(size + 1, dtype=np.float64) * 2.0**-width_exp
+        got = t.consecutive_block_integrals(edges)
+        assert same_bits(got, oracle_log_squared_decay_block_integrals(t, edges))
+
+
+@pytest.mark.parametrize("size", SIZES)
+def test_logistic_block_integrals_match_whole_array_oracle(size):
+    t = Logistic(0.5)
+    edges = -3.0 + np.arange(size + 1, dtype=np.float64) / size
+    a = t._anti(edges)
+    assert same_bits(t.consecutive_block_integrals(edges), a[1:] - a[:-1])
+
+
+# -- traced memory ------------------------------------------------------------------
+
+
+def traced_mib(f, *args):
+    """f(*args) under tracemalloc, which sees numpy's buffers: its peak above
+    the start and what its result keeps, in MiB."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        result = f(*args)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, (peak - base) / 2**20, (kept - base) / 2**20
+
+
+def test_ac_diagnostic_memory_budget():
+    # the whole-array form peaked at 74.2 MiB on this call
+    p = radon_profile(Ball((0.0, 0.0), 1.0), Direction((1.0, 0.0)), 512)
+    _, peak, _ = traced_mib(ac_diagnostic, p, 1.0, SCREEN_CUTOFFS)
+    assert peak <= 74.2 / 2
+
+
+def test_quantize_cell_memory_budget():
+    # the whole-array form peaked at 48.0 MiB on this call
+    _, peak, _ = traced_mib(quantize_cell, Logistic(0.5), 4, 2**20)
+    assert peak <= 48.0 / 2
+
+
+def test_coverage_knots_memory_budget():
+    # on these 600,000 intervals the whole-array form peaked at 54.9 MiB, of
+    # which 32.0 MiB stay with the set (the int prefix sums and the three
+    # float knot arrays, 56 bytes per interval) and 22.9 MiB were transient;
+    # the knots stay, so the bound is on the transient part
+    n = 600_000
+    ends = np.arange(2 * n, dtype=np.int64) * 3
+    T = IntervalSet.from_arrays(ends[0::2], ends[1::2], 4)
+    _, peak, kept = traced_mib(T._coverage_knots)
+    assert kept <= 56 * n / 2**20 + 0.1
+    assert peak - kept <= 22.9 / 2

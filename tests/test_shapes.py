@@ -340,3 +340,22 @@ def test_polygon_validation():
 def test_empty_slab_measures_zero():
     V = SlabTestSet(E2, IntervalSet([]), Window.of(-4, 4))
     assert intersection_measure_detailed(SQUARE, Pose.identity(2), V)[0] == 0.0
+
+
+@pytest.mark.parametrize(
+    "build, what",
+    [
+        (lambda: Ball((0.0, 0.0), math.nan), "radius"),
+        (lambda: Ball((math.nan, 0.0), 1.0), "center"),
+        (lambda: Ball((0.0, 0.0), math.inf), "radius"),
+        (lambda: Box((math.nan, 0.0), (1.0, 1.0)), "box corner"),
+        (lambda: Polygon(((0.0, 0.0), (1.0, math.nan), (0.0, 1.0))), "polygon vertex"),
+        (lambda: Simplex(((0.0, 0.0), (1.0, 0.0), (math.nan, 1.0))), "simplex vertex"),
+    ],
+    ids=["ball-nan-radius", "ball-nan-center", "ball-inf-radius", "box-nan-corner",
+         "polygon-nan-vertex", "simplex-nan-vertex"],
+)
+def test_shape_refuses_non_finite(build, what):
+    # each was accepted before, with a NaN or infinite volume
+    with pytest.raises(ValueError, match=f"{what} must be (positive and )?finite"):
+        build()
