@@ -285,10 +285,18 @@ def search():
 @click.option("--A", "a_path", required=True, type=click.Path(exists=True))
 @click.option("--B", "b_path", required=True, type=click.Path(exists=True))
 @click.option("--min-length", default="1", type=str)
-@click.option("--tol", default=1e-9, show_default=True)
+@click.option("--tol", default=1e-9, show_default=True,
+              help="the pair must lie at least max(100 tol, 2^-20) apart")
 @click.option("-o", "--output", type=click.Path(), default=None)
 def search_counterexample(a_path, b_path, min_length, tol, output):
-    """Two long intervals that two given test sets cannot distinguish."""
+    """Two long intervals that two given test sets cannot distinguish.
+
+    Decided exactly on the pieces of A ∪ B inside the intersection of the
+    windows the two sets record: exit 0 with two intervals longer than
+    --min-length that A and B measure equally, 2 when no two exist (A and B
+    tell apart every such interval there), 3 when the widest pair lies less
+    than max(100 tol, 2^-20) apart.
+    """
     from .verify import interval_counterexample
 
     A, a_window = rio.load_interval_set(a_path)
@@ -301,7 +309,7 @@ def search_counterexample(a_path, b_path, min_length, tol, output):
         rio.write_json(output, out)
     (x1, y1), (x2, y2) = pair.first, pair.second
     click.echo(
-        f"[{x1}, {y1}] vs [{x2}, {y2}]: discrepancies "
+        f"[{x1}, {y1}] vs [{x2}, {y2}] ({pair.rule}): discrepancies "
         f"{float(pair.a_discrepancy):.3g}, {float(pair.b_discrepancy):.3g}"
     )
 

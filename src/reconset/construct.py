@@ -106,12 +106,6 @@ def avoidance_set(G, window: Window, rho) -> IntervalSet:
     of its <= 2 |reach| + 1 gaps exceeds 2w.  Both postconditions are
     re-checked exactly before returning.
     """
-    return _avoidance(G, window, rho)[0]
-
-
-def _avoidance(G, window: Window, rho):
-    """The avoidance set A, its lows as int64 numerators, its one width w, the
-    shifts shorter than the window, and the exponent all of them share."""
     rho = as_dyadic(rho)
     G = [as_dyadic(g) for g in G]
     if not G:
@@ -162,7 +156,7 @@ def _avoidance(G, window: Window, rho):
     lows = np.array(placed, dtype=np.int64)
     A = IntervalSet.from_arrays(lows, lows + w, e)
     _check_avoidance(A, reach, window, lo + h * np.arange(n_cells + 1, dtype=np.int64), e)
-    return A, lows, w, shifts, e
+    return A
 
 
 def _check_avoidance(A: IntervalSet, reach, window: Window, edges: np.ndarray, e: int):
@@ -188,10 +182,12 @@ def union_test_set(lengths, window: Window, rho) -> IntervalSet:
     on [0, 8) at rho 1/16, the grid 0 to 6 by 1/64 has 192 zero increments.
     """
     G = semigroup(lengths, window.span)
-    _, lows, w, shifts, e = _avoidance(G, window, rho)
-    # A + g leaves the window for a g no shorter than it
-    shifted = np.concatenate([lows + g for g in (0, *shifts)])
-    return IntervalSet.from_arrays(shifted, shifted + w, e).restrict(window)
+    A = avoidance_set(G, window, rho)
+    # every g is at most the window's span, so A + g stays within int64
+    e = max([A.exponent, *(g.exp for g in G)])
+    ends = A.numerators(e)
+    shifted = np.concatenate([ends + (g.num << e - g.exp) for g in (Dyadic(0), *G)])
+    return IntervalSet.from_arrays(shifted[:, 0], shifted[:, 1], e).restrict(window)
 
 
 # -- shared machinery for the profile constructions ----------------------------------

@@ -33,11 +33,7 @@ class GrowthCertificateError(ReconsetError):
 
 
 class SearchBudgetError(ReconsetError):
-    """A search exhausted its budget; reports the densest grid tried."""
-
-    def __init__(self, message, densest_grid=None):
-        super().__init__(message)
-        self.densest_grid = densest_grid
+    """A search exhausted its budget."""
 
 
 class ExactnessOverflowError(ReconsetError):

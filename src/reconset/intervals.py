@@ -170,6 +170,19 @@ class IntervalSet:
         out *= 2.0 ** (-self._exp)
         return out
 
+    def numerators(self, exp: int) -> np.ndarray:
+        """The lows and highs as an (N, 2) int64 array of numerators at an
+        exponent exp no less than the set's; read-only, and checked against
+        int64 before the shift."""
+        shift = exp - self._exp
+        if shift < 0:
+            raise ValueError(f"exponent {exp} is coarser than the set's {self._exp}")
+        if shift:
+            _check_bits(self._nums, 62 - shift, "aligned endpoint")
+        nums = self._nums << shift if shift else self._nums.view()
+        nums.flags.writeable = False
+        return nums
+
     def span(self) -> tuple[Dyadic, Dyadic]:
         if not self:
             raise ValueError("empty set has no span")
@@ -454,14 +467,7 @@ def _reduce_exponent(nums: np.ndarray, exp: int):
 
 def _align(a: IntervalSet, b: IntervalSet):
     e = max(a._exp, b._exp)
-    an, bn = a._nums, b._nums
-    if e > a._exp:
-        _check_bits(an, 62 - (e - a._exp), "aligned endpoint")
-        an = an << (e - a._exp)
-    if e > b._exp:
-        _check_bits(bn, 62 - (e - b._exp), "aligned endpoint")
-        bn = bn << (e - b._exp)
-    return an, bn, e
+    return a.numerators(e), b.numerators(e), e
 
 
 _OPS = {

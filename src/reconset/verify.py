@@ -1,6 +1,9 @@
 """Verification harness: measure vectors, monotonicity and injectivity
 reports, Monte Carlo reconstruction rates, and the two-test-set
-counterexample searcher.
+counterexample, decided exactly on the pieces of A ∪ B: a pair of intervals
+that A and B measure equally, or a proof that none exists (CheckFailedError),
+or IndeterminateError when the widest pair lies closer than the tolerance
+allows.
 
 Separation policy: exact-arithmetic paths demand strict inequality, while
 quadrature-backed paths demand separation above 10x the reported quadrature
@@ -12,12 +15,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field
-from itertools import combinations
 
 import numpy as np
 
 from .dyadic import Dyadic, as_dyadic, common_numerators
-from .errors import ExactnessOverflowError, SearchBudgetError, WindowExceededError
+from .errors import (
+    CheckFailedError,
+    ExactnessOverflowError,
+    IndeterminateError,
+    ReconsetError,
+    WindowExceededError,
+)
 from .gridsets import GridSet, RandomLevels, sample_grid_set
 from .intervals import IntervalSet, Window
 from .shapes import Pose, SlabTestSet, intersection_measures, radon_profile
@@ -371,7 +379,7 @@ def injectivity_report(grid, tests, resolution: int = 256) -> VerificationReport
     )
 
 
-# -- two-test-set counterexample searcher ---------------------------------------------
+# -- two-test-set counterexample ----------------------------------------------------
 
 
 @dataclass
@@ -380,7 +388,7 @@ class CounterexamplePair:
     second: tuple
     a_discrepancy: Dyadic
     b_discrepancy: Dyadic
-    grid_used: int
+    rule: str
 
     def to_json(self):
         (x1, y1), (x2, y2) = self.first, self.second
@@ -389,16 +397,20 @@ class CounterexamplePair:
             "second": [[x2.num, x2.exp], [y2.num, y2.exp]],
             "a_discrepancy": float(self.a_discrepancy),
             "b_discrepancy": float(self.b_discrepancy),
-            "grid_used": self.grid_used,
+            "rule": self.rule,
         }
 
 
-# the search grids run INITIAL_GRID, 4x, 16x, ... up to MAX_GRID points a
-# side; the 4096 x 4096 round peaks near 1 GB, the next would need 16 GB
-INITIAL_GRID = 256
-MAX_GRID = 4096
-# candidate pairs resolved exactly per round at most
-MAX_CANDIDATES = 200_000
+# Each rule pairs a left point c_l with a right point c_r, c_r - c_l > L, and
+# a shift s: first = [c_l + u1 s, c_r + v1 s], second = [c_l + u2 s, c_r + v2 s]
+# for its ((u1, v1), (u2, v2)).  Their separation is max(|u1 - u2|, |v1 - v2|) s.
+_RULES = {
+    "translation": ((0, -1), (1, 0)),
+    "x-gap": ((0, 0), (1, 0)),
+    "y-gap": ((0, -1), (0, 0)),
+    "y-fold": ((0, -1), (1, 1)),
+    "x-fold": ((-1, -1), (1, 0)),
+}
 
 
 def interval_counterexample(
@@ -408,179 +420,127 @@ def interval_counterexample(
     tol: float = 1e-9,
     windows=(),
 ) -> CounterexamplePair:
-    """Two distinct intervals of length > min_length whose measures against
-    both A and B agree within tol.
+    """Two distinct intervals [x, y] longer than min_length that A and B
+    measure equally, exactly; or CheckFailedError when no two exist.
 
-    Searches the planar map f(x, y) = (lambda(A ∩ [x,y]), lambda(B ∩ [x,y]))
-    for image self-overlaps on a coarse grid, then resolves each candidate
-    pair exactly on the affine pieces of f (slopes are 0/±1 with dyadic
-    offsets, so solutions are dyadic and the discrepancies vanish exactly).
-    With `windows` (those recorded for A and B) both intervals lie in their
-    intersection; without, the search covers both sets with margin.
-    Existence is guaranteed for any A, B; exhaustion signals a budget
-    problem and raises SearchBudgetError.
+    Both intervals lie in [lo, hi]: the intersection of `windows` (those
+    recorded for A and B), or without them a window that covers both sets
+    with a margin.  The endpoints of A and B cut [lo, hi) into pieces, each of
+    a type τ = (in A, in B).  The map f(x, y) = (λ(A ∩ [x, y]), λ(B ∩ [x, y]))
+    is affine on each cell P × Q of pieces, with Jacobian determinant
+    a(y) b(x) - a(x) b(y).  A cell is admissible when Q.hi - P.lo > L.  Five
+    closed forms give two intervals of equal measures against both sets:
+
+    * translation, τP = τQ: [x, y] and [x + s, y + s];
+    * x-gap, τP = (0, 0): [x, y] and [x + s, y];
+    * y-gap, τQ = (0, 0): [x, y] and [x, y + s];
+    * y-fold, τP = (1, 1) and q between adjacent pieces of types (1, 0) and
+      (0, 1), in either order, with q - P.lo > L: [x - s, q - s] and
+      [x, q + s];
+    * x-fold, τQ = (1, 1) and such a p with Q.hi - p > L: [p - s, y - s]
+      and [p + s, y].
+
+    They are complete.  The determinant is 0 on the cells of the first three
+    and ±1 on every other cell.  Without them, its sign can change across the
+    admissible region only at a fold.  With one sign throughout, B holds every
+    admissible x and A every admissible y (or the reverse), and two intervals
+    of equal measures would need an admissible cell of two (1, 1) pieces or a
+    (0, 0) piece: f is injective.
+
+    Each rule takes the pieces that allow the greatest shift s, and the pair
+    with the widest separation wins, the leftmost among equals.  All of it
+    runs on int64 numerators one bit finer than every endpoint and L, so
+    that half the slack Q.hi - P.lo - L of any cell is a numerator too.  The pair is
+    re-measured exactly before it is returned.  IndeterminateError when the
+    widest separation is below max(100 tol, 2^-20).
     """
     min_length = as_dyadic(min_length)
     if not (tol >= 0 and math.isfinite(tol)):
         raise ValueError(f"tol must be finite and non-negative, got {tol}")
+    if min_length < 0:
+        raise ValueError(f"min_length must be non-negative, got {min_length}")
     if windows:
-        bounds = (max(w.lo for w in windows), min(w.hi for w in windows))
-        if not min_length < bounds[1] - bounds[0]:
+        lo, hi = max(w.lo for w in windows), min(w.hi for w in windows)
+        if not min_length < hi - lo:
             raise ValueError(
                 f"no interval longer than {min_length} fits in the intersection "
                 f"of the windows {', '.join(map(str, windows))}"
             )
-        lo, hi = float(bounds[0]), float(bounds[1])
     else:
-        bounds = None
-        W = Dyadic(2)
-        for S in (A, B):
-            if S:
-                lo0, hi0 = S.span()
-                W = max(W, abs(lo0), abs(hi0))
-        W = float(W + min_length + Dyadic(4))
-        lo, hi = -W + 1.0, W - 1.0
-    sep_needed = max(100.0 * tol, 2.0 ** -20)
-
-    grid, cut_off = INITIAL_GRID, []
-    while grid <= MAX_GRID:
-        pair, cut = _search_on_grid(A, B, lo, hi, bounds, min_length, grid, sep_needed)
-        if pair is not None:
-            (z1, z2) = pair
-            da, db = (S.measure_between(*z1) - S.measure_between(*z2) for S in (A, B))
-            if abs(da) <= Dyadic.from_float(tol) and abs(db) <= Dyadic.from_float(tol):
-                return CounterexamplePair(z1, z2, da, db, grid)
-        if cut:
-            cut_off.append(f"{grid}x{grid}")
-        grid *= 4
-    grid //= 4
-    reason = (
-        f"the {MAX_CANDIDATES:,}-candidate cut-off ended the rounds on {', '.join(cut_off)}"
-        if cut_off else f"no round reached the {MAX_CANDIDATES:,}-candidate cut-off"
-    )
-    raise SearchBudgetError(
-        f"no counterexample found up to a {grid}x{grid} grid; {reason}",
-        densest_grid=grid,
-    )
-
-
-def _search_on_grid(A, B, lo, hi, bounds, min_length, grid, sep_needed):
-    """(pair or None, whether the candidate cut-off ended the round)."""
-    xs = np.linspace(lo, hi, grid)
-    step = xs[1] - xs[0]
-    X, Y = np.meshgrid(xs, xs, indexing="ij")
-    mask = (Y - X) > float(min_length) + 2.0 * step
-    pts_x = X[mask]
-    pts_y = Y[mask]
-    fa = A.cumulative_f(pts_y) - A.cumulative_f(pts_x)
-    fb = B.cumulative_f(pts_y) - B.cumulative_f(pts_x)
-    bucket = 2.0 * step + 1e-12
-    keys = np.stack(
-        [np.floor(fa / bucket).astype(np.int64), np.floor(fb / bucket).astype(np.int64)],
-        axis=1,
-    )
-    buckets: dict[tuple, list] = {}
-    for idx in range(keys.shape[0]):
-        buckets.setdefault((int(keys[idx, 0]), int(keys[idx, 1])), []).append(idx)
-    min_dom = float(min_length)
-    checked = 0
-    for (ka, kb), members in buckets.items():
-        cands = [j for da in (-1, 0, 1) for db in (-1, 0, 1)
-                 for j in buckets.get((ka + da, kb + db), ())]
-        for i in members:
-            for j in cands:
-                if j <= i:
-                    continue
-                if (
-                    abs(pts_x[i] - pts_x[j]) < sep_needed + 2 * step
-                    and abs(pts_y[i] - pts_y[j]) < sep_needed + 2 * step
-                ):
-                    continue
-                if abs(fa[i] - fa[j]) > 2.1 * step or abs(fb[i] - fb[j]) > 2.1 * step:
-                    continue
-                checked += 1
-                if checked > MAX_CANDIDATES:
-                    return None, True
-                res = _exact_resolve(A, B, (pts_x[i], pts_y[i]), (pts_x[j], pts_y[j]),
-                                     step, min_dom, sep_needed, bounds)
-                if res is not None:
-                    return res, False
-    return None, False
+        W = max([Dyadic(2), *(abs(v) for S in (A, B) if S for v in S.span())])
+        lo, hi = -(W + min_length + 3), W + min_length + 3
+    window = Window(lo, hi)
+    A_w, B_w = A.restrict(window), B.restrict(window)
+    exp = max(lo.exp, hi.exp, min_length.exp, A_w.exponent, B_w.exponent) + 1
+    lo_n, hi_n, L = (v.num << exp - v.exp for v in (lo, hi, min_length))
+    _check_int64("the window", exp, lo_n, hi_n, lo_n - hi_n - L)
+    t = np.unique(np.concatenate([[lo_n, hi_n], A_w.numerators(exp).ravel(),
+                                  B_w.numerators(exp).ravel()]))
+    starts, ends, size = t[:-1], t[1:], np.diff(t)
+    a, b = (S.cumulative_nums(starts, exp)[1] for S in (A_w, B_w))
+    # a fold point: both sets change there, between a (1, 0) and a (0, 1) piece
+    fold = (a[:-1] != a[1:]) & (b[:-1] != b[1:]) & (a[:-1] != b[:-1])
+    folds = t[1:-1][fold], np.minimum(size[:-1], size[1:])[fold]
+    gap, both = ~a & ~b, a & b
+    whole = [hi_n - lo_n]  # no piece bounds the shift at lo or at hi
+    sides = [
+        *(("translation", (starts[m], size[m]), (ends[m], size[m]))
+          for m in (gap, a & ~b, ~a & b, both)),
+        ("x-gap", (starts[gap], size[gap]), ([hi_n], whole)),
+        ("y-gap", ([lo_n], whole), (ends[gap], size[gap])),
+        ("y-fold", (starts[both], size[both]), folds),
+        ("x-fold", folds, (ends[both], size[both])),
+    ]
+    found = []
+    for rule, left, right in sides:
+        widest = _widest(left, right, L, lo_n, hi_n)
+        if widest is not None:
+            s, c_l, c_r = widest
+            (u1, v1), (u2, v2) = _RULES[rule]
+            pair = (c_l + u1 * s, c_r + v1 * s), (c_l + u2 * s, c_r + v2 * s)
+            found.append((max(abs(u1 - u2), abs(v1 - v2)) * s, pair, rule))
+    if not found:
+        raise CheckFailedError(
+            f"A and B tell apart every two intervals longer than {min_length} "
+            f"in [{lo}, {hi}]: no pair of equal measures exists"
+        )
+    sep, pair, rule = min(found, key=lambda c: (-c[0], c[1]))
+    sep = Dyadic(sep, exp)
+    if sep < max(100 * Dyadic.from_float(tol), Dyadic(1, 20)):
+        raise IndeterminateError(
+            f"the widest pair is {sep} apart, below max(100 tol, 2^-20) for tol {tol}"
+        )
+    first, second = (tuple(Dyadic(v, exp) for v in z) for z in pair)
+    da, db = (S.measure_between(*first) - S.measure_between(*second) for S in (A, B))
+    if da or db:
+        raise ReconsetError(f"the {rule} pair {first}, {second} re-measured unequal")
+    return CounterexamplePair(first, second, da, db, rule)
 
 
-def _exact_resolve(A, B, z1, z2, step, min_length, sep_needed, bounds):
-    """Solve f(z1') = f(z2') exactly near the float candidates.
+def _widest(left, right, min_length: int, lo: int, hi: int):
+    """The greatest s = min(size_l, size_r, (c_r - c_l - L) // 2) over a left
+    item (c_l, size_l) and a right item (c_r, size_r) with c_r > c_l + L, and
+    its (s, c_l, c_r); None when no pair has a positive s.  Every coordinate
+    lies in [lo, hi].  Items come as (coordinates, sizes), int64.
 
-    Each coordinate is pinned (rounded half up to a multiple of 2**-24) and
-    confined to its affine piece of each cumulative there; the 2x4 system is
-    solved with two coordinates pinned and every constraint re-checked, exactly
-    in integers at an exponent F one bit finer than every pin and intercept:
-    right-hand sides are even, determinants ±1 or ±2, solutions integers."""
-    F = max(A.exponent, B.exponent, 24) + 1
-    fixed = [((n << 25) + d) // (2 * d) << F - 24 for n, d in map(float.as_integer_ratio, z1 + z2)]
-    pieces = [_pieces(S, fixed, F)[0] for S in (A, B)]
-    # equations: (C_S(y1) - C_S(x1)) - (C_S(y2) - C_S(x2)) = 0 for S = A, B,
-    # with C_S = slope*x + c on its pieces at the pinned points: the
-    # coefficients for (x1, y1, x2, y2) and the right-hand side
-    rows = [((-s0, s1, s2, -s3), c0 - c1 - c2 + c3)
-            for (s0, c0), (s1, c1), (s2, c2), (s3, c3) in pieces]
-    if bounds is not None:  # the least and the greatest numerator in them
-        bounds = -(-bounds[0].num << F >> bounds[0].exp), bounds[1].num << F >> bounds[1].exp
-    for free in combinations(range(4), 2):
-        i, j = (k for k in range(4) if k not in free)
-        vals = list(fixed)
-        eqs = [(m[i], m[j], r - sum(m[k] * fixed[k] for k in free)) for m, r in rows]
-        (a, b, r), (c, d, t) = eqs
-        det = a * d - b * c
-        if det:
-            vals[i], vals[j] = (d * r - b * t) // det, (a * t - c * r) // det
-        else:
-            # rank <= 1: solve the first nonzero equation with one more
-            # coordinate pinned, then check both
-            for a, b, r in eqs:
-                if a or b:
-                    if a:
-                        vals[i] = (r - b * vals[j]) // a
-                    else:
-                        vals[j] = r // b
-                    break
-            if any(a * vals[i] + b * vals[j] != r for a, b, r in eqs):
-                continue
-        cand = _validate_candidate(A, B, vals, fixed, step, min_length, sep_needed, bounds, F, pieces)
-        if cand is not None:
-            return cand
-    return None
-
-
-def _validate_candidate(A, B, vals, pinned, step, min_length, sep_needed, bounds, F, pieces):
-    x1, y1, x2, y2 = vals
-    f = 2.0**-F  # distances are compared as the floats of exact differences
-    if bounds is not None and not (bounds[0] <= min(vals) and max(vals) <= bounds[1]):
+    At a size threshold v, the leftmost left item and the rightmost right
+    item of sizes >= v pair best: with the items sorted by size, descending,
+    a running minimum and maximum give every threshold's pair at once."""
+    (l_at, l_size), (r_at, r_size) = (map(np.asarray, side) for side in (left, right))
+    if not (l_at.size and r_at.size):
         return None
-    if any(abs(v * f - p * f) > 1.6 * step for v, p in zip(vals, pinned)):
+    size = np.concatenate([l_size, r_size])
+    order = np.argsort(-size, kind="stable")
+    at = np.concatenate([l_at, r_at])[order]
+    is_left = order < l_at.size
+    first = np.minimum.accumulate(np.where(is_left, at, hi))
+    last = np.maximum.accumulate(np.where(is_left, lo, at))
+    s = np.minimum(size[order], (last - first - min_length) // 2)
+    k = int(np.argmax(s))
+    if s[k] <= 0:
         return None
-    if not (min_length < (y1 - x1) * f and min_length < (y2 - x2) * f):
-        return None
-    if max(abs((x1 - x2) * f), abs((y1 - y2) * f)) < sep_needed:
-        return None
-    # stay on the same affine pieces the system was built from; equal increments
-    for S, at_pins in zip((A, B), pieces):
-        at_vals, c = _pieces(S, vals, F)
-        if at_vals != at_pins or c[1] - c[0] != c[3] - c[2]:
-            return None
-    x1, y1, x2, y2 = (Dyadic(v, F) for v in vals)
-    return (x1, y1), (x2, y2)
-
-
-def _pieces(S: IntervalSet, nums: list, exp: int) -> tuple[list, list]:
-    """The (slope, intercept) of C = slope*x + c, the cumulative measure of S,
-    on its piece at x = nums / 2**exp (exp > S.exponent), and C(x), ints at exp.
-    S is constant on each cell of its grid: C is continued from the cell's start."""
-    s = exp - S.exponent
-    c, inside, _ = S.cumulative_nums([x >> s for x in nums], S.exponent)
-    inside = inside.tolist()
-    c = [(v << s) + (x - (x >> s << s) if i else 0) for v, i, x in zip(c.tolist(), inside, nums)]
-    return [(1, v - x) if i else (0, v) for v, i, x in zip(c, inside, nums)], c
+    v = size[order[k]]
+    return int(s[k]), int(l_at[l_size >= v].min()), int(r_at[r_size >= v].max())
 
 
 # -- Monte Carlo reconstruction ---------------------------------------------------------

@@ -16,7 +16,7 @@ import reconset
 
 from reconset.cli import cli, main
 from reconset.dyadic import Dyadic
-from reconset.intervals import IntervalSet
+from reconset.intervals import IntervalSet, Window
 from reconset.io import interval_set_artifact, load_interval_set, read_json, write_json
 from reconset.verify import MAX_LISTED_COLLISIONS
 
@@ -112,8 +112,8 @@ def test_search_counterexample(tmp_path):
     assert code == 0
     obj = read_json(pair)
     assert obj["kind"] == "counterexample"
-    assert abs(obj["a_discrepancy"]) <= 1e-9
-    assert abs(obj["b_discrepancy"]) <= 1e-9
+    assert obj["a_discrepancy"] == obj["b_discrepancy"] == 0
+    assert obj["rule"] in ("translation", "x-gap", "y-gap", "y-fold", "x-fold")
 
 
 def test_radon_and_report_csv(tmp_path):
@@ -525,9 +525,48 @@ def test_counterexample_disjoint_windows_exit_one(tmp_path, capsys):
     )
 
 
+def _windowed_pair(tmp_path, a_pairs, b_pairs, window):
+    a, b = tmp_path / "A.json", tmp_path / "B.json"
+    write_json(a, interval_set_artifact(IntervalSet(a_pairs), Window.of(*window)))
+    write_json(b, interval_set_artifact(IntervalSet(b_pairs), Window.of(*window)))
+    return ["search", "two-set-counterexample", "--A", str(a), "--B", str(b)]
+
+
+def test_counterexample_none_exits_two(tmp_path, capsys):
+    # on [0, 5/4) every interval longer than 1 starts in A and ends in B, and
+    # the measures (1/4 - x, y - 1) tell them apart
+    argv = _windowed_pair(tmp_path, [(0, Dyadic(1, 2))], [(1, Dyadic(5, 2))], (0, Dyadic(5, 2)))
+    capsys.readouterr()
+    assert run(argv) == 2
+    assert capsys.readouterr().err == (
+        "check failed: A and B tell apart every two intervals longer than 1 in "
+        "[0, 5/2^2]: no pair of equal measures exists\n"
+    )
+
+
+def test_counterexample_fold_pair(tmp_path):
+    # A and B share [0, 1/4); past 1 the set is A, then B: the pair folds there
+    ce = tmp_path / "ce.json"
+    argv = _windowed_pair(tmp_path, [(0, Dyadic(1, 2)), (1, Dyadic(9, 3))],
+                          [(0, Dyadic(1, 2)), (Dyadic(9, 3), Dyadic(5, 2))], (0, Dyadic(5, 2)))
+    assert run([*argv, "-o", str(ce)]) == 0
+    assert read_json(ce) == {
+        "kind": "counterexample", "rule": "y-fold",
+        "first": [[0, 0], [17, 4]], "second": [[1, 4], [19, 4]],
+        "a_discrepancy": 0.0, "b_discrepancy": 0.0,
+    }
+
+
+def test_counterexample_too_close_exits_three(tmp_path):
+    # the widest pair in [0, 4) lies far less than 100 apart
+    argv = _windowed_pair(tmp_path, [(0, 1)], [(2, 3)], (0, 4))
+    assert run([*argv, "--tol", "1"]) == 3
+    assert run(argv) == 0
+
+
 @pytest.mark.parametrize("tol", ["-1", "nan"])
 def test_counterexample_refuses_bad_tol(tmp_path, tol):
-    # no pair passes such a tolerance: the grids grew until memory ran out
+    # refused before the search, under a memory cap
     a, b = tmp_path / "A.json", tmp_path / "B.json"
     write_json(a, interval_set_artifact(IntervalSet([(0, 1), (2, 5)])))
     write_json(b, interval_set_artifact(IntervalSet([(1, 3)])))

@@ -1,5 +1,4 @@
 import math
-from itertools import combinations
 
 import numpy as np
 import pytest
@@ -7,8 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from reconset.analysis import sliding_integral
 from reconset.construct import union_test_set
-from reconset.dyadic import Dyadic, common_numerators, snap
-from reconset.errors import ExactnessOverflowError, SearchBudgetError, WindowExceededError
+from reconset.dyadic import Dyadic, common_numerators
+from reconset.errors import CheckFailedError, ExactnessOverflowError, WindowExceededError
 from reconset.gridsets import validate_levels, sample_grid_set
 from reconset.intervals import IntervalSet, Window
 from reconset.profiles import Profile
@@ -437,138 +436,51 @@ def test_counterexample_refuses_bad_tol(tol):
         interval_counterexample(IntervalSet([(0, 1)]), IntervalSet.empty(), 1, tol)
 
 
-def test_counterexample_budget_names_grid_and_cut_off(monkeypatch):
-    from reconset import verify
-
-    A, B = IntervalSet([(0, 1), (2, 5)]), IntervalSet([(1, 3)])
-    monkeypatch.setattr(verify, "_exact_resolve", lambda *args: None)
-    monkeypatch.setattr(verify, "MAX_GRID", 1024)
-    # in [0, 8) few intervals are longer than 253/32: no round is cut off
-    with pytest.raises(SearchBudgetError, match=r"up to a 1024x1024 grid; no round reached "
-                                                r"the 200,000-candidate cut-off") as ei:
-        interval_counterexample(A, B, Dyadic(253, 5), 1e-9, [Window.of(0, 8)])
-    assert ei.value.densest_grid == 1024
-    monkeypatch.setattr(verify, "MAX_CANDIDATES", 10)
-    with pytest.raises(SearchBudgetError, match=r"the 10-candidate cut-off ended the "
-                                                r"rounds on 256x256, 1024x1024$"):
-        interval_counterexample(A, B, 1, 1e-9)
+def test_counterexample_refuses_negative_min_length():
+    with pytest.raises(ValueError, match="min_length must be non-negative"):
+        interval_counterexample(IntervalSet([(0, 1)]), IntervalSet.empty(), -1, 1e-9)
 
 
-def _fraction_resolver():
-    """The resolver the integer one replaced, solving in Fractions and looking
-    up one point at a time.  Lookups and pins are remembered, as the
-    candidates of a search share their grid points."""
-    memo = {}
-
-    def lookup(S, x):
-        key = S, x.num, x.exp
-        if key not in memo:
-            v, inside, e = S.cumulative_nums([x.num], x.exp)
-            memo[key] = Dyadic(int(v[0]), e), bool(inside[0])
-        return memo[key]
-
-    def pin(c):
-        if c not in memo:
-            memo[c] = snap(c, 24)[0]
-        return memo[c]
-
-    def piece(S, x):
-        c, inside = lookup(S, x)
-        return (1, c - x) if inside else (0, c)
-
-    def increment(S, z):
-        return lookup(S, z[1])[0] - lookup(S, z[0])[0]
-
-    def resolve(A, B, z1, z2, step, min_length, sep_needed, bounds):
-        pinned = [pin(float(c)) for c in (*z1, *z2)]
-        fixed = [p.as_fraction() for p in pinned]
-        rows = []
-        for S in (A, B):
-            (s0, c0), (s1, c1), (s2, c2), (s3, c3) = (piece(S, p) for p in pinned)
-            rows.append(((-s0, s1, s2, -s3), (c0 - c1 - c2 + c3).as_fraction()))
-        for free in combinations(range(4), 2):
-            i, j = (k for k in range(4) if k not in free)
-            vals = list(fixed)
-            eqs = [(m[i], m[j], r - sum(m[k] * fixed[k] for k in free)) for m, r in rows]
-            (a, b, r), (c, d, t) = eqs
-            det = a * d - b * c
-            if det:
-                vals[i], vals[j] = (d * r - b * t) / det, (a * t - c * r) / det
-            else:
-                for a, b, r in eqs:
-                    if a or b:
-                        if a:
-                            vals[i] = (r - b * vals[j]) / a
-                        else:
-                            vals[j] = r / b
-                        break
-                if any(a * vals[i] + b * vals[j] != r for a, b, r in eqs):
-                    continue
-            cand = validate(A, B, vals, pinned, step, min_length, sep_needed, bounds)
-            if cand is not None:
-                return cand
-        return None
-
-    def validate(A, B, vals, pinned, step, min_length, sep_needed, bounds):
-        if any(v.denominator & (v.denominator - 1) for v in vals):
-            return None
-        dys = [Dyadic(v.numerator, v.denominator.bit_length() - 1) for v in vals]
-        x1, y1, x2, y2 = dys
-        if bounds is not None and not (bounds[0] <= min(dys) and max(dys) <= bounds[1]):
-            return None
-        if any(abs(float(d) - float(p)) > 1.6 * step for d, p in zip(dys, pinned)):
-            return None
-        if any(piece(S, d) != piece(S, p) for d, p in zip(dys, pinned) for S in (A, B)):
-            return None
-        if not (min_length < float(y1 - x1) and min_length < float(y2 - x2)):
-            return None
-        if max(abs(float(x1 - x2)), abs(float(y1 - y2))) < sep_needed:
-            return None
-        if any(increment(S, (x1, y1)) != increment(S, (x2, y2)) for S in (A, B)):
-            return None
-        return (x1, y1), (x2, y2)
-
-    return resolve
+def _collides_on_grid(A, B, window, min_length, exp=6):
+    """Whether two intervals [x, y] longer than min_length, x and y on the
+    2**-exp grid of the window, share their measures against A and B: a
+    brute-force search over every such (x, y)."""
+    (lo, hi, L, _), _ = common_numerators([window.lo, window.hi, min_length, Dyadic(1, exp)])
+    x, y = np.meshgrid(np.arange(lo, hi + 1), np.arange(lo, hi + 1), indexing="ij")
+    long = y - x > L
+    x, y = x[long], y[long]
+    f = np.stack([S.cumulative_nums(y, exp)[0] - S.cumulative_nums(x, exp)[0] for S in (A, B)], 1)
+    return len(np.unique(f, axis=0)) < len(f)
 
 
-def _random_set(rng, count, exp, top):
-    ends = np.sort(rng.integers(-top, top, size=2 * count))
-    return IntervalSet.from_arrays(ends[0::2], ends[1::2], exp)
+# the endpoints of a set, in sixteenths, some of them outside the window
+_SIXTEENTHS = st.lists(st.integers(-4, 44), max_size=10, unique=True).map(
+    lambda e: sorted(e)[:len(e) // 2 * 2])
 
 
-def test_resolver_matches_fraction_oracle(monkeypatch):
-    # every candidate a search resolves, with and without window bounds, on
-    # random sets at exponents below and above the pins' 24 and empty sets
-    from reconset import verify
-
-    resolve, oracle, answers = verify._exact_resolve, _fraction_resolver(), []
-
-    def both(*args):
-        answers.append(resolve(*args))
-        assert answers[-1] == oracle(*args)
-        return None  # resolve the search's next candidate
-
-    monkeypatch.setattr(verify, "_exact_resolve", both)
-    monkeypatch.setattr(verify, "MAX_GRID", 256)
-    monkeypatch.setattr(verify, "MAX_CANDIDATES", 1667)
-    rng = np.random.default_rng(8)
-    dense = union_test_set([1], Window.of(10, 18), Dyadic(1, 4))
-    cases = [
-        (_random_set(rng, 20, 6, 1 << 10), _random_set(rng, 20, 6, 1 << 10), ()),
-        (_random_set(rng, 20, 6, 1 << 10), _random_set(rng, 20, 6, 1 << 10),
-         (Window.of(-8, 12), Window.of(-10, 10))),
-        (_random_set(rng, 30, 30, 1 << 33), _random_set(rng, 5, 2, 1 << 4),
-         (Window.of(-8, 8),)),
-        (IntervalSet.empty(), IntervalSet.empty(), ()),
-        (IntervalSet.empty(), IntervalSet([(0, 64)]), (Window.of(Dyadic(-3, 2), 64),)),
-        (dense, union_test_set([Dyadic(3, 1)], Window.of(10, 18), Dyadic(1, 4)),
-         (Window.of(10, 18),)),
-    ]
-    for A, B, windows in cases:
-        with pytest.raises(SearchBudgetError):
-            interval_counterexample(A, B, 1, 1e-9, windows)
-    assert len(answers) >= 10_000
-    assert 0 < sum(a is not None for a in answers) < len(answers)
+@settings(max_examples=250, deadline=None)
+@given(a=_SIXTEENTHS, b=_SIXTEENTHS, lo=st.integers(0, 8), extra=st.integers(1, 24),
+       length=st.sampled_from([0, 8, 16, 17]))
+def test_counterexample_pair_exactly_when_grid_collides(a, b, lo, extra, length):
+    # sets and windows on the 1/16 grid: a pair the rules give lies on the
+    # 1/32 grid, so the 1/64 grid has a collision whenever a rule fits, and
+    # none when f is injective
+    A, B = (IntervalSet.from_arrays(e[0::2], e[1::2], 4) for e in (a, b))
+    window = Window(Dyadic(lo, 4), Dyadic(lo + length + extra, 4))
+    min_length = Dyadic(length, 4)
+    collides = _collides_on_grid(A.restrict(window), B.restrict(window), window, min_length)
+    try:
+        pair = interval_counterexample(A, B, min_length, 1e-9, [window])
+    except CheckFailedError:
+        assert not collides
+        return
+    assert collides
+    assert pair.first != pair.second
+    for S in (A, B):
+        m1, m2 = (IntervalSet([z]).intersect(S).measure() for z in (pair.first, pair.second))
+        assert m1 == m2
+    for x, y in (pair.first, pair.second):
+        assert window.lo <= x and min_length < y - x and y <= window.hi
 
 
 # -- Monte Carlo -------------------------------------------------------------------------
