@@ -331,10 +331,20 @@ class IntervalSet:
 
     # -- JSON ----------------------------------------------------------------
 
+    def row_blocks(self):
+        """The rows [num_lo, exp_lo, num_hi, exp_hi] in canonical form, as
+        int64 (b, 4) arrays of at most ``blocks.BLOCK`` rows, each encoded
+        when it is asked for: what an interval-set artifact stores."""
+        for start, stop in spans(len(self)):
+            yield _encode_rows(self._nums[start:stop], self._exp)
+
     def rows(self) -> np.ndarray:
-        """The rows [num_lo, exp_lo, num_hi, exp_hi] in canonical form, as an
-        int64 (N, 4) array: what an interval-set artifact stores."""
-        return _encode_rows(self._nums, self._exp)
+        """The canonical rows as one int64 (N, 4) array, filled block by
+        block."""
+        out = np.empty((len(self), 4), dtype=np.int64)
+        for (start, stop), block in zip(spans(len(self)), self.row_blocks()):
+            out[start:stop] = block
+        return out
 
     def to_json(self):
         """The canonical rows as lists of Python ints."""
@@ -349,9 +359,9 @@ class IntervalSet:
 #
 # An interval is stored as the row [num_lo, exp_lo, num_hi, exp_hi], each
 # endpoint num / 2**exp in canonical dyadic form (see dyadic.Dyadic).  Rows are
-# read and written as int64 arrays; every shift is sized before it is made, so
-# a hostile exponent raises ExactnessOverflowError instead of building a huge
-# integer.
+# read and written as int64 arrays, one block of blocks.BLOCK rows at a time;
+# every shift is sized before it is made, so a hostile exponent raises
+# ExactnessOverflowError instead of building a huge integer.
 
 _POW2 = np.uint64(1) << np.arange(64, dtype=np.uint64)
 
@@ -384,26 +394,42 @@ def _encode_rows(nums: np.ndarray, exp: int) -> np.ndarray:
 
 def _decode_rows(rows):
     """Low and high numerators at their common exponent, and that exponent,
-    from rows given as lists of four integers."""
+    from rows given as lists of four integers.
+
+    The rows are read, canonicalized and aligned one block at a time, each
+    step over every block before the next, so a refusal is the one the whole
+    array would give wherever its row lies.  The lows and highs returned are
+    the columns of one (N, 2) array.
+    """
     if not (isinstance(rows, list) and set(map(type, rows)) <= {list}
             and set(map(len, rows)) <= {4}):
         raise ValueError("interval rows must be [num_lo, exp_lo, num_hi, exp_hi] lists")
     if not set(map(type, chain.from_iterable(rows))) <= {int}:
         raise ValueError("interval row entries must be integers")
-    try:
-        flat = np.fromiter(chain.from_iterable(rows), np.int64, 4 * len(rows))
-    except OverflowError:
-        raise ExactnessOverflowError("interval row entries exceed int64") from None
-    flat = flat.reshape(-1, 4)
-    nums, exps = _canonical(flat[:, 0::2], flat[:, 1::2])
-    # align: the common exponent, each shift sized before it is made
-    exp = int(exps.max(initial=0))
-    shift = np.where(nums != 0, exp - exps, 0)
-    if np.any(shift > _MAX_BITS - _bit_length(nums)):
-        raise ExactnessOverflowError(
-            f"endpoints need more than 2**{_MAX_BITS} at exponent {exp}"
-        )
-    nums = nums << shift
+    nums = np.empty((len(rows), 2), dtype=np.int64)
+    exps = np.empty_like(nums)
+    for start, stop in spans(len(rows)):
+        try:
+            flat = np.fromiter(chain.from_iterable(rows[start:stop]), np.int64, 4 * (stop - start))
+        except OverflowError:
+            raise ExactnessOverflowError("interval row entries exceed int64") from None
+        flat = flat.reshape(-1, 4)
+        nums[start:stop], exps[start:stop] = flat[:, 0::2], flat[:, 1::2]
+    # canonical form in place; the common exponent is the largest
+    exp = 0
+    for start, stop in spans(len(rows)):
+        n, e = _canonical(nums[start:stop], exps[start:stop])
+        nums[start:stop], exps[start:stop] = n, e
+        exp = max(exp, int(e.max()))
+    # align in place, each shift sized before it is made
+    for start, stop in spans(len(rows)):
+        n, e = nums[start:stop], exps[start:stop]
+        shift = np.where(n != 0, exp - e, 0)
+        if np.any(shift > _MAX_BITS - _bit_length(n)):
+            raise ExactnessOverflowError(
+                f"endpoints need more than 2**{_MAX_BITS} at exponent {exp}"
+            )
+        n <<= shift
     return nums[:, 0], nums[:, 1], exp
 
 
@@ -415,7 +441,8 @@ def _normalize_arrays(lows: np.ndarray, highs: np.ndarray, exp: int):
 
     Input already sorted by its lows (a quantizer's cells in order, an
     artifact's rows) is not sorted again: a stable sort would leave it as it
-    is.
+    is.  Sorted input whose intervals lie apart (an artifact's rows) is not
+    merged either: the merge would keep every interval.
     """
     if np.any(lows > highs):
         i = int(np.argmax(lows > highs))
@@ -435,6 +462,11 @@ def _normalize_arrays(lows: np.ndarray, highs: np.ndarray, exp: int):
         order = np.argsort(lows, kind="stable")
         lows, highs = lows[order], highs[order]
         del order
+    if np.all(lows[1:] > highs[:-1]):
+        # sorted and apart, as an artifact's rows are: nothing to merge
+        out = np.empty((lows.size, 2), dtype=np.int64)
+        out[:, 0], out[:, 1] = lows, highs
+        return _reduce_exponent(out, exp)
     # merge: a new interval starts where lo strictly exceeds the running max hi
     run_hi = np.maximum.accumulate(highs)
     mark = np.empty(lows.size, dtype=bool)

@@ -7,6 +7,7 @@ and no timestamps are embedded, so byte-identical reruns hash identically.
 from __future__ import annotations
 
 import csv
+import gc
 import json
 import math
 from pathlib import Path
@@ -17,47 +18,42 @@ from .errors import decoding
 # them, so parse_json and read_json load none of them
 
 
-# one row of an int64 (N, 4) array, laid out as json.dumps(indent=1) lays out
-# a list of four integers held by a value of the top-level dict
-_ROW = "  [\n   %d,\n   %d,\n   %d,\n   %d\n  ]"
-# rows formatted per write: the Python ints and text of one block stay a few
-# MB, where a whole 2.8M-row artifact at once would take ~250 MB more
-_ROWS_PER_WRITE = 1 << 16
-
-
-def _is_rows(value) -> bool:
-    import numpy as np
-
-    return isinstance(value, np.ndarray) and value.dtype == np.int64 and value.shape[1:] == (4,)
+# one row of an interval-set artifact, [num_lo, exp_lo, num_hi, exp_hi], laid
+# out as json.dumps lays out a list of four integers, on a line of its own
+# under a value of the top-level dict
+_ROW = "  [%d, %d, %d, %d]"
 
 
 def write_json(path, obj):
-    """Write ``json.dumps(obj, sort_keys=True, indent=1)`` and a newline.
+    """Write ``json.dumps(obj, sort_keys=True, indent=1)`` and a newline, with
+    each row of an interval set on one line.
 
-    ``obj`` is a dict.  A value of it that is an int64 (N, 4) array, such as the
-    rows of an interval-set artifact, is written as the list of its rows, in
-    the same layout, from one %-format per block of rows: the pure-Python
-    encoder that ``indent`` selects never walks the rows.  Standard JSON
-    only: NaN or an infinity raises ValueError, and nothing is written.
+    ``obj`` is a dict.  A value of it that is an IntervalSet, as in an
+    interval-set artifact, is written as the list of its canonical rows, one
+    row per line as ``json.dumps(row)`` lays it out.  The rows are encoded one
+    block of ``blocks.BLOCK`` rows at a time, just before that block is
+    written, and formatted by one %-format per block: the whole (N, 4) array
+    is never formed, and the pure-Python encoder that ``indent`` selects
+    never sees the rows.  Standard JSON only: NaN or an infinity raises ValueError, and nothing is
+    written.
     """
-    rows = {k: v for k, v in obj.items() if _is_rows(v)}
-    if rows:
-        obj = {**obj, **dict.fromkeys(rows, [])}
+    # an IntervalSet is the one value that encodes its rows block by block
+    sets = {k: v for k, v in obj.items() if hasattr(v, "row_blocks")}
+    if sets:
+        obj = {**obj, **dict.fromkeys(sets, [])}
     text = json.dumps(obj, sort_keys=True, indent=1, allow_nan=False) + "\n"
     with open(path, "w") as fh:
         done = 0
-        for key in sorted(k for k, v in rows.items() if len(v)):
+        for key in sorted(k for k, v in sets.items() if len(v)):
             # a top-level key opens the only line that starts with one space
             # and a quote: deeper lines are indented further, and a string
             # holds no raw newline
             marker = f"\n {json.dumps(key)}: ["
             at = text.index(marker) + len(marker)
             fh.write(text[done:at] + "\n")
-            block = rows[key]
-            for i in range(0, len(block), _ROWS_PER_WRITE):
-                chunk = block[i:i + _ROWS_PER_WRITE]
+            for i, block in enumerate(sets[key].row_blocks()):
                 fh.write((",\n" if i else "")
-                         + ",\n".join([_ROW] * len(chunk)) % tuple(chunk.ravel().tolist()))
+                         + ",\n".join([_ROW] * len(block)) % tuple(block.ravel().tolist()))
             fh.write("\n ")
             done = at
         fh.write(text[done:])
@@ -72,8 +68,21 @@ def _finite(text):
 
 def parse_json(text: str):
     """Standard JSON with finite numbers only: the tokens NaN, Infinity and
-    -Infinity, and a number beyond the float range, raise ValueError."""
-    return json.loads(text, parse_constant=_finite, parse_float=_finite)
+    -Infinity, and a number beyond the float range, raise ValueError.
+
+    The cyclic garbage collector is off during the one ``json.loads`` call
+    and back in its previous state after it.  The millions of row lists of
+    an interval-set artifact would otherwise trigger a collection every few
+    hundred allocations, about half the parse time; a parsed JSON value is a
+    tree, so it holds no cycle to collect.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return json.loads(text, parse_constant=_finite, parse_float=_finite)
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def read_json(path):
@@ -81,7 +90,8 @@ def read_json(path):
 
 
 def interval_set_artifact(T: IntervalSet, window: Window | None = None, meta: dict | None = None):
-    out = {"kind": "interval_set", "intervals": T.rows()}
+    # write_json encodes the rows of T block by block as it writes them
+    out = {"kind": "interval_set", "intervals": T}
     if window is not None:
         out["window"] = window.to_json()
     if meta:
