@@ -34,8 +34,8 @@ def write_json(path, obj):
     block of ``blocks.BLOCK`` rows at a time, just before that block is
     written, and formatted by one %-format per block: the whole (N, 4) array
     is never formed, and the pure-Python encoder that ``indent`` selects
-    never sees the rows.  Standard JSON only: NaN or an infinity raises ValueError, and nothing is
-    written.
+    never sees the rows.  Standard JSON only: NaN or an infinity raises
+    ValueError, and nothing is written.
     """
     # an IntervalSet is the one value that encodes its rows block by block
     sets = {k: v for k, v in obj.items() if hasattr(v, "row_blocks")}

@@ -326,8 +326,7 @@ def _refusal(decode, rows):
     pytest.fail("the rows were accepted")
 
 
-# one bad entry or row, placed anywhere: (row index, column, value), or a
-# whole row for column None
+# a bad entry as (column, value), or a bad row as (None, row)
 BAD_ROWS = {
     "float": (0, 1.0),
     "string": (2, "1"),
