@@ -324,10 +324,11 @@ def _sliding_by_parts(p: Profile, T: IntervalSet, a: float, b: np.ndarray) -> np
     jv = np.array(jumps_v)
 
     knots = b[:, None] + a * xs[None, :]
-    Q = T.coverage_f(knots.ravel()).reshape(knots.shape)
-    piece_term = -(slopes[None, :] / a) * (Q[:, 1:] - Q[:, :-1])
     jump_pts = b[:, None] + a * jx[None, :]
-    jump_term = -jv[None, :] * T.cumulative_f(jump_pts.ravel()).reshape(jump_pts.shape)
+    C, Q = T.float_coverage(np.concatenate([knots.ravel(), jump_pts.ravel()]))
+    Q = Q[: knots.size].reshape(knots.shape)
+    piece_term = -(slopes[None, :] / a) * (Q[:, 1:] - Q[:, :-1])
+    jump_term = -jv[None, :] * C[knots.size :].reshape(jump_pts.shape)
     return piece_term.sum(axis=1) + jump_term.sum(axis=1)
 
 

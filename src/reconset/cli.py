@@ -52,11 +52,12 @@ def _parse_lengths(values) -> list:
 
 def _named_profile(spec: str, resolution: int):
     from .profiles import Profile
-    from .shapes import Ball, Direction, radon_profile
 
     if spec == "tent":
         return Profile.tent()
     if spec == "disk":
+        from .shapes import Ball, Direction, radon_profile
+
         return radon_profile(Ball((0.0, 0.0), 1.0), Direction((1.0, 0.0)), resolution)
     return rio.load_profile(spec)
 
@@ -244,7 +245,6 @@ def verify_monotonicity(test_path, shape, grid, output, emit_plot_data):
 @click.option("-o", "--output", type=click.Path(), default=None)
 def verify_injectivity(x_, l_, tests, output):
     """Pairwise separation of interval-family measure vectors (exact)."""
-    from .gridsets import load_grid_set
     from .verify import IntervalFamilyGrid, check_span, injectivity_report
 
     grid = IntervalFamilyGrid.of(
@@ -255,6 +255,8 @@ def verify_injectivity(x_, l_, tests, output):
     loaded = []
     for t in tests:
         if str(t).endswith(".npz"):
+            from .gridsets import load_grid_set
+
             loaded.append(load_grid_set(t))
         else:
             T, window = rio.load_interval_set(t)
@@ -329,7 +331,7 @@ def report_cmd(input_path, csv_path):
         T, _ = rio.decode_interval_set(obj, input_path)
         click.echo(f"intervals: {len(T)}; measure: {T.measure()}")
         if csv_path:
-            rio.write_csv(csv_path, ["num_lo", "exp_lo", "num_hi", "exp_hi"], T.to_json())
+            rio.write_interval_csv(csv_path, T)
     elif kind == "profile":
         p = rio.decode_profile(obj, input_path)
         click.echo(f"pieces: {p.piece_count}; mass: {p.integral():.6g}")

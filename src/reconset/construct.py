@@ -26,11 +26,10 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import asdict, dataclass, fields
-from typing import ClassVar
+from typing import TYPE_CHECKING, ClassVar
 
 import numpy as np
 
-from .analysis import VariationEnvelope, ac_diagnostic
 from .dyadic import Dyadic, as_dyadic, common_numerators, snap
 from .errors import (
     GrowthCertificateError,
@@ -38,19 +37,13 @@ from .errors import (
     SearchBudgetError,
 )
 from .intervals import IntervalSet, Window, _check_magnitude
-from .profiles import Profile
-from .quantize import ShellBudget, shell_index, tiled_quantizer
-from .shapes import (
-    Ball,
-    Box,
-    Direction,
-    Polygon,
-    Simplex,
-    SlabTestSet,
-    diameter_direction,
-    radon_profile,
-)
-from .targets import Logistic, LogSquaredDecay, target_from_json
+
+# the profile constructions and the slab family load their modules when they
+# run, so `construct interval-union` compiles none of them
+if TYPE_CHECKING:
+    from .analysis import VariationEnvelope
+    from .profiles import Profile
+    from .shapes import SlabTestSet
 
 # normalization constants only need to bracket the support; a coarse snap
 # keeps exponents small enough that affine images stay inside int64
@@ -277,6 +270,9 @@ class _ShellFrame:
 
     @staticmethod
     def of(f: Profile, window: Window) -> "_ShellFrame":
+        from .analysis import VariationEnvelope
+        from .quantize import shell_index
+
         norm = Normalization.of(f)
         env = VariationEnvelope(norm.internal_profile(f).derivative_step())
         eff = _internal_window(window, norm)
@@ -288,6 +284,8 @@ class _ShellFrame:
         quantize phi with those per-shell budgets, record each shell's
         resolution n(k), and map T back to the input frame.  Returns T and
         its certificate of class `cert_cls`, with `extra` as its own fields."""
+        from .quantize import ShellBudget, shell_index, tiled_quantizer
+
         h_prev = H_CAP
         for r in rows:
             r.h = h_prev = min(h_prev, r.h)
@@ -372,6 +370,8 @@ class TranslateCertificate(ShellCertificate):
     guarantee_lower_bound: float
 
     def recheck(self) -> list[str]:
+        from .targets import target_from_json
+
         problems = []
         target = target_from_json(self.phi)
         for r in self.shells:
@@ -403,6 +403,8 @@ def translate_test_set(
     The guarantee target (f * chi_T)' >= min phi'/4 on each shell is recorded
     and meant to be verified numerically by the harness.
     """
+    from .targets import Logistic
+
     frame = _ShellFrame.of(f, window)
     phi = Logistic(rate=rate)
     rows = []
@@ -535,6 +537,8 @@ def magnify_test_set(
     Raises GrowthCertificateError when K(eps, f') is not certifiably
     subexponential on the eps grid GROWTH_EPS.
     """
+    from .targets import LogSquaredDecay
+
     if cfg is None:
         cfg = MagnifyConfig()
     frame = _ShellFrame.of(f, window)
@@ -589,6 +593,8 @@ class FamilyOptions:
 
 
 def _direction_candidates(d: int, count: int, seed: int):
+    from .shapes import Direction
+
     for i in range(d):
         yield Direction.axis(i, d)
     rng = np.random.default_rng(seed)
@@ -609,6 +615,8 @@ def _direction_candidates(d: int, count: int, seed: int):
 
 
 def _face_normals(shape):
+    from .shapes import Box, Direction, Polygon, Simplex
+
     if isinstance(shape, Box):
         return [Direction.axis(i, shape.d).as_array() for i in range(shape.d)]
     if isinstance(shape, Polygon):
@@ -629,6 +637,8 @@ def _face_normals(shape):
 
 
 def _is_convex(shape) -> bool:
+    from .shapes import Ball, Box, Polygon, Simplex
+
     if isinstance(shape, (Ball, Box, Simplex)):
         return True
     if isinstance(shape, Polygon):
@@ -639,6 +649,8 @@ def _is_convex(shape) -> bool:
 def _screened_test_set(profile: Profile, mode: str, d: int, options: FamilyOptions):
     """(T, certificate) of one direction's section profile, or None when the
     spectral screen or the growth certificate rejects the profile."""
+    from .analysis import ac_diagnostic
+
     # d-1 is the integrability exponent of the finiteness criterion
     tails = ac_diagnostic(profile, d - 1.0, SCREEN_CUTOFFS)
     if tails[-1] / max(tails[-2], 1e-300) >= SCREEN_PLATEAU:
@@ -670,6 +682,8 @@ def family_test_sets(
     candidates win, so the family is deterministic per seed.  Directions with
     the same section profile share one screen and one build.
     """
+    from .shapes import Ball, SlabTestSet, diameter_direction, radon_profile
+
     if mode not in ("translate", "magnify"):
         raise ValueError(f"mode must be translate or magnify, got {mode!r}")
     if options is None:

@@ -378,7 +378,13 @@ def load_grid_set(path: str) -> GridSet:
     malformed header or a level that is not a strictly increasing array of
     cube indices in the box raises ValueError naming the file."""
     try:
-        with decoding("grid_set", path), np.load(path, allow_pickle=False) as data:
+        # the file is opened here, so a constructor that raises (BadZipFile
+        # on a truncated archive) cannot leave it open
+        with (
+            decoding("grid_set", path),
+            open(path, "rb") as f,
+            np.load(f, allow_pickle=False) as data,
+        ):
             header = json.loads(str(data["header"]))
             levels = validate_levels(
                 header["n"], header["g"], header["p"], header["box_lo"], header["box_hi"]

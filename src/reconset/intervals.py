@@ -90,7 +90,7 @@ class Window:
 class IntervalSet:
     """Normalized finite union of disjoint half-open dyadic intervals."""
 
-    __slots__ = ("_nums", "_exp", "_prefix", "_knots")
+    __slots__ = ("_nums", "_exp", "_prefix")
 
     def __init__(self, pairs=()):
         """Build from (lo, hi) pairs; degenerate pairs dropped, overlaps merged."""
@@ -99,7 +99,7 @@ class IntervalSet:
             lo, hi = as_dyadic(lo), as_dyadic(hi)
             rows.append([lo.num, lo.exp, hi.num, hi.exp])
         self._nums, self._exp = _normalize_arrays(*_decode_rows(rows))
-        self._prefix = self._knots = None
+        self._prefix = None
 
     # -- raw constructors ------------------------------------------------
 
@@ -109,7 +109,7 @@ class IntervalSet:
         obj = cls.__new__(cls)
         obj._nums = nums
         obj._exp = exp
-        obj._prefix = obj._knots = None
+        obj._prefix = None
         return obj
 
     @classmethod
@@ -245,45 +245,60 @@ class IntervalSet:
         v, _, e = self.cumulative_nums(*common_numerators([lo, hi]))
         return Dyadic(int(v[1] - v[0]), e)
 
-    def _coverage_knots(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Float knots x at every endpoint, with C(x) and Q(x) = ∫_{-inf}^x C
-        there; built on first use and kept with the (immutable) set."""
-        if self._knots is None:
-            prefix = self._prefix_sums().astype(np.float64)
-            prefix *= 2.0 ** (-self._exp)
-            xs, c = self.to_floats().ravel(), np.repeat(prefix, 2)[1:-1]
-            del prefix
-            # the trapezoid areas between knots, block by block, then Q is
-            # one cumsum of them
-            q = np.empty(xs.size)
-            q[0] = 0.0
-            for start, stop in spans(xs.size - 1):
-                x, cx = xs[start : stop + 1], c[start : stop + 1]
-                q[start + 1 : stop + 1] = np.diff(x) * (cx[:-1] + cx[1:]) / 2.0
-            np.cumsum(q[1:], out=q[1:])
-            self._knots = xs, c, q
-        return self._knots
+    def float_coverage(self, x) -> tuple[np.ndarray, np.ndarray]:
+        """Float C(x) = λ(S ∩ (-inf, x]) and Q(x) = ∫_{-inf}^x C(t) dt at
+        float points x, as two arrays of x's shape.
 
-    def cumulative_f(self, x) -> np.ndarray:
-        """Float view of C at float points, interpolated between the knots."""
-        if not self:
-            return np.zeros_like(np.asarray(x, dtype=np.float64))
-        xs, c, _ = self._coverage_knots()
-        return np.interp(x, xs, c)
-
-    def coverage_f(self, x) -> np.ndarray:
-        """Float Q(x) = ∫_{-inf}^x C(t) dt at float points, integrated exactly
-        over the linear pieces of C between the knots."""
+        C is known exactly at the knots (every endpoint) from the prefix sums;
+        between knots it is linear, so C is interpolated there and Q is
+        integrated exactly over each linear piece.  One pass over the knots,
+        one block at a time, answers the sorted points that fall in each
+        block; Q at the block's first knot is the carry of the blocks before
+        it.  Nothing is kept with the set beyond its prefix sums.
+        """
         x = np.asarray(x, dtype=np.float64)
-        if not self:
-            return np.zeros_like(x)
-        xs, c, q = self._coverage_knots()
-        idx = np.clip(np.searchsorted(xs, x, side="right") - 1, 0, xs.size - 2)
-        t = x - xs[idx]
-        slope = 1 - idx % 2  # C rises at slope 1 inside an interval, 0 in a gap
-        val = q[idx] + t * (c[idx] + t * slope / 2.0)
-        val = np.where(x <= xs[0], 0.0, val)
-        return np.where(x >= xs[-1], q[-1] + (x - xs[-1]) * c[-1], val)
+        c_out, q_out = np.zeros(x.size), np.zeros(x.size)
+        if not self or x.size == 0:
+            return c_out.reshape(x.shape), q_out.reshape(x.shape)
+        order = np.argsort(x, axis=None, kind="stable")
+        pts = x.ravel()[order]
+        prefix, n, scale = self._prefix_sums(), len(self), 2.0 ** (-self._exp)
+        # points left of the first knot keep C = Q = 0
+        lo = int(np.searchsorted(pts, float(self._nums[0, 0]) * scale, side="left"))
+        carry = 0.0
+        for start, stop in spans(n):
+            if lo == pts.size:
+                break
+            last = stop == n
+            # the knots of intervals start..stop-1, and the next low unless
+            # this is the last block, with C there from the exact prefix
+            xs = self._nums[start : stop + 1].ravel()[: 2 * (stop - start) + 1]
+            xs = xs.astype(np.float64)
+            xs *= scale
+            c = prefix[start : stop + 2].astype(np.float64)
+            c *= scale
+            c = np.repeat(c, 2)[1 : xs.size + 1]
+            q = np.empty(xs.size)
+            q[0] = carry
+            q[1:] = np.diff(xs) * (c[:-1] + c[1:]) / 2.0
+            np.cumsum(q, out=q)
+            carry = q[-1]
+            # the points in [xs[0], xs[-1]), or every point left in the last
+            # block, whose knot index is then clipped to the last piece
+            hi = pts.size if last else int(np.searchsorted(pts, xs[-1], side="left"))
+            p = pts[lo:hi]
+            idx = np.searchsorted(xs, p, side="right") - 1
+            if last:
+                np.minimum(idx, xs.size - 2, out=idx)
+            t = p - xs[idx]
+            slope = 1 - idx % 2  # C rises at slope 1 inside an interval, 0 in a gap
+            val = q[idx] + t * (c[idx] + t * slope / 2.0)
+            if last:
+                val = np.where(p >= xs[-1], q[-1] + (p - xs[-1]) * c[-1], val)
+            c_out[order[lo:hi]] = np.interp(p, xs, c)
+            q_out[order[lo:hi]] = val
+            lo = hi
+        return c_out.reshape(x.shape), q_out.reshape(x.shape)
 
     # -- set operations -----------------------------------------------------
 

@@ -143,3 +143,14 @@ def write_csv(path, header, rows):
         w = csv.writer(fh)
         w.writerow(header)
         w.writerows(rows)
+
+
+def write_interval_csv(path, T: IntervalSet):
+    """The canonical rows of T under a header, as ``write_csv`` writes them,
+    one block of ``blocks.BLOCK`` rows at a time: each block is encoded and
+    formatted by one %-format just before it is written, so the whole row
+    list is never formed."""
+    with open(path, "w", newline="") as fh:
+        fh.write("num_lo,exp_lo,num_hi,exp_hi\r\n")
+        for block in T.row_blocks():
+            fh.write("%d,%d,%d,%d\r\n" * len(block) % tuple(block.ravel().tolist()))

@@ -216,7 +216,8 @@ def tiled_quantizer(target, delta: ShellBudget, window: Window):
 def quantizer_residual(T: IntervalSet, target, origin: float, points) -> np.ndarray:
     """D(x) = ∫_origin^x (chi_T - phi) at each point, vectorized."""
     pts = np.atleast_1d(np.asarray(points, dtype=np.float64))
-    cover = T.cumulative_f(pts) - T.cumulative_f(origin)
+    C, _ = T.float_coverage(np.append(pts, origin))
+    cover = C[:-1].reshape(pts.shape) - C[-1]
     phi_int = np.asarray(target.integrate_phi(np.full(pts.shape, origin), pts))
     return cover - phi_int
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -26,9 +27,12 @@ from .errors import (
     ReconsetError,
     WindowExceededError,
 )
-from .gridsets import GridSet, RandomLevels, sample_grid_set
 from .intervals import IntervalSet, Window
-from .shapes import Pose, SlabTestSet, intersection_measures, radon_profile
+
+# gridsets and shapes load only for the tests and grids that use them, so an
+# exact interval-set query never compiles them
+if TYPE_CHECKING:
+    from .gridsets import RandomLevels
 
 
 # -- family grids -----------------------------------------------------------------
@@ -161,6 +165,8 @@ class TranslateFamilyGrid:
     steps: tuple  # points per axis
 
     def instances(self) -> list:
+        from .shapes import Pose
+
         axes = [
             np.linspace(a, b, int(k)) for a, b, k in zip(self.lo, self.hi, self.steps)
         ]
@@ -198,18 +204,15 @@ def measure_vector(instances, tests, profiles=None) -> tuple[np.ndarray, np.ndar
         return values, errors, 0
     columns = []
     for j, t in enumerate(tests):
-        if isinstance(t, SlabTestSet):
-            shape = instances[0][0]
-            if any(s is not shape for s, _ in instances):
-                raise ValueError("slab instances must share one shape")
-            prof = profiles[j] if profiles else None
-            poses = [pose for _, pose in instances]
-            values[:, j], errors[:, j] = intersection_measures(shape, poses, t, profile=prof)
-            continue
-        if not isinstance(t, (IntervalSet, GridSet)):
-            raise TypeError(f"unknown test type {type(t).__name__}")
+        if not isinstance(t, IntervalSet):
+            from .gridsets import GridSet
+
+            if not isinstance(t, GridSet):
+                prof = profiles[j] if profiles else None
+                values[:, j], errors[:, j] = _slab_column(instances, t, prof)
+                continue
         ends, e = instances
-        if isinstance(t, GridSet):
+        if not isinstance(t, IntervalSet):  # a grid set: its runs, inside its box
             need = (Dyadic(int(ends.min()), e), Dyadic(int(ends.max()), e))
             check_span(need, Window.of(t.levels.box_lo[0], t.levels.box_hi[0]), "the grid box")
             t = t.runs
@@ -220,6 +223,19 @@ def measure_vector(instances, tests, profiles=None) -> tuple[np.ndarray, np.ndar
     _check_int64("measures", exp,
                  *(int(v) << exp - ce for d, ce in columns for v in (d.min(), d.max())))
     return (np.stack([d << exp - ce for d, ce in columns], 1) if columns else values), errors, exp
+
+
+def _slab_column(instances, t, profile):
+    """Measures and error bounds of (shape, Pose) instances against a slab
+    test t."""
+    from .shapes import SlabTestSet, intersection_measures
+
+    if not isinstance(t, SlabTestSet):
+        raise TypeError(f"unknown test type {type(t).__name__}")
+    shape = instances[0][0]
+    if any(s is not shape for s, _ in instances):
+        raise ValueError("slab instances must share one shape")
+    return intersection_measures(shape, [pose for _, pose in instances], t, profile=profile)
 
 
 def _count(instances) -> int:
@@ -356,6 +372,8 @@ def injectivity_report(grid, tests, resolution: int = 256) -> VerificationReport
         raise ValueError("injectivity needs at least two instances")
     profiles = None
     if isinstance(instances, list):
+        from .shapes import radon_profile
+
         profiles = [
             None if t.full_space else radon_profile(grid.shape, t.theta, resolution)
             for t in tests
@@ -578,6 +596,8 @@ def monte_carlo_reconstruction(
     """
     if trials < 0 or copies < 1:
         raise ValueError("need trials >= 0 and copies >= 1")
+    from .gridsets import sample_grid_set
+
     if separation is None:
         separation = 1.0 / (4.0 * float(levels.finest) ** levels.d)
     instances = grid.instances()

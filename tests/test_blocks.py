@@ -26,6 +26,7 @@ from reconset.intervals import (
     _check_bits,
     _decode_rows,
 )
+from reconset.io import write_csv, write_interval_csv
 from reconset.quantize import (
     TIE_DUST,
     TRIM_EXPONENT,
@@ -125,6 +126,16 @@ def oracle_coverage_knots(T):
     xs, c = floats.ravel(), np.repeat(prefix, 2)[1:-1]
     areas = np.diff(xs) * (c[:-1] + c[1:]) / 2.0
     return xs, c, np.concatenate([[0.0], np.cumsum(areas)])
+
+
+def oracle_float_coverage(T, x):
+    xs, c, q = oracle_coverage_knots(T)
+    idx = np.clip(np.searchsorted(xs, x, side="right") - 1, 0, xs.size - 2)
+    t = x - xs[idx]
+    slope = 1 - idx % 2
+    val = q[idx] + t * (c[idx] + t * slope / 2.0)
+    val = np.where(x <= xs[0], 0.0, val)
+    return np.interp(x, xs, c), np.where(x >= xs[-1], q[-1] + (x - xs[-1]) * c[-1], val)
 
 
 def oracle_log_squared_decay_block_integrals(t, edges):
@@ -251,9 +262,21 @@ def test_coverage_knots_match_whole_array_oracle(size):
     rng = np.random.default_rng(size + 4)
     ends = np.cumsum(rng.integers(1, 1 << 10, 2 * size)) - (1 << 20)
     T = IntervalSet.from_arrays(ends[0::2], ends[1::2], 12)
-    want = oracle_coverage_knots(T)
-    for got, w in zip(T._coverage_knots(), want):
-        assert same_bits(got, w)
+    knots = T.to_floats().ravel()
+    # at the knots, between them, outside the set, duplicated, and shuffled
+    x = np.concatenate([
+        knots,
+        (knots[:-1] + knots[1:]) / 2.0,
+        knots[:7],
+        [knots[0] - 1.0, knots[-1] + 1.0, -np.inf, np.inf],
+        rng.uniform(knots[0] - 1.0, knots[-1] + 1.0, 1000),
+    ])
+    rng.shuffle(x)
+    for got, want in zip(T.float_coverage(x), oracle_float_coverage(T, x)):
+        assert same_bits(got, want)
+    grid = x[:12].reshape(3, 4)
+    for got, want in zip(T.float_coverage(grid), oracle_float_coverage(T, grid)):
+        assert same_bits(got, want)
 
 
 # widths 2**-12, 2**-8 and 2**-4 take 4, 6 and 16 Gauss-Legendre nodes; cells
@@ -381,16 +404,36 @@ def test_quantize_cell_memory_budget():
 
 
 def test_coverage_knots_memory_budget():
-    # on these 600,000 intervals the whole-array form peaked at 54.9 MiB, of
-    # which 32.0 MiB stay with the set (the int prefix sums and the three
-    # float knot arrays, 56 bytes per interval) and 22.9 MiB were transient;
-    # the knots stay, so the bound is on the transient part
+    # on these 600,000 intervals the cached whole-array form kept 32.0 MiB
+    # with the set (the int prefix sums and three float knot arrays, 56
+    # bytes per interval) and peaked 22.9 MiB above that; each block of
+    # float knots is 2 * BLOCK * 8 bytes = 1 MiB
     n = 600_000
     ends = np.arange(2 * n, dtype=np.int64) * 3
     T = IntervalSet.from_arrays(ends[0::2], ends[1::2], 4)
-    _, peak, kept = traced_mib(T._coverage_knots)
-    assert kept <= 56 * n / 2**20 + 0.1
-    assert peak - kept <= 22.9 / 2
+    x = np.linspace(-1.0, ends[-1] / 16 + 1.0, 2000)
+    _, _, kept = traced_mib(T.float_coverage, x)
+    assert kept <= 8 * (n + 1) / 2**20 + 0.1  # the int prefix sums only
+    _, peak, kept = traced_mib(T.float_coverage, x)
+    assert kept <= 0.1
+    assert peak <= 6 * (2 * BLOCK * 8) / 2**20
+
+
+@pytest.mark.parametrize("size", (0,) + SIZES[:4])
+def test_interval_csv_matches_whole_list_oracle(tmp_path, size):
+    T = _codec_set(size, size + 6) if size else IntervalSet.empty()
+    got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+    write_interval_csv(got, T)
+    write_csv(want, ["num_lo", "exp_lo", "num_hi", "exp_hi"], T.to_json())
+    assert got.read_bytes() == want.read_bytes()
+
+
+def test_interval_csv_memory_budget(tmp_path):
+    # on these 200,000 intervals writing T.to_json() through csv.writer
+    # peaked at 36.6 MiB
+    T = _codec_set(200_000, 9)
+    _, peak, _ = traced_mib(write_interval_csv, tmp_path / "T.csv", T)
+    assert peak <= 36.6 / 2
 
 
 def test_row_codec_memory_budget():

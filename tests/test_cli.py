@@ -346,6 +346,22 @@ def test_cli_import_graph(json_reports, tmp_path):
                 f"code = main({argv!r}); print(code, 'reconset.intervals' in sys.modules)")
     assert p.returncode == 0, p.stderr
     assert p.stdout.splitlines()[-1] == "0 False", p.stdout
+    # each exact interval-set command loads only the modules it computes with
+    T, a, b = (json_reports["verification_report"].parent / f for f in ("T.json", "A.json", "B.json"))
+    exact = {
+        ("construct", "interval-union", "--lengths", "1", "--window", "0", "8",
+         "--rho", "1/16", "-o", str(tmp_path / "T.json")): "verify",
+        ("search", "two-set-counterexample", "--A", str(a), "--B", str(b)): "construct",
+        ("verify", "injectivity", "--x", "0", "1", "1/4", "--length", "1", "1", "1",
+         "--tests", str(T)): "construct",
+    }
+    for argv, other in exact.items():
+        unused = sorted(f"reconset.{m}" for m in (
+            "analysis", "gridsets", "profiles", "quantize", "shapes", "targets", other))
+        p = _python("-c", "import sys; from reconset.cli import main; "
+                    f"code = main({list(argv)!r}); print(code, sorted(set({unused!r}) & set(sys.modules)))")
+        assert p.returncode == 0, p.stderr
+        assert p.stdout.splitlines()[-1] == "0 []", (argv, p.stdout)
 
 
 @pytest.mark.parametrize("kind", ["verification_report", "monotonicity_report",

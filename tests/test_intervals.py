@@ -328,7 +328,7 @@ def test_prefix_measure_matches_boolean_oracle(t, x, y):
     cx, _, ex = t.cumulative_nums([x.num], x.exp)
     assert Dyadic(int(cx[0]), ex) == Dyadic(int(c[0]), ce)
     # the float view agrees wherever floats are exact
-    assert t.cumulative_f(float(x)) == float(Dyadic(int(c[0]), ce))
+    assert t.float_coverage(float(x))[0] == float(Dyadic(int(c[0]), ce))
 
 
 @settings(max_examples=40, deadline=None)
