@@ -265,7 +265,11 @@ def sliding_integral(
     b_grid,
     window: Window,
 ) -> np.ndarray:
-    """F(b) = ∫_T p((x - b)/a) dx for each b, by exact piecewise integration.
+    """F(b) = ∫_T p((x - b)/a) dx for each b, integrated by parts against
+    the coverage C of T: F(b) = -∫ C(x) d/dx[p((x-b)/a)] dx needs C and its
+    antiderivative only at the knots and jumps of p shifted to b, so the work
+    per b does not depend on |T|, and F(b) does not depend on how the b are
+    batched.
 
     Precondition: the support of x -> p((x - b)/a), which is
     [b + a*s0, b + a*s1], must lie inside the window for every b.
@@ -288,26 +292,6 @@ def sliding_integral(
         )
     if len(T) == 0:
         return np.zeros(b.shape)
-    # the choice depends on T alone, so F(b) does not depend on how the b
-    # are batched
-    if len(T) <= 4096:
-        return _sliding_direct(p, T.to_floats(), a, b)
-    return _sliding_by_parts(p, T, a, b)
-
-
-def _sliding_direct(p: Profile, ends: np.ndarray, a: float, b: np.ndarray) -> np.ndarray:
-    P = p.antiderivative()
-    out = np.empty(b.size)
-    for i, bi in enumerate(b):
-        u = (ends - bi) / a
-        vals = P(u.ravel()).reshape(-1, 2)
-        out[i] = a * math.fsum(vals[:, 1] - vals[:, 0])
-    return out
-
-
-def _sliding_by_parts(p: Profile, T: IntervalSet, a: float, b: np.ndarray) -> np.ndarray:
-    """F(b) = -∫ C(x) d/dx[p((x-b)/a)] dx; needs only O(knots) evaluations
-    of the coverage antiderivative per b, independent of |T|."""
     xs = p.xs
     slopes = p.slopes()
     # interior and edge jumps of p: d/dx contributes J_k * delta at knot k

@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .analysis import sliding_integral
 from .dyadic import Dyadic
 from .errors import decoding
 from .intervals import IntervalSet, Window
@@ -616,7 +615,7 @@ def _grid_profile(shape: GridShape, theta: Direction) -> Profile:
 
 
 def intersection_measures(
-    shape, poses, V: SlabTestSet, resolution: int = 256, profile: Profile | None = None
+    shape, poses, V: SlabTestSet, resolution: int = 256
 ) -> tuple[np.ndarray, np.ndarray]:
     """lambda^d((rE+x) ∩ V) for each pose, with quadrature error bounds.
 
@@ -624,11 +623,12 @@ def intersection_measures(
     sliding integral per distinct (magnification, offset) covers all poses
     sharing it.  Exact (error 0) for the full-space sentinel: r^d * lambda^d(E).
     """
+    from .analysis import sliding_integral
+
     rs = [pose.magnification for pose in poses]
     if V.full_space:
         return np.array([r**shape.d * shape.volume() for r in rs]), np.zeros(len(rs))
-    if profile is None:
-        profile = radon_profile(shape, V.theta, resolution)
+    profile = radon_profile(shape, V.theta, resolution)
     values = np.empty(len(rs))
     errors = np.empty(len(rs))
     for r in dict.fromkeys(rs):
@@ -645,10 +645,10 @@ def intersection_measures(
 
 
 def intersection_measure_detailed(
-    shape, pose: Pose, V: SlabTestSet, resolution: int = 256, profile: Profile | None = None
+    shape, pose: Pose, V: SlabTestSet, resolution: int = 256
 ) -> tuple[float, float]:
     """lambda^d((rE+x) ∩ V) with its quadrature error bound."""
-    values, errors = intersection_measures(shape, [pose], V, resolution, profile)
+    values, errors = intersection_measures(shape, [pose], V, resolution)
     return float(values[0]), float(errors[0])
 
 
@@ -722,28 +722,6 @@ def diameter_direction(shape, squeeze: float, target: Direction) -> Direction:
 
 
 # -- JSON -----------------------------------------------------------------------
-
-
-def shape_to_json(shape) -> dict:
-    if isinstance(shape, Ball):
-        return {"variant": "ball", "center": list(shape.center), "radius": shape.radius}
-    if isinstance(shape, Box):
-        return {"variant": "box", "lo": list(shape.lo), "hi": list(shape.hi)}
-    if isinstance(shape, Polygon):
-        return {"variant": "polygon", "vertices": [list(v) for v in shape.vertices]}
-    if isinstance(shape, Simplex):
-        return {"variant": "simplex", "vertices": [list(v) for v in shape.vertices]}
-    if isinstance(shape, IntervalUnion):
-        return {"variant": "interval_union", "intervals": shape.S.to_json()}
-    if isinstance(shape, GridShape):
-        return {
-            "variant": "grid",
-            "n": shape.n,
-            "box_lo": list(shape.box_lo),
-            "box_hi": list(shape.box_hi),
-            "cubes": list(shape.cubes),
-        }
-    raise TypeError(f"unknown shape {type(shape).__name__}")
 
 
 def shape_from_json(obj) -> Shape:

@@ -186,60 +186,38 @@ class TranslateFamilyGrid:
 # -- measure vectors ----------------------------------------------------------------
 
 
-def measure_vector(instances, tests, profiles=None) -> tuple[np.ndarray, np.ndarray, int]:
-    """Entry (i, j) = measure of instance i against test j.
+def measure_vector(instances, tests) -> tuple[np.ndarray, int]:
+    """Entry (i, j) = measure of instance i against test j, exactly.
 
-    Returns the (instances x tests) values as numerators at an exponent e,
-    their error bounds, and e.  Instances are the (ends, exp) of an interval
-    family, ends an (N, 2) int64 array of the numerators of x and x + L for
-    [x, x+L) at the exponent exp, or a list of (shape, Pose) pairs sharing one
-    shape for slab tests, whose profiles (one per test) may be passed in.
-    Interval and grid tests take C(x+L) - C(x) from the exact cumulative
-    measure C of the test: int64, zero error; slab tests one sliding integral
-    per distinct (magnification, offset): floats at e = 0.
+    Instances are the (ends, exp) of an interval family: ends an (N, 2) int64
+    array of the numerators of x and x + L for [x, x+L) at the exponent exp.
+    Tests are interval sets and grid sets; column j is C(x+L) - C(x) from the
+    exact cumulative measure C of test j.  Returns the (instances x tests)
+    int64 numerators at one exponent e, and e.
     """
-    values = np.zeros((_count(instances), len(tests)))
-    errors = np.zeros_like(values)
-    if not values.shape[0]:
-        return values, errors, 0
+    ends, e = instances
     columns = []
-    for j, t in enumerate(tests):
+    for t in tests:
         if not isinstance(t, IntervalSet):
             from .gridsets import GridSet
 
             if not isinstance(t, GridSet):
-                prof = profiles[j] if profiles else None
-                values[:, j], errors[:, j] = _slab_column(instances, t, prof)
-                continue
-        ends, e = instances
-        if not isinstance(t, IntervalSet):  # a grid set: its runs, inside its box
-            need = (Dyadic(int(ends.min()), e), Dyadic(int(ends.max()), e))
-            check_span(need, Window.of(t.levels.box_lo[0], t.levels.box_hi[0]), "the grid box")
+                raise TypeError(
+                    f"an interval family takes interval and grid tests, not {type(t).__name__}"
+                )
+            if len(ends):  # a grid set: its runs, inside its box
+                need = (Dyadic(int(ends.min()), e), Dyadic(int(ends.max()), e))
+                check_span(need, Window.of(t.levels.box_lo[0], t.levels.box_hi[0]), "the grid box")
             t = t.runs
         c, _, ce = t.cumulative_nums(ends.ravel(), e)
         columns.append((c[1::2] - c[0::2], ce))
+    if not (len(ends) and columns):
+        return np.zeros((len(ends), len(tests)), np.int64), 0
     # one exponent for every test, each column's extremes sized before the shift
-    exp = max((ce for _, ce in columns), default=0)
+    exp = max(ce for _, ce in columns)
     _check_int64("measures", exp,
                  *(int(v) << exp - ce for d, ce in columns for v in (d.min(), d.max())))
-    return (np.stack([d << exp - ce for d, ce in columns], 1) if columns else values), errors, exp
-
-
-def _slab_column(instances, t, profile):
-    """Measures and error bounds of (shape, Pose) instances against a slab
-    test t."""
-    from .shapes import SlabTestSet, intersection_measures
-
-    if not isinstance(t, SlabTestSet):
-        raise TypeError(f"unknown test type {type(t).__name__}")
-    shape = instances[0][0]
-    if any(s is not shape for s, _ in instances):
-        raise ValueError("slab instances must share one shape")
-    return intersection_measures(shape, [pose for _, pose in instances], t, profile=profile)
-
-
-def _count(instances) -> int:
-    return len(instances) if isinstance(instances, list) else len(instances[0])
+    return np.stack([d << exp - ce for d, ce in columns], 1), exp
 
 
 def check_span(need: tuple, window: Window, where: str):
@@ -363,24 +341,30 @@ def pairwise_min_linf(matrix: np.ndarray, threshold=0):
 def injectivity_report(grid, tests, resolution: int = 256) -> VerificationReport:
     """Pairwise separation of the measure-vector map over a finite family.
 
-    Exact tests demand strict separation; quadrature-backed tests flag the
-    report indeterminate when the minimum separation does not clear 10x the
-    reported error.
+    An interval family takes interval and grid tests, measured exactly by
+    `measure_vector`; a translate family takes slab tests, each column one
+    `shapes.intersection_measures` at the given profile resolution.  Exact
+    tests demand strict separation; quadrature-backed tests flag the report
+    indeterminate when the minimum separation does not clear 10x the reported
+    error.
     """
     instances = grid.instances()
-    if _count(instances) < 2:
+    posed = isinstance(grid, TranslateFamilyGrid)
+    if len(instances if posed else instances[0]) < 2:
         raise ValueError("injectivity needs at least two instances")
-    profiles = None
-    if isinstance(instances, list):
-        from .shapes import radon_profile
+    if posed:
+        from .shapes import SlabTestSet, intersection_measures
 
-        profiles = [
-            None if t.full_space else radon_profile(grid.shape, t.theta, resolution)
-            for t in tests
-        ]
-        instances = [(grid.shape, pose) for pose in instances]
-    matrix, errors, exp = measure_vector(instances, tests, profiles)
-    qerr = float(np.max(errors)) if errors.size else 0.0
+        matrix, exp = np.zeros((len(instances), len(tests))), 0
+        errors = np.zeros_like(matrix)
+        for j, t in enumerate(tests):
+            if not isinstance(t, SlabTestSet):
+                raise TypeError(f"a translate family takes slab tests, not {type(t).__name__}")
+            matrix[:, j], errors[:, j] = intersection_measures(grid.shape, instances, t, resolution)
+        qerr = float(np.max(errors)) if errors.size else 0.0
+    else:
+        matrix, exp = measure_vector(instances, tests)
+        qerr = 0.0
     best, witness, collisions, count = pairwise_min_linf(matrix)
     best = best * 2.0**-exp
     indeterminate = qerr > 0 and best <= 10.0 * qerr and not count
@@ -609,7 +593,7 @@ def monte_carlo_reconstruction(
             for c in range(copies)
         ]
         tests = [sample_grid_set(levels, s) for s in trial_seeds]
-        matrix, _, exp = measure_vector(instances, tests)
+        matrix, exp = measure_vector(instances, tests)
         best, _, _, count = pairwise_min_linf(
             matrix * 2.0**-exp, threshold=separation * (1 - 1e-12)
         )

@@ -346,18 +346,21 @@ def test_cli_import_graph(json_reports, tmp_path):
                 f"code = main({argv!r}); print(code, 'reconset.intervals' in sys.modules)")
     assert p.returncode == 0, p.stderr
     assert p.stdout.splitlines()[-1] == "0 False", p.stdout
-    # each exact interval-set command loads only the modules it computes with
+    # each exact interval-set command loads only the modules it computes with;
+    # `verify monotonicity` parses its 1-D shape with `shapes` and `profiles`
     T, a, b = (json_reports["verification_report"].parent / f for f in ("T.json", "A.json", "B.json"))
+    computing = ("analysis", "gridsets", "profiles", "quantize", "shapes", "targets")
     exact = {
         ("construct", "interval-union", "--lengths", "1", "--window", "0", "8",
-         "--rho", "1/16", "-o", str(tmp_path / "T.json")): "verify",
-        ("search", "two-set-counterexample", "--A", str(a), "--B", str(b)): "construct",
+         "--rho", "1/16", "-o", str(tmp_path / "T.json")): (*computing, "verify"),
+        ("search", "two-set-counterexample", "--A", str(a), "--B", str(b)): (*computing, "construct"),
         ("verify", "injectivity", "--x", "0", "1", "1/4", "--length", "1", "1", "1",
-         "--tests", str(T)): "construct",
+         "--tests", str(T)): (*computing, "construct"),
+        ("verify", "monotonicity", "--test", str(T), "--shape", "[0,1]", "--grid", "0", "6", "1/16"):
+            ("analysis", "construct", "gridsets", "quantize", "targets"),
     }
-    for argv, other in exact.items():
-        unused = sorted(f"reconset.{m}" for m in (
-            "analysis", "gridsets", "profiles", "quantize", "shapes", "targets", other))
+    for argv, unused in exact.items():
+        unused = sorted(f"reconset.{m}" for m in unused)
         p = _python("-c", "import sys; from reconset.cli import main; "
                     f"code = main({list(argv)!r}); print(code, sorted(set({unused!r}) & set(sys.modules)))")
         assert p.returncode == 0, p.stderr

@@ -20,7 +20,6 @@ from reconset.shapes import (
     intersection_measure_detailed,
     radon_profile,
     shape_from_json,
-    shape_to_json,
 )
 
 E1 = Direction((1.0, 0.0))
@@ -280,16 +279,20 @@ def test_diameter_tilted_target():
 
 
 def test_shape_json_roundtrip():
-    shapes = [
-        DISK,
-        SQUARE,
-        Polygon(((0, 0), (2, 0), (1, 2))),
-        Simplex(((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1))),
-        IntervalUnion(IntervalSet([(0, 1), (2, 3)])),
-        GridShape(4, (0, 0), (1, 1), cubes=(0, 5, 9)),
+    cases = [
+        ({"variant": "ball", "center": [0.0, 0.0], "radius": 1.0}, DISK),
+        ({"variant": "box", "lo": [0.0, 0.0], "hi": [1.0, 1.0]}, SQUARE),
+        ({"variant": "polygon", "vertices": [[0, 0], [2, 0], [1, 2]]},
+         Polygon(((0, 0), (2, 0), (1, 2)))),
+        ({"variant": "simplex", "vertices": [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]]},
+         Simplex(((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)))),
+        ({"variant": "interval_union", "intervals": [[0, 0, 1, 0], [2, 0, 3, 0]]},
+         IntervalUnion(IntervalSet([(0, 1), (2, 3)]))),
+        ({"variant": "grid", "n": 4, "box_lo": [0, 0], "box_hi": [1, 1], "cubes": [0, 5, 9]},
+         GridShape(4, (0, 0), (1, 1), cubes=(0, 5, 9))),
     ]
-    for s in shapes:
-        assert shape_from_json(shape_to_json(s)) == s
+    for obj, shape in cases:
+        assert shape_from_json(obj) == shape
 
 
 def test_shape_shorthand_interval():

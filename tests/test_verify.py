@@ -11,7 +11,7 @@ from reconset.errors import CheckFailedError, ExactnessOverflowError, WindowExce
 from reconset.gridsets import validate_levels, sample_grid_set
 from reconset.intervals import IntervalSet, Window
 from reconset.profiles import Profile
-from reconset import shapes
+from reconset import analysis
 from reconset.shapes import (
     Ball,
     Direction,
@@ -19,7 +19,7 @@ from reconset.shapes import (
     Pose,
     SlabTestSet,
     intersection_measure_detailed,
-    radon_profile,
+    intersection_measures,
 )
 from reconset.verify import (
     MAX_GRID_POINTS,
@@ -133,17 +133,8 @@ def test_interval_family_refuses_non_positive_length():
 
 def test_measure_vector_halfline():
     T = IntervalSet([(0, 100)])
-    vals, errs, exp = measure_vector((np.array([[0, 1]]), 0), [T])
+    vals, exp = measure_vector((np.array([[0, 1]]), 0), [T])
     assert vals.dtype == np.int64 and vals.tolist() == [[1]] and exp == 0
-    assert errs.tolist() == [[0.0]]
-
-
-def test_measure_vector_slab_square():
-    from reconset.shapes import Box
-
-    V = SlabTestSet(Direction((1.0, 0.0)), IntervalSet([(0, 1)]), Window.of(-4, 4))
-    vals, errs, exp = measure_vector([(Box((0.0, 0.0), (1.0, 1.0)), Pose.identity(2))], [V])
-    assert exp == 0 and vals[0, 0] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_measure_vector_matches_sliding_integral_exactly():
@@ -151,7 +142,7 @@ def test_measure_vector_matches_sliding_integral_exactly():
     T = union_test_set([1], Window.of(0, 8), Dyadic(1, 4))
     chi = Profile.indicator(0.0, 1.0)
     xs = [Dyadic(i, 3) for i in range(0, 33)]
-    direct, _, exp = measure_vector((np.array([[i, i + 8] for i in range(0, 33)]), 3), [T])
+    direct, exp = measure_vector((np.array([[i, i + 8] for i in range(0, 33)]), 3), [T])
     slid = sliding_integral(chi, T, 1.0, [float(x) for x in xs], Window.of(-2, 10))
     assert np.array_equal(direct[:, 0] * 2.0**-exp, slid)  # exact equality of the two paths
 
@@ -161,6 +152,19 @@ def test_measure_vector_gridset_window_guard():
     gs = sample_grid_set(lv, 1)
     with pytest.raises(WindowExceededError):
         measure_vector((np.array([[1, 3]]), 1), [gs])
+
+
+def test_family_kinds_do_not_mix():
+    # an interval family takes interval and grid tests, a translate family
+    # slab tests; either refuses the other kind by its type name
+    T = IntervalSet([(Dyadic(-3), Dyadic(0))])
+    V = SlabTestSet(Direction((1.0, 0.0)), T, Window.of(-6, 6))
+    intervals = IntervalFamilyGrid.of(0, 1, Dyadic(1, 2), 1, 1, 1)
+    translates = TranslateFamilyGrid(Ball((0.0, 0.0), 1.0), (-0.5, -0.5), (0.5, 0.5), (3, 3))
+    with pytest.raises(TypeError, match="not SlabTestSet"):
+        injectivity_report(intervals, [T, V])
+    with pytest.raises(TypeError, match="not IntervalSet"):
+        injectivity_report(translates, [V, T])
 
 
 # -- monotonicity -------------------------------------------------------------------
@@ -320,8 +324,7 @@ def _bits(x):
 
 
 def _long_slab_set(n=5000):
-    # n disjoint intervals inside [-3, 0): more than 4096, so sliding_integral
-    # integrates by parts
+    # n disjoint intervals inside [-3, 0)
     lows = -3 * 2**12 + 2 * np.arange(n, dtype=np.int64)
     T = IntervalSet.from_arrays(lows, lows + 1, 12)
     assert len(T) == n
@@ -330,10 +333,11 @@ def _long_slab_set(n=5000):
 
 def test_slab_measure_vector_matches_per_pose():
     # one sliding integral per (test, magnification, offset) equals one per
-    # pose, bit for bit, on both sliding_integral paths: axis directions,
-    # where offsets repeat; a non-axis direction, where none does; magnified
-    # copies sharing every translation; and, in 1-D, the offsets 0.0 and -0.0
-    # (<x, theta> for x = 0.0 against theta = -1), which np.unique merges
+    # pose, bit for bit, against a one-interval slab set and a long one: axis
+    # directions, where offsets repeat; a non-axis direction, where none
+    # does; magnified copies sharing every translation; and, in 1-D, the
+    # offsets 0.0 and -0.0 (<x, theta> for x = 0.0 against theta = -1),
+    # which np.unique merges
     disk = Ball((0.0, 0.0), 1.0)
     oblique = Direction.of((1.0, math.sqrt(2.0)))
     poses = TranslateFamilyGrid(disk, (-0.5, -0.5), (0.5, 0.5), (5, 5)).instances()
@@ -350,13 +354,12 @@ def test_slab_measure_vector_matches_per_pose():
         assert sorted(signs) == [-1.0, 1.0]
     for T in (IntervalSet([(Dyadic(-3), Dyadic(0))]), _long_slab_set()):
         for shape, family, thetas in cases:
-            tests = [SlabTestSet(theta, T, Window.of(-6, 6)) for theta in thetas]
-            profiles = [radon_profile(shape, V.theta, 128) for V in tests]
-            values, errors, _ = measure_vector([(shape, p) for p in family], tests, profiles)
-            for i, pose in enumerate(family):
-                for j, V in enumerate(tests):
-                    v, e = intersection_measure_detailed(shape, pose, V, profile=profiles[j])
-                    assert _bits(values[i, j]) == _bits(v) and errors[i, j] == e
+            for theta in thetas:
+                V = SlabTestSet(theta, T, Window.of(-6, 6))
+                values, errors = intersection_measures(shape, family, V, 128)
+                for i, pose in enumerate(family):
+                    v, e = intersection_measure_detailed(shape, pose, V, 128)
+                    assert _bits(values[i]) == _bits(v) and errors[i] == e
 
 
 def test_axis_grid_takes_one_sliding_integral_per_distinct_offset(monkeypatch):
@@ -368,7 +371,7 @@ def test_axis_grid_takes_one_sliding_integral_per_distinct_offset(monkeypatch):
         calls.append(len(b))
         return sliding_integral(p, T, a, b, window)
 
-    monkeypatch.setattr(shapes, "sliding_integral", spy)
+    monkeypatch.setattr(analysis, "sliding_integral", spy)
     disk = Ball((0.0, 0.0), 1.0)
     T = IntervalSet([(Dyadic(-3), Dyadic(0))])
     slabs = [SlabTestSet(Direction.axis(i, 2), T, Window.of(-6, 6)) for i in range(2)]
@@ -520,7 +523,7 @@ def test_monte_carlo_off_grid_family():
     assert rep.trials == 2
     for trial in rep.per_trial:
         tests = [sample_grid_set(lv, s) for s in trial["seeds"]]
-        matrix, _, exp = measure_vector(grid.instances(), tests)
+        matrix, exp = measure_vector(grid.instances(), tests)
         assert trial["min_separation"] == pairwise_min_linf(matrix * 2.0**-exp)[0]
 
 
