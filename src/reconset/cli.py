@@ -132,12 +132,12 @@ def construct_translate(profile, window, resolution, rate, output):
 @click.option("-o", "--output", required=True, type=click.Path())
 def construct_magnify(profile, window, a_max, resolution, output):
     """Test set monotone under every magnification a in [1, a_max]."""
-    from .construct import MagnifyConfig, magnify_test_set
+    from .construct import magnify_test_set
     from .intervals import Window
 
     p = _named_profile(profile, resolution)
     win = Window(_dyadic_arg(window[0]), _dyadic_arg(window[1]))
-    T, cert = magnify_test_set(p, win, MagnifyConfig(a_max=a_max))
+    T, cert = magnify_test_set(p, win, a_max)
     art = rio.interval_set_artifact(T, cert.effective_window)
     art["certificate"] = cert.to_json()
     rio.write_json(output, art)
@@ -207,20 +207,21 @@ def verify_monotonicity(test_path, shape, grid, output, emit_plot_data):
     meet flats (the README set reports 192 zero increments at step 1/64).
     """
     from .shapes import IntervalUnion
-    from .verify import check_span, grid_points, monotonicity_report
+    from .verify import check_span, grid_points, measure_vector, monotonicity_report
 
     T, window = rio.load_interval_set(test_path)
     E = _load_shape(shape)
     if not isinstance(E, IntervalUnion):
         raise click.UsageError("monotonicity verification needs a 1-D shape")
     lo, hi, step = (_dyadic_arg(g) for g in grid)
-    # lambda((E+x) ∩ T) = Σ_k C(x + b_k) - C(x + a_k) over E's components [a_k, b_k)
+    # a row of points is x + a_k, x + b_k over E's components [a_k, b_k), and
+    # lambda((E+x) ∩ T) sums the row's measures of T ∩ [x + a_k, x + b_k)
     points, e = grid_points(lo, hi, step, [end for pair in E.S for end in pair])
     if window is not None and points.size:
         need = (Dyadic(int(points.min()), e), Dyadic(int(points.max()), e))
         check_span(need, window, f"the window of {test_path}")
-    c, _, e = T.cumulative_nums(points.ravel(), e)
-    nums = (c[1::2] - c[0::2]).reshape(-1, points.shape[1] // 2).sum(axis=1)
+    measures, e = measure_vector((points.reshape(-1, 2), e), [T])
+    nums = measures.reshape(len(points), len(E.S)).sum(axis=1)
     rep = monotonicity_report(nums.tolist(), e)
     out = {"kind": "monotonicity_report"}
     out.update(rep.to_json())

@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import asdict, dataclass, fields
-from typing import TYPE_CHECKING, ClassVar
+from typing import TYPE_CHECKING, ClassVar, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -320,7 +320,7 @@ class ShellCertificate:
     normalization: Normalization
     requested_window: Window
     effective_window: Window
-    shells: list  # ShellRow per shell k
+    shells: list[ShellRow]  # one per shell k
     interval_count: int
 
     def shell_problems(self) -> list[str]:
@@ -348,16 +348,17 @@ class ShellCertificate:
             out[f.name] = v.to_json() if hasattr(v, "to_json") else v
         return out
 
-    @staticmethod
-    def _shared_from_json(o) -> tuple:
-        return (
-            o["phi"],
-            Normalization.from_json(o["normalization"]),
-            Window.from_json(o["requested_window"]),
-            Window.from_json(o["effective_window"]),
-            [ShellRow.from_json(r) for r in o["shells"]],
-            o["interval_count"],
-        )
+    @classmethod
+    def from_json(cls, o):
+        """The certificate `to_json` wrote, each field read back by its type."""
+        types = get_type_hints(cls)
+        return cls(**{f.name: _field_from_json(types[f.name], o[f.name]) for f in fields(cls)})
+
+
+def _field_from_json(t, v):
+    if get_origin(t) is list:
+        return [_field_from_json(get_args(t)[0], x) for x in v]
+    return t.from_json(v) if hasattr(t, "from_json") else v
 
 
 @dataclass
@@ -383,12 +384,6 @@ class TranslateCertificate(ShellCertificate):
             if got < r.phi_min * (1 - 1e-9):
                 problems.append(f"shell {r.k}: recorded phi_min too large")
         return problems + self.shell_problems()
-
-    @staticmethod
-    def from_json(o):
-        return TranslateCertificate(
-            *ShellCertificate._shared_from_json(o), o["guarantee_lower_bound"]
-        )
 
 
 def translate_test_set(
@@ -426,18 +421,8 @@ def translate_test_set(
 GROWTH_EPS = (1e-1, 3e-2, 1e-2, 3e-3, 1e-3)
 
 
-@dataclass
-class MagnifyConfig:
-    """Verification horizon [1, a_max] and the largest growth-fit slope
-    accepted.  The regime constants c2, c3 and C3 are always computed from
-    the target's derivative and the K bounds."""
-
-    a_max: float = 8.0
-    slope_max: float = 10.0
-
-    def __post_init__(self):
-        if not (1.0 <= self.a_max < math.inf):
-            raise ValueError(f"a_max must be finite and at least 1, got {self.a_max}")
+# the largest growth-fit slope accepted; the certificate records it
+GROWTH_SLOPE_MAX = 10.0
 
 
 @dataclass
@@ -515,19 +500,12 @@ class MagnifyCertificate(ShellCertificate):
                 problems.append(f"shell {r.k}: h*K exceeds regime-2 budget")
         return problems + self.shell_problems()
 
-    @staticmethod
-    def from_json(o):
-        return MagnifyCertificate(
-            *ShellCertificate._shared_from_json(o),
-            o["a_max"], o["c2"], o["c3"], o["C3"], o["h0"], GrowthFit.from_json(o["growth"]),
-        )
-
 
 def magnify_test_set(
-    f: Profile, window: Window, cfg: MagnifyConfig | None = None
+    f: Profile, window: Window, a_max: float = 8.0
 ) -> tuple[IntervalSet, MagnifyCertificate]:
     """Test set T making b -> ∫_T f((x - b)/a) dx strictly increasing for
-    every magnification a in [1, a_max].
+    every magnification a in [1, a_max], a finite horizon a_max >= 1.
 
     Uses the slow-decay target; the regime constants are computed on the
     declared horizon:
@@ -535,18 +513,19 @@ def magnify_test_set(
     C3 = max_a K(c2/(12 ln^2 3a), f') ln^2(3a)/a,  h(0) = c2/(24 C3),
     and shell budgets h(k) from the far regime; delta(k) = h(k+1).
     Raises GrowthCertificateError when K(eps, f') is not certifiably
-    subexponential on the eps grid GROWTH_EPS.
+    subexponential on the eps grid GROWTH_EPS (a fitted slope above
+    GROWTH_SLOPE_MAX), and ValueError for an a_max outside [1, inf).
     """
     from .targets import LogSquaredDecay
 
-    if cfg is None:
-        cfg = MagnifyConfig()
+    if not (1.0 <= a_max < math.inf):
+        raise ValueError(f"a_max must be finite and at least 1, got {a_max}")
     frame = _ShellFrame.of(f, window)
     env = frame.env
-    fit = growth_certificate(env, GROWTH_EPS, cfg.slope_max)
+    fit = growth_certificate(env, GROWTH_EPS, GROWTH_SLOPE_MAX)
     phi = LogSquaredDecay()
 
-    a_grid = np.geomspace(1.0, cfg.a_max, 65)
+    a_grid = np.geomspace(1.0, a_max, 65)
     ln3a = np.log(3.0 * a_grid) ** 2
     c2 = float(np.min(3.0 * a_grid * ln3a * phi.dphi(3.0 * a_grid)))
     x_hi = 2.0 * (frame.max_shell + 2.0)
@@ -567,7 +546,7 @@ def magnify_test_set(
         kb = env.bound(eps2).variation_bound
         rows.append(ShellRow(k, c3 / (2.0 * x * l2), eps2, kb, c3 / (16.0 * x * l2) / max(kb, 1e-12)))
     return frame.build(
-        phi, rows, MagnifyCertificate, a_max=cfg.a_max, c2=c2, c3=c3, C3=C3, h0=h0, growth=fit
+        phi, rows, MagnifyCertificate, a_max=a_max, c2=c2, c3=c3, C3=C3, h0=h0, growth=fit
     )
 
 
@@ -663,7 +642,7 @@ def _screened_test_set(profile: Profile, mode: str, d: int, options: FamilyOptio
         return translate_test_set(profile, Window.of(-half, half))
     half = int(math.ceil(options.a_max * rad + bmax + 1))
     try:
-        return magnify_test_set(profile, Window.of(-half, half), MagnifyConfig(a_max=options.a_max))
+        return magnify_test_set(profile, Window.of(-half, half), options.a_max)
     except GrowthCertificateError:
         return None
 

@@ -298,10 +298,6 @@ class GridSet:
             lo + np.flatnonzero(edges == 1), lo + np.flatnonzero(edges == -1), j
         )
 
-    def intersect_interval_measure(self, lo, hi) -> Dyadic:
-        """lambda(A ∩ [lo, hi)) exactly, for dyadic endpoints."""
-        return self.runs.measure_between(lo, hi)
-
 
 def assemble(levels: RandomLevels, selections, seed: int = -1) -> GridSet:
     """Symmetric difference of the level sets on the finest grid, exactly;

@@ -111,9 +111,6 @@ class Profile:
         widths = np.diff(self.xs)
         return float(math.fsum(widths * (self.vl + self.vr) / 2.0))
 
-    def l1_norm(self) -> float:
-        return self.integral()  # values are non-negative
-
     def max_value(self) -> float:
         return float(max(np.max(self.vl), np.max(self.vr)))
 
@@ -287,17 +284,6 @@ class StepProfile:
         """min(bound, max(-bound, g)) — the truncation approximant."""
         return StepProfile(self.edges.copy(), np.clip(self.vals, -bound, bound))
 
-    def scale_y(self, c: float) -> "StepProfile":
-        return StepProfile(self.edges.copy(), self.vals * c)
-
-    def shift(self, dx: float) -> "StepProfile":
-        return StepProfile(self.edges + dx, self.vals.copy())
-
-    def scale_x(self, a: float) -> "StepProfile":
-        if a <= 0:
-            raise ValueError("scale must be positive")
-        return StepProfile(self.edges * a, self.vals.copy())
-
     def merged_with(self, other: "StepProfile"):
         """Common refinement: (edges, self values, other values)."""
         edges = np.unique(np.concatenate([self.edges, other.edges]))
@@ -312,13 +298,6 @@ class StepProfile:
         """∫_{-inf}^x g: continuous piecewise-linear, constant outside support."""
         cum = np.concatenate([[0.0], np.cumsum(self.widths() * self.vals)])
         return SignedPiecewiseLinear(self.edges.copy(), cum)
-
-    def to_json(self):
-        return {"edges": self.edges.tolist(), "vals": self.vals.tolist()}
-
-    @staticmethod
-    def from_json(obj) -> "StepProfile":
-        return StepProfile(obj["edges"], obj["vals"])
 
     def __repr__(self):
         lo, hi = self.support

@@ -88,10 +88,6 @@ class Pose:
                 "magnification must be finite and >= 1 (translate-only uses r = 1)"
             )
 
-    @staticmethod
-    def identity(d: int) -> "Pose":
-        return Pose((0.0,) * d, 1.0)
-
 
 # -- shape variants -----------------------------------------------------------
 
@@ -642,14 +638,6 @@ def intersection_measures(
         # |error| = r^(d-1) |∫_T Δ((t-b)/r) dt| <= r^d ||Δ||_1
         errors[idx] = r**shape.d * profile.l1_error
     return values, errors
-
-
-def intersection_measure_detailed(
-    shape, pose: Pose, V: SlabTestSet, resolution: int = 256
-) -> tuple[float, float]:
-    """lambda^d((rE+x) ∩ V) with its quadrature error bound."""
-    values, errors = intersection_measures(shape, [pose], V, resolution)
-    return float(values[0]), float(errors[0])
 
 
 # -- diameter directions under anisotropic squeeze ------------------------------------

@@ -275,7 +275,7 @@ class VerificationReport:
     collision_count: int
     indeterminate: bool
     quadrature_error: float
-    grid: dict = field(default_factory=dict)
+    grid: dict
     seeds: dict = field(default_factory=dict)
 
     @property
@@ -352,6 +352,8 @@ def injectivity_report(grid, tests, resolution: int = 256) -> VerificationReport
     posed = isinstance(grid, TranslateFamilyGrid)
     if len(instances if posed else instances[0]) < 2:
         raise ValueError("injectivity needs at least two instances")
+    if not tests:
+        raise ValueError("injectivity needs at least one test set, got an empty test list")
     if posed:
         from .shapes import SlabTestSet, intersection_measures
 
@@ -377,7 +379,7 @@ def injectivity_report(grid, tests, resolution: int = 256) -> VerificationReport
         collision_count=count,
         indeterminate=indeterminate,
         quadrature_error=qerr,
-        grid=grid.describe() if hasattr(grid, "describe") else {},
+        grid=grid.describe(),
     )
 
 

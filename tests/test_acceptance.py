@@ -18,7 +18,6 @@ from reconset.analysis import (
 )
 from reconset.construct import (
     FamilyOptions,
-    MagnifyConfig,
     family_test_sets,
     magnify_test_set,
     translate_test_set,
@@ -144,7 +143,7 @@ def test_ac05_magnification_monotone():
     restriction is sharp (violation exhibited at a = 1/4)."""
     t0 = time.time()
     prof = radon_profile(DISK, E1, resolution=8)
-    T, cert = magnify_test_set(prof, Window.of(-12, 12), MagnifyConfig(a_max=8.0))
+    T, cert = magnify_test_set(prof, Window.of(-12, 12), a_max=8.0)
     assert cert.recheck() == []
     b = np.arange(-4.0, 4.0 + 1e-12, 1.0 / 64.0)
     worst = math.inf
@@ -259,8 +258,8 @@ def test_ac09_near_tie_rate():
     trials = 2000
     for seed in range(trials):
         gs = sample_grid_set(levels, seed)
-        a = gs.intersect_interval_measure(Dyadic(0), K_hi)
-        b = gs.intersect_interval_measure(Dyadic(0), Kp_hi)
+        a = gs.runs.measure_between(Dyadic(0), K_hi)
+        b = gs.runs.measure_between(Dyadic(0), Kp_hi)
         if abs(a - b) < thresh:
             ties += 1
     bound = 2.0 * g / (p * n)

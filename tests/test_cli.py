@@ -653,6 +653,26 @@ def test_exact_monotonicity_verdict(tmp_path):
     assert obj["min_increment"] == 2.0**-60
 
 
+def test_monotonicity_of_a_two_component_shape(tmp_path):
+    # E = [0, 1/4) ∪ [1, 3/2): each grid row sums the measures of its two
+    # components, checked against one exact measure_between per component
+    S = IntervalSet([(0, 1), (Dyadic(3, 1), 4), (5, Dyadic(23, 2))])
+    T = tmp_path / "T.json"
+    write_json(T, interval_set_artifact(S))
+    rep = tmp_path / "rep.json"
+    shape = '{"variant":"interval_union","intervals":[[0,0,1,2],[1,0,3,1]]}'
+    assert run(["verify", "monotonicity", "--test", str(T), "--shape", shape,
+                "--grid", "-2", "6", "1/8", "-o", str(rep)]) == 2
+    E = [(Dyadic(0), Dyadic(1, 2)), (Dyadic(1), Dyadic(3, 1))]
+    xs = [Dyadic(k - 16, 3) for k in range(65)]
+    values = [sum((S.measure_between(x + a, x + b) for a, b in E), Dyadic(0)) for x in xs]
+    diffs = [v - u for u, v in zip(values, values[1:])]
+    obj = read_json(rep)
+    assert obj["violations"] == [i + 1 for i, d in enumerate(diffs) if not Dyadic(0) < d]
+    assert obj["min_increment"] == float(min(diffs))
+    assert 0 < len(obj["violations"]) < len(diffs)
+
+
 @pytest.mark.parametrize("least", ["-1", "0"])
 def test_injectivity_refuses_non_positive_length(tmp_path, capsys, least):
     T = tmp_path / "T.json"

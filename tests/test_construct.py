@@ -8,10 +8,10 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from reconset import construct
 from reconset.analysis import sliding_integral
 from reconset.construct import (
     FamilyOptions,
-    MagnifyConfig,
     MagnifyCertificate,
     TranslateCertificate,
     avoidance_set,
@@ -385,9 +385,7 @@ def disk_profile_small():
 
 @pytest.fixture(scope="module")
 def magnify_small(disk_profile_small):
-    return magnify_test_set(
-        disk_profile_small, Window.of(-6, 6), MagnifyConfig(a_max=2.0)
-    )
+    return magnify_test_set(disk_profile_small, Window.of(-6, 6), a_max=2.0)
 
 
 def test_magnify_monotone_small(disk_profile_small, magnify_small):
@@ -502,13 +500,16 @@ def test_growth_certificate_rejects_steep_growth():
     assert fit.slope < 1.0
 
 
-def test_magnify_growth_gate_raises(disk_profile_small):
+def test_magnify_growth_gate_raises(disk_profile_small, monkeypatch):
+    monkeypatch.setattr(construct, "GROWTH_SLOPE_MAX", 1e-9)
     with pytest.raises(GrowthCertificateError):
-        magnify_test_set(
-            disk_profile_small,
-            Window.of(-4, 4),
-            MagnifyConfig(a_max=2.0, slope_max=1e-9),
-        )
+        magnify_test_set(disk_profile_small, Window.of(-4, 4), a_max=2.0)
+
+
+@pytest.mark.parametrize("a_max", [0.5, math.nan, math.inf])
+def test_magnify_refuses_horizon(disk_profile_small, a_max):
+    with pytest.raises(ValueError, match=f"^a_max must be finite and at least 1, got {a_max}$"):
+        magnify_test_set(disk_profile_small, Window.of(-4, 4), a_max)
 
 
 # -- families ------------------------------------------------------------------------

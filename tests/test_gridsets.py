@@ -290,13 +290,13 @@ def test_interval_measure_exact():
     sel = np.array([0, 1, 5, 8, 9, 10, 15], dtype=np.int64)
     gs = assemble(lv, (sel,))
     # full box
-    assert gs.intersect_interval_measure(0, 1) == Dyadic(7, 4)
+    assert gs.runs.measure_between(0, 1) == Dyadic(7, 4)
     # [0, 1/8) covers cubes 0,1
-    assert gs.intersect_interval_measure(0, Dyadic(1, 3)) == Dyadic(2, 4)
+    assert gs.runs.measure_between(0, Dyadic(1, 3)) == Dyadic(2, 4)
     # partial cell: [0, 1/32) covers half of cube 0
-    assert gs.intersect_interval_measure(0, Dyadic(1, 5)) == Dyadic(1, 5)
+    assert gs.runs.measure_between(0, Dyadic(1, 5)) == Dyadic(1, 5)
     # straddling: [5/16, 9/16): cubes 5,6,7,8 -> 5 and 8 selected
-    assert gs.intersect_interval_measure(Dyadic(5, 4), Dyadic(9, 4)) == Dyadic(2, 4)
+    assert gs.runs.measure_between(Dyadic(5, 4), Dyadic(9, 4)) == Dyadic(2, 4)
     # the same counts from the exact prefix-measure kernel, in 1/16 units
     c, _, e = gs.runs.cumulative_nums([0, 5, 16, 9], 4)
     assert e == 4
@@ -335,8 +335,8 @@ def test_near_tie_rate_single_level():
     thresh = Dyadic(1, 2 + 8)  # 1/(4n) = 2^-10
     for seed in range(trials):
         gs = sample_grid_set(lv, seed)
-        a = gs.intersect_interval_measure(lo_k, hi_k)
-        b = gs.intersect_interval_measure(lo_k, hi_kp)
+        a = gs.runs.measure_between(lo_k, hi_k)
+        b = gs.runs.measure_between(lo_k, hi_kp)
         if abs(a - b) < thresh:
             ties += 1
     bound = 2.0 * g / (p * n)

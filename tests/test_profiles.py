@@ -134,9 +134,6 @@ def test_json_roundtrip():
     q = Profile.from_json(p.to_json())
     assert np.array_equal(p.xs, q.xs)
     assert q.abs_error == 1e-6
-    g = StepProfile([0, 1], [0.5])
-    h = StepProfile.from_json(g.to_json())
-    assert np.array_equal(g.vals, h.vals)
 
 
 def test_piecewise_quadratic_vectorized():

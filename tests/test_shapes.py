@@ -17,7 +17,7 @@ from reconset.shapes import (
     Simplex,
     SlabTestSet,
     diameter_direction,
-    intersection_measure_detailed,
+    intersection_measures,
     radon_profile,
     shape_from_json,
 )
@@ -178,26 +178,26 @@ def test_slab_lift_and_validation():
 def test_intersection_measure_square_examples():
     T = IntervalSet([(0, 1)])
     V = SlabTestSet(E1, T, Window.of(-8, 8))
-    v1 = intersection_measure_detailed(SQUARE, Pose.identity(2), V)[0]
+    v1 = intersection_measures(SQUARE, [Pose((0.0, 0.0))], V)[0][0]
     assert v1 == pytest.approx(1.0, abs=1e-12)
-    v2 = intersection_measure_detailed(SQUARE, Pose((0.0, 0.0), 2.0), V)[0]
+    v2 = intersection_measures(SQUARE, [Pose((0.0, 0.0), 2.0)], V)[0][0]
     assert v2 == pytest.approx(2.0, abs=1e-12)
 
 
 def test_intersection_measure_full_space():
     F = SlabTestSet.full()
-    assert intersection_measure_detailed(DISK, Pose((0.3, 0.4), 2.0), F)[0] == pytest.approx(
+    assert intersection_measures(DISK, [Pose((0.3, 0.4), 2.0)], F)[0][0] == pytest.approx(
         4.0 * math.pi
     )
-    assert intersection_measure_detailed(SQUARE, Pose((5.0, 5.0), 3.0), F)[0] == pytest.approx(9.0)
+    assert intersection_measures(SQUARE, [Pose((5.0, 5.0), 3.0)], F)[0][0] == pytest.approx(9.0)
 
 
 def test_intersection_measure_halfplane_offset_disk():
     # disk at (1/2, 0), slab x in [0, 4): covers all but the cap x < 0
     T = IntervalSet([(0, 4)])
     V = SlabTestSet(E1, T, Window.of(-8, 8))
-    val, err = intersection_measure_detailed(
-        DISK, Pose((0.5, 0.0), 1.0), V, resolution=2048
+    (val,), (err,) = intersection_measures(
+        DISK, [Pose((0.5, 0.0), 1.0)], V, resolution=2048
     )
     # quadrature oracle: area of unit disk right of x = -1/2
     xs = np.linspace(-0.5, 1.0, 300_001)
@@ -211,14 +211,14 @@ def test_intersection_measure_window_exceeded():
     T = IntervalSet([(0, 1)])
     V = SlabTestSet(E1, T, Window.of(-2, 2))
     with pytest.raises(WindowExceededError) as ei:
-        intersection_measure_detailed(SQUARE, Pose((5.0, 0.0), 1.0), V)[0]
+        intersection_measures(SQUARE, [Pose((5.0, 0.0), 1.0)], V)
     assert ei.value.required_hi > 2
 
 
 def test_intersection_measure_scaling_identity():
     # r^d * vol scaling for the full-space sentinel at several r
     for r in (1.0, 1.5, 3.0):
-        got = intersection_measure_detailed(DISK, Pose((0.0, 0.0), r), SlabTestSet.full())[0]
+        got = intersection_measures(DISK, [Pose((0.0, 0.0), r)], SlabTestSet.full())[0][0]
         assert got == pytest.approx(r**2 * math.pi, rel=1e-12)
 
 
@@ -228,7 +228,7 @@ def test_intersection_measure_against_grid_mc():
     T = IntervalSet([(0, 1)])
     V = SlabTestSet(th, T, Window.of(-6, 6))
     pose = Pose((0.25, -0.125), 1.0)
-    val = intersection_measure_detailed(DISK, pose, V, resolution=1024)[0]
+    val = intersection_measures(DISK, [pose], V, resolution=1024)[0][0]
     rng = np.random.default_rng(42)
     pts = rng.uniform(-1, 1, size=(2_000_000, 2))
     inside = np.sum(pts**2, axis=1) <= 1.0
@@ -313,7 +313,7 @@ def test_volumes():
 def test_pose_validation():
     with pytest.raises(ValueError):
         Pose((0.0, 0.0), 0.5)
-    p = Pose.identity(3)
+    p = Pose((0.0, 0.0, 0.0))
     assert p.magnification == 1.0 and p.translation == (0.0, 0.0, 0.0)
     for bad in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match="translation"):
@@ -328,7 +328,7 @@ def test_overflowing_offset_refused():
     # reported as a window overrun
     V = SlabTestSet(Direction.of((1.0, 1.0)), IntervalSet([(0, 1)]), Window.of(-4, 4))
     with pytest.raises(ValueError, match="offsets"):
-        intersection_measure_detailed(SQUARE, Pose((1.5e308, 1.5e308), 1.0), V)
+        intersection_measures(SQUARE, [Pose((1.5e308, 1.5e308), 1.0)], V)
 
 
 def test_polygon_validation():
@@ -342,7 +342,7 @@ def test_polygon_validation():
 
 def test_empty_slab_measures_zero():
     V = SlabTestSet(E2, IntervalSet([]), Window.of(-4, 4))
-    assert intersection_measure_detailed(SQUARE, Pose.identity(2), V)[0] == 0.0
+    assert intersection_measures(SQUARE, [Pose((0.0, 0.0))], V)[0][0] == 0.0
 
 
 @pytest.mark.parametrize(

@@ -18,7 +18,6 @@ from reconset.shapes import (
     IntervalUnion,
     Pose,
     SlabTestSet,
-    intersection_measure_detailed,
     intersection_measures,
 )
 from reconset.verify import (
@@ -165,6 +164,17 @@ def test_family_kinds_do_not_mix():
         injectivity_report(intervals, [T, V])
     with pytest.raises(TypeError, match="not IntervalSet"):
         injectivity_report(translates, [V, T])
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [IntervalFamilyGrid.of(0, 1, Dyadic(1, 2), 1, 1, 1),
+     TranslateFamilyGrid(Ball((0.0, 0.0), 1.0), (-0.5, -0.5), (0.5, 0.5), (3, 3))],
+    ids=["interval", "translate"],
+)
+def test_injectivity_refuses_empty_test_list(grid):
+    with pytest.raises(ValueError, match="empty test list"):
+        injectivity_report(grid, [])
 
 
 # -- monotonicity -------------------------------------------------------------------
@@ -358,7 +368,7 @@ def test_slab_measure_vector_matches_per_pose():
                 V = SlabTestSet(theta, T, Window.of(-6, 6))
                 values, errors = intersection_measures(shape, family, V, 128)
                 for i, pose in enumerate(family):
-                    v, e = intersection_measure_detailed(shape, pose, V, 128)
+                    (v,), (e,) = intersection_measures(shape, [pose], V, 128)
                     assert _bits(values[i]) == _bits(v) and errors[i] == e
 
 
