@@ -7,6 +7,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from reconset.analysis import (
     VariationEnvelope,
+    _last_bins,
     ac_diagnostic,
     concavity_check,
     convolution_identity_check,
@@ -253,8 +254,9 @@ def test_ac_diagnostic_nondecreasing_partials():
 
 
 def _oracle_ac_diagnostic(p: Profile, power: float, cutoffs, samples: int = 1 << 20):
-    """The spectral partial integrals with a stable argsort of |freqs| and a
-    cumulative sum over the whole spectrum."""
+    """The spectral partial integrals from 2^20 tapered samples and their FFT,
+    with a stable argsort of |freqs| and a cumulative sum over the whole
+    spectrum, and the number of bins each partial sums."""
     cutoffs = np.asarray(cutoffs, dtype=np.float64)
     s0, s1 = p.support
     width = s1 - s0
@@ -278,7 +280,7 @@ def _oracle_ac_diagnostic(p: Profile, power: float, cutoffs, samples: int = 1 <<
     idx = np.searchsorted(absf, cutoffs, side="right") - 1
     if np.any(idx < 0):
         raise ValueError("cutoff below the frequency resolution")
-    return cum[idx]
+    return cum[idx], idx + 1
 
 
 @pytest.fixture(scope="module")
@@ -293,31 +295,70 @@ def section_profiles():
     ]
 
 
-@pytest.mark.parametrize("power", [1.0, 2.0])
-def test_ac_diagnostic_matches_argsort_oracle(section_profiles, power):
+@pytest.fixture(scope="module")
+def section_oracles(section_profiles):
+    """The FFT oracle at the screen's cutoffs, once per profile and power."""
     from reconset.construct import SCREEN_CUTOFFS
 
-    for p in section_profiles:
+    return {
+        (i, power): _oracle_ac_diagnostic(p, power, SCREEN_CUTOFFS)
+        for i, p in enumerate(section_profiles)
+        for power in (1.0, 2.0)
+    }
+
+
+@pytest.mark.parametrize("power", [1.0, 2.0])
+def test_ac_diagnostic_matches_argsort_oracle(section_profiles, section_oracles, power):
+    # the closed form against 2^20 samples: the same partials within 1e-4
+    # and the same screen verdict
+    from reconset.construct import SCREEN_CUTOFFS, SCREEN_PLATEAU
+
+    for i, p in enumerate(section_profiles):
         got = ac_diagnostic(p, power, SCREEN_CUTOFFS)
-        assert got.tobytes() == _oracle_ac_diagnostic(p, power, SCREEN_CUTOFFS).tobytes()
+        want, _ = section_oracles[i, power]
+        np.testing.assert_allclose(got, want, rtol=1e-4, atol=0.0)
+        assert (got[-1] / got[-2] >= SCREEN_PLATEAU) == (want[-1] / want[-2] >= SCREEN_PLATEAU)
 
 
-def test_ac_diagnostic_clamps_at_nyquist(section_profiles):
-    # 64 samples over a span of 8-9 put Nyquist near 4: the cutoff 1e6 takes
-    # every bin, and for even N the bin N/2 comes once, last
-    for p in section_profiles:
-        for samples in (64, 63):
-            cutoffs = [0.5, 3.0, 1e6]
-            got = ac_diagnostic(p, 2.0, cutoffs, samples)
-            want = _oracle_ac_diagnostic(p, 2.0, cutoffs, samples)
-            assert got.tobytes() == want.tobytes()
+def test_ac_diagnostic_bins_match_oracle(section_profiles, section_oracles):
+    # the disk's span is 8, so its cutoffs 16 ... 256 fall on bins exactly:
+    # bins ±k at R·span = k are summed, as the FFT's searchsorted sums them
+    from reconset.construct import SCREEN_CUTOFFS
+
+    for i, p in enumerate(section_profiles):
+        s0, s1 = p.support
+        last = _last_bins(4.0 * (s1 - s0), SCREEN_CUTOFFS)
+        _, count = section_oracles[i, 1.0]
+        assert np.array_equal(2 * last + 1, count)
+    assert section_profiles[0].support == (-1.0, 1.0)
+    assert np.array_equal(_last_bins(8.0, SCREEN_CUTOFFS), [128, 256, 512, 1024, 2048])
 
 
 def test_ac_diagnostic_refuses_cutoff_below_resolution():
     with pytest.raises(ValueError, match="below the frequency resolution"):
-        ac_diagnostic(TENT, 1.0, [-2.0, -1.0], 64)
+        ac_diagnostic(TENT, 1.0, [-2.0, -1.0])
     with pytest.raises(ValueError, match="ascending"):
-        ac_diagnostic(TENT, 1.0, [1.0, math.nan, 3.0], 64)
+        ac_diagnostic(TENT, 1.0, [1.0, math.nan, 3.0])
+
+
+@pytest.mark.parametrize("power", [math.nan, math.inf])
+def test_ac_diagnostic_refuses_non_finite_power(power):
+    # nan would give nan partials, and nan >= SCREEN_PLATEAU is False
+    with pytest.raises(ValueError, match="power must be finite"):
+        ac_diagnostic(TENT, power, [16.0, 32.0])
+
+
+def test_ac_diagnostic_refuses_non_finite_cutoff():
+    with pytest.raises(ValueError, match="cutoffs must be finite"):
+        ac_diagnostic(TENT, 1.0, [16.0, math.inf])
+
+
+def test_ac_diagnostic_refuses_cutoff_beyond_last_bin():
+    # the tent's span is 8: R = 2^16 reaches bin 2^19, the last the 2^20-point
+    # FFT had, and one bin more is refused
+    assert ac_diagnostic(TENT, 2.0, [16.0, 65536.0]).shape == (2,)
+    with pytest.raises(ValueError, match="needs more than 524288 bins"):
+        ac_diagnostic(TENT, 2.0, [16.0, 65536.125])
 
 
 # -- concavity_check -------------------------------------------------------------------

@@ -646,6 +646,73 @@ def test_family_matches_per_direction_builds(shape):
     _same_slabs(family_test_sets(shape, "translate", options), _per_direction_family(shape, "translate", options))
 
 
+# the directions translate families accept at the default resolution, as
+# float.hex of each component of θ, recorded from the 2^20-point FFT screen;
+# the 3-simplex under seed 7 rejects a direction whose screen ratio is 1.0514
+FAMILY_DIRECTIONS = {
+    ("disk", 0): [
+        ("0x1.0000000000000p+0", "0x0.0p+0"),
+        ("0x0.0p+0", "0x1.0000000000000p+0"),
+    ],
+    ("disk", 1): [
+        ("0x1.0000000000000p+0", "0x0.0p+0"),
+        ("0x0.0p+0", "0x1.0000000000000p+0"),
+    ],
+    ("disk", 7): [
+        ("0x1.0000000000000p+0", "0x0.0p+0"),
+        ("0x0.0p+0", "0x1.0000000000000p+0"),
+    ],
+    ("triangle", 0): [
+        ("0x1.0000000000000p+0", "0x0.0p+0"),
+        ("0x1.2e780e3e8ea14p-1", "-0x1.9d1b1f5ea80d7p-1"),
+    ],
+    ("triangle", 1): [
+        ("0x1.0000000000000p+0", "0x0.0p+0"),
+        ("0x1.07d91ff98454dp-5", "-0x1.ffbbff85f9515p-1"),
+    ],
+    ("triangle", 7): [
+        ("0x1.0000000000000p+0", "0x0.0p+0"),
+        ("0x1.e18a02fdc66d8p-1", "-0x1.5bee78b9db3bbp-2"),
+    ],
+    ("3-simplex", 0): [
+        ("0x1.8288d6afdb4e4p-3", "-0x1.96894bc5df5e4p-3", "0x1.ec6b4282cd9c7p-1"),
+        ("0x1.48029713da9c9p-3", "-0x1.a2e34ec9d7aaep-1", "0x1.1ac23b99e53bbp-1"),
+        ("0x1.7ba32839b4f7dp-1", "0x1.13c24b1312c00p-1", "-0x1.99c3685ca1c7ap-2"),
+    ],
+    ("3-simplex", 1): [
+        ("0x1.74420ac42d2ecp-2", "0x1.ba826d6bdcfeap-1", "0x1.6401f3f21d1cbp-2"),
+        ("-0x1.94c096fdf47dap-1", "0x1.194068eb9ab5ep-1", "0x1.1540676d99e02p-2"),
+        ("0x1.e4c3643afc883p-2", "0x1.76029dde079f5p-5", "0x1.c26326a967202p-1"),
+    ],
+    ("3-simplex", 7): [
+        ("0x1.800410508352ap-9", "0x1.7943fe071903bp-1", "-0x1.5a23a9b4925ebp-1"),
+        ("0x1.580900e279c8dp-5", "0x1.e02c90f4a72f8p-1", "-0x1.60c93b8306edcp-2"),
+        ("-0x1.6e48b9940db4cp-1", "0x1.2126e33b1f9d5p-1", "0x1.a54a08ff09a60p-2"),
+    ],
+}
+
+
+@pytest.mark.parametrize("name, seed", list(FAMILY_DIRECTIONS))
+def test_family_screen_keeps_accepted_directions(monkeypatch, name, seed):
+    from types import SimpleNamespace
+
+    from reconset.shapes import Simplex
+
+    shape = {
+        "disk": Ball((0.0, 0.0), 1.0),
+        "triangle": Polygon([(0.0, 0.0), (2.0, 0.0), (0.5, 1.5)]),
+        "3-simplex": Simplex(((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1))),
+    }[name]
+    # only the screen and the direction search decide the directions, so the
+    # build is stubbed (the 3-simplex's would exceed the quantizer's cap)
+    monkeypatch.setattr(
+        construct, "translate_test_set",
+        lambda profile, window: (IntervalSet([(0, 1)]), SimpleNamespace(effective_window=window)),
+    )
+    slabs = family_test_sets(shape, "translate", FamilyOptions(seed=seed))
+    assert [tuple(c.hex() for c in s.theta.theta) for s in slabs] == FAMILY_DIRECTIONS[name, seed]
+
+
 def test_family_growth_rejection_recorded_once(monkeypatch):
     from reconset import construct
 
