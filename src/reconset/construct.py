@@ -627,7 +627,8 @@ def _is_convex(shape) -> bool:
 
 def _screened_test_set(profile: Profile, mode: str, d: int, options: FamilyOptions):
     """(T, certificate) of one direction's section profile, or None when the
-    spectral screen or the growth certificate rejects the profile."""
+    spectral screen, the resolution cap (translate) or the growth certificate
+    (magnify) rejects the profile."""
     from .analysis import ac_diagnostic
 
     # d-1 is the integrability exponent of the finiteness criterion
@@ -639,7 +640,10 @@ def _screened_test_set(profile: Profile, mode: str, d: int, options: FamilyOptio
     bmax = options.translate_radius * math.sqrt(d) + 1.0
     if mode == "translate":
         half = int(math.ceil(bmax + rad + 1))
-        return translate_test_set(profile, Window.of(-half, half))
+        try:
+            return translate_test_set(profile, Window.of(-half, half))
+        except InfeasibleResolutionError:
+            return None
     half = int(math.ceil(options.a_max * rad + bmax + 1))
     try:
         return magnify_test_set(profile, Window.of(-half, half), options.a_max)

@@ -5,8 +5,9 @@ blocks (n a power of two) and keeps or skips each block so the running
 integral of (chi_T - phi) stays inside [0, 1/n]; a final left trim makes the
 cell integral vanish.  With the skip-preferring tie-break the kept-block
 count after m blocks equals ceil(n * ∫_c^{c+m/n} phi), which is what the
-vectorized implementation uses.  The cell total that fixes the trim is summed
-exactly, as `math.fsum` would round it.
+vectorized implementation uses: it reads the target's antiderivative at the
+cell's block edges (`cell_antiderivative`), whose last value is the cell
+total that fixes the trim.
 
 Tiling the rule over integer cells with per-shell budgets delta(k) yields a
 set T with |∫_a^b (chi_T - phi)| <= delta(floor|a|) + delta(floor|b|) over
@@ -15,12 +16,10 @@ the window.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .blocks import spans
 from .dyadic import Dyadic
 from .errors import InfeasibleResolutionError
 from .intervals import IntervalSet, Window
@@ -43,52 +42,12 @@ def least_power_of_two_above(x: float) -> int:
     return n
 
 
-def exact_sum(x) -> float:
-    """math.fsum(x) bit for bit, in numpy.
-
-    x is scaled by a power of two below 2**B, B = 52 - bit_length(len(x)),
-    and cut into levels of B bits: the integer parts, then the integer parts
-    of the remainders times 2**B, and so on.  Every level's float sum is exact
-    (all its partial sums are integers below 2**52); the levels meet in a
-    Python int, and one int/int true division rounds it correctly.  Each
-    block of x is cut on its own and joins the int at its own depth, which
-    is the same int.  Non-finite input, an exact zero (whose sign fsum
-    decides) and max|x| >= 2**B go to math.fsum itself.
-    """
-    x = np.asarray(x, dtype=np.float64).ravel()
-    bits = 52 - x.size.bit_length()
-    top = float(np.maximum(np.max(x, initial=0.0), -np.min(x, initial=0.0)))
-    if not top < 2.0**bits:  # also inf and nan
-        return math.fsum(x)
-    exp = bits - math.frexp(top)[1]  # top * 2**exp < 2**bits
-    total, depth = 0, 0  # sum(x) = total / 2**(exp + bits*depth) once x is spent
-    for start, stop in spans(x.size):
-        r = np.ldexp(x[start:stop], exp)
-        q = np.empty_like(r)
-        part, level = 0, 0
-        while True:
-            np.trunc(r, out=q)
-            part = (part << bits) + int(np.sum(q))
-            r -= q
-            if not r.any():
-                break
-            np.ldexp(r, bits, out=r)
-            level += 1
-        if level > depth:
-            total <<= bits * (level - depth)
-            depth = level
-        total += part << bits * (depth - level)
-    if total == 0:
-        return math.fsum(x)
-    return total / (1 << (exp + bits * depth))
-
-
-def greedy_mask(block_integrals: np.ndarray, n: int) -> tuple[np.ndarray, float]:
-    """Vectorized block rule via the kept-count identity k_m = ceil(n A_m)."""
-    total = exact_sum(block_integrals)
+def greedy_mask(A: np.ndarray, n: int) -> tuple[np.ndarray, float]:
+    """Vectorized block rule via the kept-count identity k_m = ceil(n A_m),
+    A the cell's antiderivative at its n + 1 block edges; A[-1] is the cell
+    total that fixes the trim."""
     # k is one n-sized buffer, updated in place
-    k = np.cumsum(block_integrals)
-    k *= n
+    k = A[1:] * n
     k -= TIE_DUST  # tolerate float dust just above integers
     np.ceil(k, out=k)
     np.maximum(k, 1.0, out=k)  # block 0 is always kept
@@ -97,7 +56,7 @@ def greedy_mask(block_integrals: np.ndarray, n: int) -> tuple[np.ndarray, float]
     kept = np.empty(k.size, dtype=bool)
     kept[:1] = k[:1] > 0.5
     np.greater(k[1:], k[:-1], out=kept[1:])
-    return kept, float(k[-1]) / n - total
+    return kept, float(k[-1]) / n - float(A[-1])
 
 
 @dataclass(frozen=True)
@@ -136,10 +95,7 @@ def quantize_cell(target, cell_lo: int, n: int) -> CellQuantization:
             f"cell at {cell_lo} needs {n} blocks (> {MAX_BLOCKS_PER_CELL}); "
             "budgets demand more resolution than the desk-scale cap"
         )
-    edges = cell_lo + np.arange(n + 1, dtype=np.float64) / n
-    block_ints = np.asarray(target.consecutive_block_integrals(edges), dtype=np.float64)
-    del edges  # freed before the mask's buffers exist
-    kept, h = greedy_mask(block_ints, n)
+    kept, h = greedy_mask(target.cell_antiderivative(cell_lo, n), n)
     h = min(max(h, 0.0), 1.0 / n)
     trim_num = round(h * (1 << TRIM_EXPONENT))
     return CellQuantization(cell_lo, n, kept, Dyadic(trim_num, TRIM_EXPONENT))

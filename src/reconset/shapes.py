@@ -140,6 +140,12 @@ class Box:
         return out
 
 
+def _shoelace(v: np.ndarray) -> float:
+    """Signed area of the polygon with vertex rows v, positive counterclockwise."""
+    x, y = v[:, 0], v[:, 1]
+    return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
+
+
 @dataclass(frozen=True)
 class Polygon:
     """Simple polygon in the plane with counterclockwise vertices."""
@@ -153,15 +159,10 @@ class Polygon:
             raise ValueError("polygon needs at least 3 vertices")
         if any(len(v) != 2 for v in vs):
             raise ValueError("polygon vertices must be planar")
-        if self._signed_area() <= 0:
+        if _shoelace(np.asarray(vs)) <= 0:
             raise ValueError("vertices must be counterclockwise with positive area")
         if self._self_intersects():
             raise ValueError("polygon must be simple")
-
-    def _signed_area(self) -> float:
-        v = np.asarray(self.vertices)
-        x, y = v[:, 0], v[:, 1]
-        return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
 
     def _self_intersects(self) -> bool:
         v = self.vertices
@@ -193,7 +194,7 @@ class Polygon:
         return 2
 
     def volume(self) -> float:
-        return self._signed_area()
+        return _shoelace(np.asarray(self.vertices))
 
     def is_convex(self) -> bool:
         v = np.asarray(self.vertices)
@@ -521,11 +522,7 @@ def _simplex_profile(simplex: Simplex, theta: Direction, resolution: int) -> Pro
 
 def _triangle_as_polygon(simplex: Simplex) -> Polygon:
     vs = tuple(tuple(p) for p in simplex.vertices)
-    x = np.asarray(vs)
-    area = 0.5 * float(
-        np.sum(x[:, 0] * np.roll(x[:, 1], -1) - np.roll(x[:, 0], -1) * x[:, 1])
-    )
-    if area < 0:
+    if _shoelace(np.asarray(vs)) < 0:
         vs = tuple(reversed(vs))
     return Polygon(vs)
 
@@ -553,11 +550,7 @@ def _tetra_section_area(v: np.ndarray, th: np.ndarray, t: float) -> float:
     c = uv.mean(axis=0)
     ang = np.arctan2(uv[:, 1] - c[1], uv[:, 0] - c[0])
     order = np.argsort(ang)
-    uv = uv[order]
-    x, y = uv[:, 0], uv[:, 1]
-    return abs(
-        0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
-    )
+    return abs(_shoelace(uv[order]))
 
 
 def _interval_union_profile(shape: IntervalUnion, theta: Direction) -> Profile:

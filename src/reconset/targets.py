@@ -5,11 +5,14 @@ exponential tails, and a slowly-decaying sigmoid whose derivative behaves
 like c1 / (|x| log^2 |x|) for large |x| — the shape that makes the
 magnification construction work for every scale a >= 1.
 
-Quantizer bookkeeping needs integrals of the target over up to millions of
-consecutive tiny blocks, accurate to ~1e-13.  The logistic has a closed-form
-antiderivative; the slow-decay target integrates its derivative with
-fixed-order Gauss-Legendre panels (machine precision at these widths) and a
-cumulative table at integer points.
+A quantizer cell [c, c+1) reads one object of its target: the antiderivative
+A(c + m/n) = ∫_c^{c+m/n} phi at up to millions of block edges, accurate to
+~1e-13 (`cell_antiderivative`).  The logistic has a closed-form
+antiderivative.  The slow-decay target's derivative is analytic within 2.5 of
+the real axis, so a degree-`CHEB_DEGREE` Chebyshev series of it on the cell
+is exact to roundoff; integrated twice, it gives A as one series evaluated at
+every edge.  Its phi itself comes from fixed-order Gauss-Legendre panels and
+a cumulative table at integer points.
 
 The logistic itself is evaluated as 1 / (1 + exp(-z)) with the C library exp
 (``math.exp``), point by point: certificate floats (phi_min, eps, h) depend on
@@ -24,6 +27,8 @@ from functools import lru_cache
 import numpy as np
 
 from .blocks import spans
+
+CHEB_DEGREE = 24  # Chebyshev degree of the slow-decay phi' on one unit cell
 
 
 @lru_cache(maxsize=8)
@@ -67,8 +72,8 @@ class AffineTarget:
         hi = np.asarray(hi, dtype=np.float64)
         return self.slope * (hi * hi - lo * lo) / 2.0 + self.intercept * (hi - lo)
 
-    def consecutive_block_integrals(self, edges: np.ndarray) -> np.ndarray:
-        return self.integrate_phi(edges[:-1], edges[1:])
+    def cell_antiderivative(self, c: int, n: int) -> np.ndarray:
+        return self.integrate_phi(c, c + np.arange(n + 1, dtype=np.float64) / n)
 
     def dphi_min(self, lo: float, hi: float) -> float:
         return self.slope
@@ -111,12 +116,13 @@ class Logistic:
     def integrate_phi(self, lo, hi):
         return self._anti(hi) - self._anti(lo)
 
-    def consecutive_block_integrals(self, edges: np.ndarray) -> np.ndarray:
-        edges = np.asarray(edges, dtype=np.float64)
-        out = np.empty(max(edges.size - 1, 0))
-        for start, stop in spans(out.size):
-            a = self._anti(edges[start : stop + 1])
-            np.subtract(a[1:], a[:-1], out=out[start:stop])
+    def cell_antiderivative(self, c: int, n: int) -> np.ndarray:
+        """∫_c^{c+m/n} phi for m = 0..n, one block of edges at a time."""
+        out = np.empty(n + 1)
+        a0 = self._anti(float(c))
+        for start, stop in spans(n + 1):
+            edges = c + np.arange(start, stop, dtype=np.float64) / n
+            np.subtract(self._anti(edges), a0, out=out[start:stop])
         return out
 
     def dphi_min(self, lo: float, hi: float) -> float:
@@ -195,47 +201,61 @@ class LogSquaredDecay:
         return float(out[0]) if scalar else out
 
     def integrate_phi(self, lo, hi):
-        """∫_lo^hi phi by parts: [x phi] - ∫ x phi'(x) dx (phi only at ends)."""
+        """∫_lo^hi phi by parts: [x phi] - ∫ x phi'(x) dx (phi only at ends).
+
+        The moment takes one 24-node panel per unit cell that [lo, hi] meets,
+        summed from the left: a single panel over [-12, 11] errs by 2e-4.
+        """
         lo = np.atleast_1d(np.asarray(lo, dtype=np.float64))
         hi = np.atleast_1d(np.asarray(hi, dtype=np.float64))
-        phi_lo = self.phi(lo)
-        phi_hi = self.phi(hi)
-        moment = gl_panel_integrals(lambda t: t * self.dphi(t), lo, hi, 24)
-        return hi * phi_hi - lo * phi_lo - moment
+        a, b = np.minimum(lo, hi), np.maximum(lo, hi)
+        moment = np.zeros(a.shape)
+        cell = np.floor(a)
+        live = a < b
+        while live.any():
+            left = np.maximum(a[live], cell[live])
+            right = np.minimum(b[live], cell[live] + 1.0)
+            moment[live] += gl_panel_integrals(lambda t: t * self.dphi(t), left, right, 24)
+            cell += 1.0
+            live = cell < b
+        moment = np.where(hi < lo, -moment, moment)
+        return hi * self.phi(hi) - lo * self.phi(lo) - moment
 
-    def consecutive_block_integrals(self, edges: np.ndarray) -> np.ndarray:
-        """Fast path for ascending consecutive blocks (quantizer cells).
+    def cell_antiderivative(self, c: int, n: int) -> np.ndarray:
+        """∫_c^{c+m/n} phi for m = 0..n, from a Chebyshev series of phi'.
 
-        One derivative evaluation per quadrature node serves both the
-        edge-value cumulation and the moment term of the by-parts formula.
-        The n x order node arrays live one block of rows at a time; the edge
-        values are one cumsum of the derivative steps over the whole cell.
+        phi' at the CHEB_DEGREE + 1 Chebyshev points of [c, c+1] (math.sqrt
+        and math.log, point by point) gives the series by a cosine sum in
+        fixed order; integrated once, plus phi(c), it is phi, and once more
+        A.  A is evaluated at t = m (2/n) - 1 one block of edges at a time,
+        by elementwise steps only.
         """
-        edges = np.asarray(edges, dtype=np.float64)
-        width = edges[1] - edges[0] if edges.size > 1 else 1.0
-        order = 4 if width <= 2.0**-10 else (6 if width <= 2.0**-6 else 16)
-        x, w = _gl_nodes(order)
-        n = max(edges.size - 1, 0)
-        phi_edges = np.empty(n + 1)
-        phi_edges[0] = 0.0
-        moment = np.empty(n)
-        for start, stop in spans(n):
-            lo, hi = edges[start:stop], edges[start + 1 : stop + 1]
-            mid = (lo + hi) / 2.0
-            halfw = (hi - lo) / 2.0
-            pts = mid[:, None] + halfw[:, None] * x[None, :]
-            dvals = self.dphi(pts.ravel()).reshape(pts.shape)
-            phi_edges[start + 1 : stop + 1] = halfw * (dvals @ w)
-            moment[start:stop] = halfw * ((pts * dvals) @ w)
-        np.cumsum(phi_edges[1:], out=phi_edges[1:])
-        phi_edges += float(self.phi(edges[0]))
-        for start, stop in spans(n):
-            lo, hi = edges[start:stop], edges[start + 1 : stop + 1]
-            moment[start:stop] = (
-                hi * phi_edges[start + 1 : stop + 1] - lo * phi_edges[start:stop]
-                - moment[start:stop]
-            )
-        return moment
+        from numpy.polynomial import chebyshev  # 3-6 ms to import: only here
+
+        N = CHEB_DEGREE
+        E2 = self._E * self._E
+        f = []
+        for k in range(N + 1):
+            x = c + 0.5 + 0.5 * math.cos(math.pi * k / N)
+            u = math.sqrt(x * x + E2)
+            lu = math.log(u)
+            f.append(self.c1 * (1.0 / (u * lu * lu)))  # as dphi rounds it
+        f[0] /= 2.0
+        f[N] /= 2.0
+        coef = [
+            2.0 / N * math.fsum(fk * math.cos(math.pi * j * k / N) for k, fk in enumerate(f))
+            for j in range(N + 1)
+        ]
+        coef[0] /= 2.0
+        coef[N] /= 2.0
+        phi = chebyshev.chebint(coef, lbnd=-1, scl=0.5)
+        phi[0] += self.phi(float(c))
+        anti = chebyshev.chebint(phi, lbnd=-1, scl=0.5)
+        out = np.empty(n + 1)
+        for start, stop in spans(n + 1):
+            t = np.arange(start, stop, dtype=np.float64) * (2.0 / n) - 1.0
+            out[start:stop] = chebyshev.chebval(t, anti)
+        return out
 
     def dphi_min(self, lo: float, hi: float) -> float:
         return float(self.dphi(max(abs(lo), abs(hi))))

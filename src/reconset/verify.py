@@ -14,7 +14,7 @@ collision.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -276,7 +276,6 @@ class VerificationReport:
     indeterminate: bool
     quadrature_error: float
     grid: dict
-    seeds: dict = field(default_factory=dict)
 
     @property
     def passed(self) -> bool:
@@ -293,7 +292,6 @@ class VerificationReport:
             "indeterminate": self.indeterminate,
             "quadrature_error": self.quadrature_error,
             "grid": self.grid,
-            "seeds": self.seeds,
             "passed": self.passed,
         }
 

@@ -2,11 +2,13 @@
 forms, and a bounded peak of traced memory.
 
 Each oracle below is the whole-array code the blocked kernel replaced,
-kept verbatim.  Sizes straddle the block size B: 1, B-1, B, B+1 and 3B+5.
+kept verbatim.  The slow-decay target's antiderivative is a Chebyshev series,
+not the Gauss-Legendre block integrals of its oracle: it meets that oracle's
+running sum within 1e-13, and its own one-block form bit for bit.  Sizes
+straddle the block size B: 1, B-1, B, B+1 and 3B+5.
 """
 
 import gc
-import math
 import tracemalloc
 from itertools import chain
 
@@ -32,11 +34,11 @@ from reconset.quantize import (
     TRIM_EXPONENT,
     CellQuantization,
     cells_to_interval_set,
-    exact_sum,
     greedy_mask,
     quantize_cell,
 )
 from reconset.shapes import Ball, Direction, radon_profile
+from reconset import targets
 from reconset.targets import LogSquaredDecay, Logistic, _gl_nodes
 
 SIZES = (1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 5)
@@ -45,13 +47,11 @@ SIZES = (1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 5)
 # -- whole-array oracles ----------------------------------------------------------
 
 
-def oracle_greedy_mask(block_integrals, n):
-    total = math.fsum(block_integrals)  # exact_sum returns math.fsum bit for bit
-    a = np.cumsum(block_integrals)
-    k = np.ceil(n * a - TIE_DUST)
+def oracle_greedy_mask(A, n):
+    k = np.ceil(n * A[1:] - TIE_DUST)
     k = np.maximum.accumulate(np.maximum(k, 1.0))
     kept = np.diff(np.concatenate([[0.0], k])) > 0.5
-    return kept, float(k[-1]) / n - total
+    return kept, float(k[-1]) / n - A[-1]
 
 
 def oracle_interval_arrays(cell):
@@ -194,25 +194,15 @@ def same_bits(a, b):
 @pytest.mark.parametrize("size", SIZES)
 def test_greedy_mask_matches_whole_array_oracle(size):
     rng = np.random.default_rng(size)
-    for ints in (
-        rng.uniform(0.0, 1.0 / size, size),  # a plain cell: runs and gaps
-        np.full(size, 1.0 / (2 * size)),  # ties at every second block
-        Logistic(0.5).consecutive_block_integrals(-2.0 + np.arange(size + 1) / size),
+    for A in (
+        np.concatenate([[0.0], np.cumsum(rng.uniform(0.0, 1.0 / size, size))]),  # runs and gaps
+        np.arange(size + 1) / (2 * size),  # ties at every second block
+        Logistic(0.5).cell_antiderivative(-2, size),
     ):
-        kept, h = greedy_mask(ints, size)
-        want_kept, want_h = oracle_greedy_mask(ints, size)
+        kept, h = greedy_mask(A, size)
+        want_kept, want_h = oracle_greedy_mask(A, size)
         assert same_bits(kept, want_kept)
         assert np.float64(h).tobytes() == np.float64(want_h).tobytes()
-
-
-@pytest.mark.parametrize("size", SIZES)
-def test_exact_sum_joins_blocks_of_different_depth(size):
-    # blocks whose remainders take different numbers of levels meet in one int
-    rng = np.random.default_rng(size + 1)
-    x = np.ldexp(rng.standard_normal(size), rng.integers(-60, 20, size))
-    x[: size // 3] = np.round(x[: size // 3])  # whole numbers: one level
-    for v in (x, x[::-1].copy(), -x):
-        assert np.float64(exact_sum(v)).tobytes() == np.float64(math.fsum(v)).tobytes()
 
 
 def _cells(size, seed):
@@ -279,25 +269,33 @@ def test_coverage_knots_match_whole_array_oracle(size):
         assert same_bits(got, want)
 
 
-# widths 2**-12, 2**-8 and 2**-4 take 4, 6 and 16 Gauss-Legendre nodes; cells
-# 2 and -3 are mirror images (one shell), cell 5 has no mirror in its window
-@pytest.mark.parametrize("width_exp", [12, 8, 4])
+# widths 2**-16, 2**-12, 2**-8 and 2**-4 take 4, 4, 6 and 16 Gauss-Legendre
+# nodes in the oracle; cells 2 and -3 are mirror images (one shell), cell 5
+# has no mirror in its window
+@pytest.mark.parametrize("width_exp", [16, 12, 8, 4])
 @pytest.mark.parametrize("cell", [2, -3, 5])
 def test_log_squared_decay_block_integrals_match_whole_array_oracle(width_exp, cell):
     t = LogSquaredDecay()
-    sizes = SIZES if width_exp == 12 else SIZES[:4]  # 16 nodes on 3B+5 rows is slow
-    for size in sizes:
-        edges = cell + np.arange(size + 1, dtype=np.float64) * 2.0**-width_exp
-        got = t.consecutive_block_integrals(edges)
-        assert same_bits(got, oracle_log_squared_decay_block_integrals(t, edges))
+    n = 1 << width_exp
+    got = t.cell_antiderivative(cell, n)
+    ints = oracle_log_squared_decay_block_integrals(t, cell + np.arange(n + 1, dtype=np.float64) / n)
+    want = np.concatenate([[0.0], np.cumsum(ints)])
+    assert np.abs(got - want).max() <= 1e-13
 
 
 @pytest.mark.parametrize("size", SIZES)
 def test_logistic_block_integrals_match_whole_array_oracle(size):
     t = Logistic(0.5)
     edges = -3.0 + np.arange(size + 1, dtype=np.float64) / size
-    a = t._anti(edges)
-    assert same_bits(t.consecutive_block_integrals(edges), a[1:] - a[:-1])
+    assert same_bits(t.cell_antiderivative(-3, size), t._anti(edges) - t._anti(-3.0))
+
+
+@pytest.mark.parametrize("size", SIZES)
+def test_log_squared_decay_antiderivative_blocked_matches_whole(monkeypatch, size):
+    t = LogSquaredDecay()
+    blocked = t.cell_antiderivative(-4, size)
+    monkeypatch.setattr(targets, "spans", lambda n: [(0, n)])
+    assert same_bits(blocked, t.cell_antiderivative(-4, size))
 
 
 def _codec_set(size, seed):
@@ -398,10 +396,15 @@ def test_ac_diagnostic_memory_budget():
     assert peak <= 8.0
 
 
-def test_quantize_cell_memory_budget():
-    # the whole-array form peaked at 48.0 MiB on this call
-    _, peak, _ = traced_mib(quantize_cell, Logistic(0.5), 4, 2**20)
-    assert peak <= 48.0 / 2
+@pytest.mark.parametrize(
+    "target", [Logistic(0.5), LogSquaredDecay()], ids=["logistic", "log-squared-decay"]
+)
+def test_quantize_cell_memory_budget(target):
+    # the whole-array form peaked at 48.0 MiB on the logistic call, and the
+    # slow-decay target's Gauss-Legendre block integrals at 37.0 MiB; the
+    # antiderivative (8 MiB), the kept counts (8 MiB) and the mask remain
+    _, peak, _ = traced_mib(quantize_cell, target, 4, 2**20)
+    assert peak <= 24.0
 
 
 def test_coverage_knots_memory_budget():

@@ -346,6 +346,14 @@ def test_cli_import_graph(json_reports, tmp_path):
                 f"code = main({argv!r}); print(code, 'reconset.intervals' in sys.modules)")
     assert p.returncode == 0, p.stderr
     assert p.stdout.splitlines()[-1] == "0 False", p.stdout
+    # `construct translate` quantizes a logistic, which needs no numpy.polynomial
+    # (only the slow-decay target's antiderivative loads it)
+    argv = ["construct", "translate", "--profile", "tent", "--window", "-4", "4",
+            "-o", str(tmp_path / "Tt.json")]
+    p = _python("-c", "import sys; from reconset.cli import main; "
+                f"code = main({argv!r}); print(code, 'numpy.polynomial' in sys.modules)")
+    assert p.returncode == 0, p.stderr
+    assert p.stdout.splitlines()[-1] == "0 False", p.stdout
     # each exact interval-set command loads only the modules it computes with;
     # `verify monotonicity` parses its 1-D shape with `shapes` and `profiles`
     T, a, b = (json_reports["verification_report"].parent / f for f in ("T.json", "A.json", "B.json"))

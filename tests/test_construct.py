@@ -726,3 +726,25 @@ def test_family_growth_rejection_recorded_once(monkeypatch):
     with pytest.raises(SearchBudgetError, match="only 0 of 2 directions"):
         family_test_sets(Ball((0.0, 0.0), 1.0), "magnify", FamilyOptions(resolution=8))
     assert len(calls) == 1
+
+
+def test_family_translate_skips_an_infeasible_direction(monkeypatch):
+    # a direction whose budgets exceed the quantizer's cap is rejected as the
+    # screen rejects one, and the search goes on to the next candidate; the
+    # triangle's profiles differ by direction, so each candidate is built
+    from types import SimpleNamespace
+
+    calls = []
+
+    def first_infeasible(profile, window):
+        calls.append(profile)
+        if len(calls) == 1:
+            raise InfeasibleResolutionError("cell at -10 needs 8388608 blocks (> 4194304)")
+        return IntervalSet([(0, 1)]), SimpleNamespace(effective_window=window)
+
+    monkeypatch.setattr(construct, "translate_test_set", first_infeasible)
+    triangle = Polygon([(0.0, 0.0), (2.0, 0.0), (0.5, 1.5)])
+    slabs = family_test_sets(triangle, "translate", FamilyOptions(seed=0))
+    dirs = [tuple(c.hex() for c in s.theta.theta) for s in slabs]
+    assert len(slabs) == 2 and len(calls) == 3
+    assert FAMILY_DIRECTIONS["triangle", 0][0] not in dirs  # the first build's axis

@@ -1,5 +1,4 @@
 import math
-import re
 import warnings
 
 import numpy as np
@@ -12,7 +11,6 @@ from reconset.quantize import (
     TIE_DUST,
     ShellBudget,
     cells_to_interval_set,
-    exact_sum,
     greedy_mask,
     greedy_quantizer,
     least_power_of_two_above,
@@ -37,6 +35,17 @@ def reference_greedy_mask(block_integrals: np.ndarray, n: int) -> tuple[np.ndarr
     return kept, s
 
 
+def antiderivative(block_integrals: np.ndarray) -> np.ndarray:
+    """A at the block edges, as `greedy_mask` takes it: [0, cumsum(ints)]."""
+    return np.concatenate([[0.0], np.cumsum(block_integrals)])
+
+
+def block_integrals(target, lo: float, n: int) -> np.ndarray:
+    """∫ phi over each of the n blocks [lo + m/n, lo + (m+1)/n]."""
+    edges = lo + np.arange(n + 1, dtype=np.float64) / n
+    return np.asarray(target.integrate_phi(edges[:-1], edges[1:]))
+
+
 def test_least_power_of_two_above():
     assert least_power_of_two_above(8) == 16  # strictly greater
     assert least_power_of_two_above(7.9) == 8
@@ -52,11 +61,12 @@ def test_worked_example_identity_target():
 
 def test_worked_example_partial_sums():
     target = AffineTarget(1.0, 0.0)
-    edges = np.arange(5) / 4.0
-    ints = target.consecutive_block_integrals(edges)
+    ints = block_integrals(target, 0.0, 4)
     kept, h = reference_greedy_mask(ints, 4)
     assert kept.tolist() == [True, False, True, False]
     assert h == pytest.approx(0.0, abs=1e-15)
+    fast_kept, fast_h = greedy_mask(antiderivative(ints), 4)
+    assert np.array_equal(fast_kept, kept) and fast_h == pytest.approx(h, abs=1e-15)
     # running integrals of (chi_T - phi) after each block: 7/32, 4/32, 7/32, 0
     s = []
     acc = 0.0
@@ -81,10 +91,8 @@ def test_constant_target_density():
 )
 def test_greedy_mask_matches_reference(log_n, rate, shift):
     n = 2**log_n * 4
-    target = Logistic(rate)
-    edges = shift + np.arange(n + 1, dtype=float) / n
-    ints = np.asarray(target.consecutive_block_integrals(edges))
-    kept_fast, h_fast = greedy_mask(ints, n)
+    ints = block_integrals(Logistic(rate), shift, n)
+    kept_fast, h_fast = greedy_mask(antiderivative(ints), n)
     kept_ref, h_ref = reference_greedy_mask(ints, n)
     assert np.array_equal(kept_fast, kept_ref)
     assert h_fast == pytest.approx(h_ref, abs=1e-12)
@@ -94,9 +102,8 @@ def test_greedy_mask_tie_skips_in_both_rules():
     # a logistic centred on [-1/2, 1/2] integrates to exactly 1/2, so the last
     # block is a tie; float dust in the running sum must not keep it
     n = 8
-    edges = -0.5 + np.arange(n + 1, dtype=float) / n
-    ints = np.asarray(Logistic(3.0).consecutive_block_integrals(edges))
-    kept_fast, h_fast = greedy_mask(ints, n)
+    ints = block_integrals(Logistic(3.0), -0.5, n)
+    kept_fast, h_fast = greedy_mask(antiderivative(ints), n)
     kept_ref, h_ref = reference_greedy_mask(ints, n)
     assert kept_fast.tolist() == [True, False, False, True, False, True, True, False]
     assert np.array_equal(kept_fast, kept_ref)
@@ -184,7 +191,9 @@ def test_log_squared_decay_target():
 def test_log_squared_decay_block_integrals_consistent():
     t = LogSquaredDecay()
     edges = 2.0 + np.arange(17) / 16.0
-    fast = np.asarray(t.consecutive_block_integrals(edges))
+    A = t.cell_antiderivative(2, 16)
+    assert A.shape == (17,) and A[0] == pytest.approx(0.0, abs=1e-16)
+    fast = np.diff(A)
     slow = np.asarray(t.integrate_phi(edges[:-1], edges[1:]))
     assert np.allclose(fast, slow, atol=1e-13)
     # against a trapezoid oracle on a very fine grid
@@ -194,10 +203,20 @@ def test_log_squared_decay_block_integrals_consistent():
         assert fast[i] == pytest.approx(orc, abs=1e-9)
 
 
+@pytest.mark.parametrize("lo, hi", [(-12, 11), (-12, 10), (-6, 5), (11, -12)])
+def test_log_squared_decay_integral_over_many_cells(lo, hi):
+    # one Gauss-Legendre panel over all of [-12, 11] was off by 2.1e-4
+    t = LogSquaredDecay()
+    sign = 1.0 if lo <= hi else -1.0
+    cells = range(min(lo, hi), max(lo, hi))
+    want = sign * math.fsum(float(t.integrate_phi(k, k + 1.0)[0]) for k in cells)
+    assert float(t.integrate_phi(float(lo), float(hi))[0]) == pytest.approx(want, abs=1e-12)
+
+
 def test_logistic_block_integrals_exact():
     t = Logistic(0.8)
-    edges = -1.0 + np.arange(9) / 4.0
-    fast = np.asarray(t.consecutive_block_integrals(edges))
+    edges = -1.0 + np.arange(9) / 8.0
+    fast = np.diff(t.cell_antiderivative(-1, 8))
     for i in (0, 3, 7):
         g = np.linspace(edges[i], edges[i + 1], 4001)
         orc = np.trapezoid(t.phi(g), g)
@@ -214,7 +233,10 @@ def test_quantize_cell_negative_cells():
     assert abs(total) <= 1e-12
 
 
-def test_windowed_integral_norm_obeys_shell_bound():
+@pytest.mark.parametrize(
+    "target", [Logistic(0.5), LogSquaredDecay()], ids=["logistic", "log-squared-decay"]
+)
+def test_windowed_integral_norm_obeys_shell_bound(target):
     def windowed_integral_norm(T, target, x, a, samples=512):
         """sup over x-a <= u <= v <= x+a of |∫_u^v (chi_T - phi)|, on a sample
         grid refined by the interval endpoints inside the window."""
@@ -226,7 +248,6 @@ def test_windowed_integral_norm_obeys_shell_bound():
         D = quantizer_residual(T, target, x - a, pts)
         return float(D.max() - D.min())
 
-    target = Logistic(0.5)
     delta = ShellBudget(tuple(2.0 ** (-k - 3) for k in range(4)))
     T, _ = tiled_quantizer(target, delta, Window.of(-4, 4))
     # by the shell bound, the a-window norm at x is at most twice the largest
@@ -248,83 +269,3 @@ def test_logistic_matches_expit_bit_for_bit():
             got = Logistic(rate).phi(x)
         assert got.tobytes() == special.expit(rate * x).tobytes()
         assert Logistic(rate).phi(x[7]) == special.expit(rate * x[7])
-
-
-# -- exact_sum against math.fsum ----------------------------------------------------
-
-
-def _assert_same_sum(x):
-    """exact_sum(x) and math.fsum(x) give the same bits, or raise alike."""
-    x = np.asarray(x, dtype=np.float64)
-    try:
-        want = math.fsum(x)
-    except (OverflowError, ValueError) as e:
-        with pytest.raises(type(e), match=re.escape(str(e))):
-            exact_sum(x)
-        return
-    got = exact_sum(x)
-    assert type(got) is float
-    assert np.float64(got).tobytes() == np.float64(want).tobytes(), (x, got, want)
-
-
-# m * 2**e with a 53-bit mantissa: |value| from 2**-1074 up to 2**61
-wide_floats = st.builds(
-    lambda m, e: math.ldexp(m, e),
-    st.integers(min_value=-(2**53 - 1), max_value=2**53 - 1),
-    st.integers(min_value=-1074, max_value=8),
-)
-finite_floats = st.floats(
-    min_value=-(2.0**60), max_value=2.0**60, allow_nan=False, allow_infinity=False
-)
-tie_floats = st.sampled_from(
-    [1.0, -1.0, 2.0**-52, 2.0**-53, -(2.0**-53), 3 * 2.0**-53, 2.0**-1074, -(2.0**-1074)]
-)
-
-
-@settings(max_examples=300, deadline=None)
-@given(st.lists(st.one_of(wide_floats, finite_floats), max_size=300))
-def test_exact_sum_matches_fsum_signed_subnormal_wide(xs):
-    _assert_same_sum(xs)
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.lists(tie_floats, min_size=1, max_size=64))
-def test_exact_sum_matches_fsum_on_ties(xs):
-    _assert_same_sum(xs)
-
-
-@settings(max_examples=50, deadline=None)
-@given(st.lists(st.sampled_from([0.0, -0.0]), max_size=40))
-def test_exact_sum_matches_fsum_on_zeros(xs):
-    _assert_same_sum(xs)
-
-
-@settings(max_examples=150, deadline=None)
-@given(
-    st.lists(
-        st.one_of(
-            st.sampled_from([math.inf, -math.inf, math.nan, 1.7e308, -1.7e308]),
-            finite_floats,
-        ),
-        min_size=1,
-        max_size=20,
-    )
-)
-def test_exact_sum_matches_fsum_on_non_finite_and_huge(xs):
-    _assert_same_sum(xs)
-
-
-def test_exact_sum_matches_fsum_on_four_million_values():
-    rng = np.random.default_rng(11)
-    x = np.ldexp(rng.standard_normal(1 << 22), rng.integers(-80, 29, 1 << 22))
-    _assert_same_sum(x)
-
-
-@pytest.mark.parametrize("target", [AffineTarget(1.0, 0.25), Logistic(0.5), LogSquaredDecay()])
-def test_exact_sum_matches_fsum_on_block_integrals(target):
-    # 2**5 blocks take 16 Gauss-Legendre nodes in LogSquaredDecay, 2**8 take 6
-    # and 2**10 and finer take 4
-    for cell in (-5, -1, 0, 3):
-        for n in (1 << 5, 1 << 8, 1 << 10, 1 << 16, 1 << 20):
-            edges = cell + np.arange(n + 1, dtype=np.float64) / n
-            _assert_same_sum(target.consecutive_block_integrals(edges))
