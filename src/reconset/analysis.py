@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .blocks import unique
 from .errors import WindowExceededError
 from .intervals import IntervalSet, Window
 from .profiles import Profile, StepProfile
@@ -94,7 +95,7 @@ def _least_truncation_threshold(g: StepProfile, eps: float) -> float | None:
     v = np.abs(g.vals)
     if float(math.fsum(w * v)) < eps:
         return 0.0
-    levels = np.unique(v)
+    levels = unique(v)
 
     def excess(t: float) -> float:
         return float(math.fsum(w * np.maximum(v - t, 0.0)))
@@ -390,7 +391,7 @@ def concavity_check(
         a, b = p.xs[i], p.xs[i + 1]
         for j in range(1, refine + 1):
             base.append(a + (b - a) * j / refine)
-    grid = np.unique(np.asarray(base))
+    grid = unique(base)
     exponent = 1.0 / (d - 1)
     q = np.maximum(p(grid), 0.0) ** exponent
     worst = 0.0

@@ -253,18 +253,19 @@ def verify_injectivity(x_, l_, tests, output):
         _dyadic_arg(l_[0]), _dyadic_arg(l_[1]), _dyadic_arg(l_[2]),
     )
     need = grid.span()
-    loaded = []
-    for t in tests:
-        if str(t).endswith(".npz"):
+
+    def load(path):
+        if str(path).endswith(".npz"):
             from .gridsets import load_grid_set
 
-            loaded.append(load_grid_set(t))
-        else:
-            T, window = rio.load_interval_set(t)
-            if window is not None and need is not None:
-                check_span(need, window, f"the window of {t}")
-            loaded.append(T)
-    rep = injectivity_report(grid, loaded)
+            return load_grid_set(path)
+        T, window = rio.load_interval_set(path)
+        if window is not None and need is not None:
+            check_span(need, window, f"the window of {path}")
+        return T
+
+    # one test set resident at a time: each loads when its column is measured
+    rep = injectivity_report(grid, (load(t) for t in tests))
     out = {"kind": "verification_report"}
     out.update(rep.to_json())
     if output:

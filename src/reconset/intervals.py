@@ -18,7 +18,7 @@ from itertools import chain
 
 import numpy as np
 
-from .blocks import spans
+from .blocks import spans, unique
 from .dyadic import Dyadic, as_dyadic, common_numerators
 from .errors import ExactnessOverflowError
 
@@ -532,7 +532,7 @@ def boolean(s: IntervalSet, t: IntervalSet, op: str) -> IntervalSet:
     an, bn, e = _align(s, t)
     if an.size == 0 and bn.size == 0:
         return IntervalSet.empty()
-    coords = np.unique(np.concatenate([an.ravel(), bn.ravel()]))
+    coords = unique(np.concatenate([an.ravel(), bn.ravel()]))
     if coords.size < 2:
         return IntervalSet.empty()
     seg_lo = coords[:-1]

@@ -14,6 +14,8 @@ import math
 
 import numpy as np
 
+from .blocks import unique
+
 
 def _as_array(xs) -> np.ndarray:
     a = np.asarray(xs, dtype=np.float64)
@@ -286,7 +288,7 @@ class StepProfile:
 
     def merged_with(self, other: "StepProfile"):
         """Common refinement: (edges, self values, other values)."""
-        edges = np.unique(np.concatenate([self.edges, other.edges]))
+        edges = unique(np.concatenate([self.edges, other.edges]))
         mids = (edges[:-1] + edges[1:]) / 2.0
         return edges, self(mids), other(mids)
 

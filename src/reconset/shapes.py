@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .blocks import unique
 from .dyadic import Dyadic
 from .errors import decoding
 from .intervals import IntervalSet, Window
@@ -453,7 +454,7 @@ def _refined_grid(breaks: np.ndarray, resolution: int) -> np.ndarray:
     for a, b in zip(breaks[:-1], breaks[1:]):
         k = max(1, int(round(resolution * (b - a) / span)))
         out.extend(a + (b - a) * np.arange(1, k + 1) / k)
-    return np.unique(np.asarray(out))
+    return unique(out)
 
 
 def _chord_length(poly: Polygon, theta: Direction, t: float) -> float:
@@ -478,7 +479,7 @@ def _chord_length(poly: Polygon, theta: Direction, t: float) -> float:
 
 def _polygon_profile(poly: Polygon, theta: Direction) -> Profile:
     v = np.asarray(poly.vertices)
-    proj = np.unique(v @ theta.as_array())
+    proj = unique(v @ theta.as_array())
     xs = proj
     vals = np.zeros(xs.size)
     # chord length is affine strictly between projected vertices: two interior
@@ -506,7 +507,7 @@ def _simplex_profile(simplex: Simplex, theta: Direction, resolution: int) -> Pro
         return _polygon_profile(_triangle_as_polygon(simplex), theta)
     if d == 3:
         v = np.asarray(simplex.vertices)
-        proj = np.unique(v @ theta.as_array())
+        proj = unique(v @ theta.as_array())
 
         def section(t):
             t = np.atleast_1d(np.asarray(t, dtype=np.float64))

@@ -19,6 +19,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from .blocks import unique
 from .dyadic import Dyadic, as_dyadic, common_numerators
 from .errors import (
     CheckFailedError,
@@ -191,9 +192,11 @@ def measure_vector(instances, tests) -> tuple[np.ndarray, int]:
 
     Instances are the (ends, exp) of an interval family: ends an (N, 2) int64
     array of the numerators of x and x + L for [x, x+L) at the exponent exp.
-    Tests are interval sets and grid sets; column j is C(x+L) - C(x) from the
-    exact cumulative measure C of test j.  Returns the (instances x tests)
-    int64 numerators at one exponent e, and e.
+    Tests are interval sets and grid sets, any iterable of them, consumed
+    once: column j is C(x+L) - C(x) from the exact cumulative measure C of
+    test j, and each test is released before the next one is drawn, so a
+    generator that loads or samples its tests keeps one resident.  Returns
+    the (instances x tests) int64 numerators at one exponent e, and e.
     """
     ends, e = instances
     columns = []
@@ -211,8 +214,9 @@ def measure_vector(instances, tests) -> tuple[np.ndarray, int]:
             t = t.runs
         c, _, ce = t.cumulative_nums(ends.ravel(), e)
         columns.append((c[1::2] - c[0::2], ce))
+        del t  # a grid set's runs go before the next test loads
     if not (len(ends) and columns):
-        return np.zeros((len(ends), len(tests)), np.int64), 0
+        return np.zeros((len(ends), len(columns)), np.int64), 0
     # one exponent for every test, each column's extremes sized before the shift
     exp = max(ce for _, ce in columns)
     _check_int64("measures", exp,
@@ -341,8 +345,9 @@ def injectivity_report(grid, tests, resolution: int = 256) -> VerificationReport
 
     An interval family takes interval and grid tests, measured exactly by
     `measure_vector`; a translate family takes slab tests, each column one
-    `shapes.intersection_measures` at the given profile resolution.  Exact
-    tests demand strict separation; quadrature-backed tests flag the report
+    `shapes.intersection_measures` at the given profile resolution.  `tests`
+    may be any iterable, consumed once, one column at a time.  Exact tests
+    demand strict separation; quadrature-backed tests flag the report
     indeterminate when the minimum separation does not clear 10x the reported
     error.
     """
@@ -350,27 +355,28 @@ def injectivity_report(grid, tests, resolution: int = 256) -> VerificationReport
     posed = isinstance(grid, TranslateFamilyGrid)
     if len(instances if posed else instances[0]) < 2:
         raise ValueError("injectivity needs at least two instances")
-    if not tests:
-        raise ValueError("injectivity needs at least one test set, got an empty test list")
     if posed:
         from .shapes import SlabTestSet, intersection_measures
 
-        matrix, exp = np.zeros((len(instances), len(tests))), 0
-        errors = np.zeros_like(matrix)
-        for j, t in enumerate(tests):
+        columns = []
+        for t in tests:
             if not isinstance(t, SlabTestSet):
                 raise TypeError(f"a translate family takes slab tests, not {type(t).__name__}")
-            matrix[:, j], errors[:, j] = intersection_measures(grid.shape, instances, t, resolution)
-        qerr = float(np.max(errors)) if errors.size else 0.0
+            columns.append(intersection_measures(grid.shape, instances, t, resolution))
+        matrix = np.stack([m for m, _ in columns], 1) if columns else np.empty((len(instances), 0))
+        exp = 0
+        qerr = max((float(err.max()) for _, err in columns), default=0.0)
     else:
         matrix, exp = measure_vector(instances, tests)
         qerr = 0.0
+    if not matrix.shape[1]:
+        raise ValueError("injectivity needs at least one test set, got an empty test list")
     best, witness, collisions, count = pairwise_min_linf(matrix)
     best = best * 2.0**-exp
     indeterminate = qerr > 0 and best <= 10.0 * qerr and not count
     return VerificationReport(
         instance_count=len(matrix),
-        test_count=len(tests),
+        test_count=matrix.shape[1],
         min_separation=best,
         witness_pair=witness,
         collisions=collisions,
@@ -476,8 +482,8 @@ def interval_counterexample(
     exp = max(lo.exp, hi.exp, min_length.exp, A_w.exponent, B_w.exponent) + 1
     lo_n, hi_n, L = (v.num << exp - v.exp for v in (lo, hi, min_length))
     _check_int64("the window", exp, lo_n, hi_n, lo_n - hi_n - L)
-    t = np.unique(np.concatenate([[lo_n, hi_n], A_w.numerators(exp).ravel(),
-                                  B_w.numerators(exp).ravel()]))
+    t = unique(np.concatenate([[lo_n, hi_n], A_w.numerators(exp).ravel(),
+                               B_w.numerators(exp).ravel()]))
     starts, ends, size = t[:-1], t[1:], np.diff(t)
     a, b = (S.cumulative_nums(starts, exp)[1] for S in (A_w, B_w))
     # a fold point: both sets change there, between a (1, 0) and a (0, 1) piece
@@ -592,7 +598,8 @@ def monte_carlo_reconstruction(
             int(np.random.SeedSequence((seed, t, c)).generate_state(1, np.uint64)[0])
             for c in range(copies)
         ]
-        tests = [sample_grid_set(levels, s) for s in trial_seeds]
+        # each copy is sampled when measure_vector draws it
+        tests = (sample_grid_set(levels, s) for s in trial_seeds)
         matrix, exp = measure_vector(instances, tests)
         best, _, _, count = pairwise_min_linf(
             matrix * 2.0**-exp, threshold=separation * (1 - 1e-12)

@@ -16,7 +16,8 @@ import numpy as np
 import pytest
 
 from reconset.analysis import ac_diagnostic
-from reconset.blocks import BLOCK
+from reconset import blocks
+from reconset.blocks import BLOCK, unique
 from reconset.construct import SCREEN_CUTOFFS
 from reconset.dyadic import Dyadic
 from reconset.errors import ExactnessOverflowError
@@ -359,16 +360,44 @@ BAD_ROWS = {
 }
 
 
-@pytest.mark.parametrize("size", SIZES)
-def test_row_decoding_refuses_as_the_oracle_at_any_block(size):
+# the refusal cases decode each row list 42 times: they run with the block
+# size patched down, so that small lists straddle the same block edges
+SMALL_BLOCK = 256
+SMALL_SIZES = (1, SMALL_BLOCK - 1, SMALL_BLOCK, SMALL_BLOCK + 1, 3 * SMALL_BLOCK + 5)
+
+
+@pytest.mark.parametrize("size", SMALL_SIZES)
+def test_row_decoding_refuses_as_the_oracle_at_any_block(monkeypatch, size):
+    monkeypatch.setattr(blocks, "BLOCK", SMALL_BLOCK)
     rows = _codec_rows(size, size + 7)
     for column, value in BAD_ROWS.values():
         # the first row, the first of the second block, the last row
-        for at in sorted({0, min(BLOCK, size - 1), size - 1}):
+        for at in sorted({0, min(SMALL_BLOCK, size - 1), size - 1}):
             row = rows[at]
             rows[at] = value if column is None else [*row[:column], value, *row[column + 1:]]
             assert _refusal(_decode_rows, rows) == _refusal(oracle_decode_rows, rows)
             rows[at] = row
+
+
+def test_unique_matches_np_unique():
+    # np.unique's plain path imports numpy.ma; the sort-and-mask dedupe gives
+    # its bits: ints, floats with repeats and both zeros in either order, empty
+    rng = np.random.default_rng(12)
+    cases = [
+        rng.integers(-50, 50, 1000),
+        rng.integers(-50, 50, (20, 30)),
+        np.array([3, 3, -(1 << 62), 1 << 62, 0], dtype=np.int64),
+        np.round(rng.normal(size=1000), 1),
+        np.array([0.0, -0.0, 1.5, 0.0, -0.0, -1.5, 1.5]),
+        np.array([-0.0, 0.0, 2.0, -0.0]),
+        np.array([-0.0]),
+        rng.permutation(np.repeat([0.0, -0.0, 1.0], 50)),
+        np.array([], dtype=np.int64),
+        np.array([]),
+    ]
+    for a in cases:
+        assert same_bits(unique(a), np.unique(a))
+    assert same_bits(unique([2.0, 1.0, 2.0]), np.unique([2.0, 1.0, 2.0]))
 
 
 # -- traced memory ------------------------------------------------------------------

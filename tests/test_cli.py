@@ -347,15 +347,28 @@ def test_cli_import_graph(json_reports, tmp_path):
     assert p.returncode == 0, p.stderr
     assert p.stdout.splitlines()[-1] == "0 False", p.stdout
     # `construct translate` quantizes a logistic, which needs no numpy.polynomial
-    # (only the slow-decay target's antiderivative loads it)
+    # (only the slow-decay target's antiderivative loads it); no command loads
+    # numpy.ma, which np.unique's plain path imports
     argv = ["construct", "translate", "--profile", "tent", "--window", "-4", "4",
             "-o", str(tmp_path / "Tt.json")]
     p = _python("-c", "import sys; from reconset.cli import main; "
-                f"code = main({argv!r}); print(code, 'numpy.polynomial' in sys.modules)")
+                f"code = main({argv!r}); print(code, 'numpy.polynomial' in sys.modules, "
+                "'numpy.ma' in sys.modules)")
     assert p.returncode == 0, p.stderr
-    assert p.stdout.splitlines()[-1] == "0 False", p.stdout
-    # each exact interval-set command loads only the modules it computes with;
-    # `verify monotonicity` parses its 1-D shape with `shapes` and `profiles`
+    assert p.stdout.splitlines()[-1] == "0 False False", p.stdout
+    ops = Path(__file__).parents[1] / "perfbench" / "ops.py"
+    slab = ["slab-family", "--seed", "7", "--resolution", "64", "--grid", "5",
+            "--family", str(tmp_path / "family.json"), "-o", str(tmp_path / "slab.json")]
+    magnify = ["construct", "magnify", "--profile", "disk", "--window", "-2", "2",
+               "-o", str(tmp_path / "Tm.json")]
+    for call in (f"main({magnify!r})", f"runpy.run_path({str(ops)!r})['main']({slab!r})"):
+        p = _python("-c", "import runpy, sys; from reconset.cli import main; "
+                    f"code = {call}; print(code, 'numpy.ma' in sys.modules)")
+        assert p.returncode == 0, p.stderr
+        assert p.stdout.splitlines()[-1] == "0 False", (call, p.stdout)
+    # each exact interval-set command loads only the modules it computes with,
+    # and no numpy.ma; `verify monotonicity` parses its 1-D shape with
+    # `shapes` and `profiles`
     T, a, b = (json_reports["verification_report"].parent / f for f in ("T.json", "A.json", "B.json"))
     computing = ("analysis", "gridsets", "profiles", "quantize", "shapes", "targets")
     exact = {
@@ -368,7 +381,7 @@ def test_cli_import_graph(json_reports, tmp_path):
             ("analysis", "construct", "gridsets", "quantize", "targets"),
     }
     for argv, unused in exact.items():
-        unused = sorted(f"reconset.{m}" for m in unused)
+        unused = sorted(["numpy.ma", *(f"reconset.{m}" for m in unused)])
         p = _python("-c", "import sys; from reconset.cli import main; "
                     f"code = main({list(argv)!r}); print(code, sorted(set({unused!r}) & set(sys.modules)))")
         assert p.returncode == 0, p.stderr
@@ -768,6 +781,29 @@ def test_collisions_counted_and_listed_under_memory_cap(tmp_path):
     obj = read_json(rep)
     assert obj["collision_count"] == 22455296 and not obj["passed"]
     assert len(obj["collisions"]) == MAX_LISTED_COLLISIONS
+
+
+def test_injectivity_measures_each_test_before_the_next_loads(tmp_path, capsys):
+    # loading and measuring alternate: a grid set is measured before the next
+    # test loads, and of two bad tests the first in argument order decides
+    good, bad, worse = (tmp_path / f"{name}.npz" for name in ("good", "bad", "worse"))
+    assert run(["random", "sample", "--n", "4", "--g", "2", "--p", "0.5", "--seed", "1",
+                "-o", str(good)]) == 0
+    np.savez_compressed(bad, header=_GRID_HEADER, level_0=np.array([99]))
+    np.savez_compressed(worse, level_0=np.array([0, 2]))  # no header
+    inside, beyond = ("--x", "0", "1/2", "1/4"), ("--x", "0", "1", "1/4")
+    cases = [
+        (inside, (good, bad), f"error: {bad}: "),
+        (inside, (good, worse, bad), f"error: {worse}: "),
+        # the box [0, 1) of the good set holds no instance [1, 5/4)
+        (beyond, (good, bad), "error: instances need [0, 5/2^2), outside the grid box [0, 1)\n"),
+    ]
+    for x, tests, message in cases:
+        capsys.readouterr()
+        argv = ["verify", "injectivity", *x, "--length", "1/4", "1/4", "1"]
+        assert run([*argv, *(a for t in tests for a in ("--tests", str(t)))]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(message) and "Traceback" not in err, err
 
 
 _GRID_HEADER = json.dumps({"n": [4], "g": [2], "p": [0.5], "box_lo": [0], "box_hi": [1], "seed": 1})

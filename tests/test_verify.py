@@ -1,4 +1,6 @@
+import gc
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -173,8 +175,76 @@ def test_family_kinds_do_not_mix():
     ids=["interval", "translate"],
 )
 def test_injectivity_refuses_empty_test_list(grid):
-    with pytest.raises(ValueError, match="empty test list"):
-        injectivity_report(grid, [])
+    for empty in ([], iter(()), (t for t in ())):
+        with pytest.raises(ValueError, match="empty test list"):
+            injectivity_report(grid, empty)
+
+
+# -- streamed tests -------------------------------------------------------------------
+
+
+def _traced(f, *args):
+    """f(*args) under tracemalloc: its result, and the bytes it peaked at and
+    kept above the start."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        result = f(*args)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak - base, kept - base
+
+
+def test_injectivity_keeps_one_streamed_grid_set():
+    # each grid set is sampled when its column is due and released after it,
+    # so eight sets peak within one set's footprint of two
+    lv = validate_levels((512, 65536), (64, 1024), (0.5, 0.25))
+    grid = IntervalFamilyGrid.of(0, Dyadic(1, 1), Dyadic(1, 4), Dyadic(1, 2), Dyadic(1, 1), Dyadic(1, 4))
+
+    def one_set():
+        gs = sample_grid_set(lv, 0)
+        gs.runs
+        return gs
+
+    def report(count):
+        return injectivity_report(grid, (sample_grid_set(lv, s) for s in range(count)))
+
+    _, _, footprint = _traced(one_set)
+    (two, peak_two, _), (eight, peak_eight, _) = _traced(report, 2), _traced(report, 8)
+    assert (two.test_count, eight.test_count) == (2, 8)
+    assert abs(peak_eight - peak_two) < footprint
+
+
+def test_streamed_tests_are_drawn_once():
+    # a one-shot iterator gives the report and the matrix a list gives
+    T = union_test_set([1], Window.of(0, 8), Dyadic(1, 4))
+    gs = sample_grid_set(validate_levels((16,), (4,), (0.5,), (0,), (4,)), 3)
+    tests = [T, gs, IntervalSet([(0, 2)])]
+    grid = IntervalFamilyGrid.of(0, 2, Dyadic(1, 2), 1, Dyadic(3, 1), Dyadic(1, 1))
+    drawn = []
+
+    def stream():
+        for t in tests:
+            drawn.append(t)
+            yield t
+
+    one_shot = stream()
+    rep = injectivity_report(grid, one_shot)
+    assert drawn == tests and next(one_shot, None) is None
+    assert rep.to_json() == injectivity_report(grid, tests).to_json()
+    matrix, exp = measure_vector(grid.instances(), iter(tests))
+    want, want_exp = measure_vector(grid.instances(), tests)
+    assert exp == want_exp and np.array_equal(matrix, want)
+    assert rep.test_count == matrix.shape[1] == len(tests)
+    # a translate family takes its slab tests from an iterator too
+    V = [SlabTestSet(Direction.axis(i, 2), IntervalSet([(Dyadic(-3), Dyadic(0))]), Window.of(-6, 6))
+         for i in range(2)]
+    posed = TranslateFamilyGrid(Ball((0.0, 0.0), 1.0), (-0.5, -0.5), (0.5, 0.5), (3, 3))
+    rep = injectivity_report(posed, iter(V), resolution=128)
+    assert rep.to_json() == injectivity_report(posed, V, resolution=128).to_json()
+    assert rep.test_count == 2
 
 
 # -- monotonicity -------------------------------------------------------------------
