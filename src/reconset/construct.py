@@ -26,6 +26,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import asdict, dataclass, fields
+from fractions import Fraction
 from typing import TYPE_CHECKING, ClassVar, get_args, get_origin, get_type_hints
 
 import numpy as np
@@ -441,20 +442,25 @@ class GrowthFit:
         return cls(**o)
 
 
+def _growth_line(eps_grid, k_bounds) -> tuple[float, float]:
+    """Least squares of y = log K on x = eps^(-1/3), x and y by libm: the
+    normal equations solved exactly in those floats, each result rounded once."""
+    x = [Fraction(math.pow(e, -1.0 / 3.0)) for e in eps_grid]
+    y = [Fraction(math.log(max(k, 1e-300))) for k in k_bounds]
+    n, sx, sy = len(x), sum(x), sum(y)
+    slope = (n * sum(u * v for u, v in zip(x, y)) - sx * sy) / (n * sum(u * u for u in x) - sx * sx)
+    return float(slope), float((sy - slope * sx) / n)
+
+
 def growth_certificate(env: VariationEnvelope, eps_grid, slope_max: float) -> GrowthFit:
     """Fit log K(eps) against eps^(-1/3); reject steep growth.
 
     Subexponential K with exponent 1/3 shows as a bounded slope; the fitted
     slope is stored so the check can be replayed.
     """
-    eps = np.asarray(sorted(eps_grid, reverse=True), dtype=np.float64)
-    ks = np.array([env.bound(float(e)).variation_bound for e in eps])
-    x = eps ** (-1.0 / 3.0)
-    y = np.log(np.maximum(ks, 1e-300))
-    A = np.stack([x, np.ones_like(x)], axis=1)
-    coef, *_ = np.linalg.lstsq(A, y, rcond=None)
-    fit = GrowthFit(tuple(float(e) for e in eps), tuple(float(k) for k in ks),
-                    float(coef[0]), float(coef[1]), slope_max)
+    eps = tuple(sorted(map(float, eps_grid), reverse=True))
+    ks = tuple(float(env.bound(e).variation_bound) for e in eps)
+    fit = GrowthFit(eps, ks, *_growth_line(eps, ks), slope_max)
     if fit.slope > slope_max:
         raise GrowthCertificateError(
             f"K(eps, f') growth slope {fit.slope:.3g} exceeds {slope_max} "
@@ -485,7 +491,14 @@ class MagnifyCertificate(ShellCertificate):
 
     def recheck(self) -> list[str]:
         problems = []
-        if self.growth.slope > self.growth.slope_max:
+        g = self.growth
+        try:
+            replay = _growth_line(g.eps_grid, g.k_bounds)
+        except (ArithmeticError, ValueError):  # a degenerate or non-finite grid
+            replay = None
+        if replay != (g.slope, g.intercept):
+            problems.append("growth fit does not replay")
+        if g.slope > g.slope_max:
             problems.append("growth slope exceeds bound")
         if not (0 < self.h0 < 1):
             problems.append("h(0) outside (0,1)")

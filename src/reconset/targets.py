@@ -9,10 +9,11 @@ A quantizer cell [c, c+1) reads one object of its target: the antiderivative
 A(c + m/n) = ∫_c^{c+m/n} phi at up to millions of block edges, accurate to
 ~1e-13 (`cell_antiderivative`).  The logistic has a closed-form
 antiderivative.  The slow-decay target's derivative is analytic within 2.5 of
-the real axis, so a degree-`CHEB_DEGREE` Chebyshev series of it on the cell
-is exact to roundoff; integrated twice, it gives A as one series evaluated at
-every edge.  Its phi itself comes from fixed-order Gauss-Legendre panels and
-a cumulative table at integer points.
+the real axis, so a degree-`CHEB_DEGREE` Chebyshev series of it on each unit
+cell is exact to roundoff, and it is that target's one numerical method:
+integrated once, the series gives phi (phi at the integers walks the cell
+totals out from phi(0) = 1/2); integrated twice, A, evaluated at every edge;
+∫ phi sums A over the cells it meets.
 
 The logistic itself is evaluated as 1 / (1 + exp(-z)) with the C library exp
 (``math.exp``), point by point: certificate floats (phi_min, eps, h) depend on
@@ -22,31 +23,12 @@ its last bit, and numpy's vectorized exp rounds differently on some inputs.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 
 import numpy as np
 
 from .blocks import spans
 
 CHEB_DEGREE = 24  # Chebyshev degree of the slow-decay phi' on one unit cell
-
-
-@lru_cache(maxsize=8)
-def _gl_nodes(order: int):
-    x, w = np.polynomial.legendre.leggauss(order)
-    return x, w
-
-
-def gl_panel_integrals(f, lo, hi, order: int = 16) -> np.ndarray:
-    """Gauss-Legendre integral of f over each [lo_i, hi_i], vectorized."""
-    lo = np.atleast_1d(np.asarray(lo, dtype=np.float64))
-    hi = np.atleast_1d(np.asarray(hi, dtype=np.float64))
-    x, w = _gl_nodes(order)
-    mid = (lo + hi) / 2.0
-    half = (hi - lo) / 2.0
-    pts = mid[:, None] + half[:, None] * x[None, :]
-    vals = f(pts.ravel()).reshape(pts.shape)
-    return half * (vals @ w)
 
 
 class AffineTarget:
@@ -133,6 +115,19 @@ class Logistic:
         return {"variant": "logistic", "rate": self.rate}
 
 
+def _raw_dphi(x: float) -> float:
+    """The slow-decay phi' / c1 = 1 / (u ln^2 u), u = sqrt(x^2 + e^2), by libm."""
+    u = math.sqrt(x * x + math.e * math.e)
+    lu = math.log(u)
+    return 1.0 / (u * lu * lu)
+
+
+# c1 = 1 / ∫ (u ln^2 u)^-1 dx over the line, as 1 / (2 (body + tail)): body
+# by 32-node Gauss-Legendre on [0, 1] and on 399 geometric panels from 1 to
+# X = 1e8, tail = ∫_X^∞ dx / (x ln^2 x) = 1 / ln X
+C1 = 0.32917502281739036  # 0x1.511341d6a49a7p-2
+
+
 class LogSquaredDecay:
     """Increasing target with phi'(x) = c1 / (u ln^2 u), u = sqrt(e^2 + x^2).
 
@@ -143,118 +138,78 @@ class LogSquaredDecay:
     with 1/(x ln^2 x).
     """
 
-    _E = math.e
-
     def __init__(self, c1: float | None = None):
-        if c1 is None:
-            c1 = 1.0 / self._raw_mass()
+        c1 = C1 if c1 is None else c1
         if c1 <= 0:
             raise ValueError("c1 must be positive")
         self.c1 = float(c1)
-        self._cache_lo = 0
-        self._cache_hi = 0
         self._cache = {0: 0.5}  # phi at integer points
 
-    @classmethod
-    def _raw_dphi(cls, x):
-        x = np.asarray(x, dtype=np.float64)
-        u = np.sqrt(x * x + cls._E * cls._E)
-        lu = np.log(u)
-        return 1.0 / (u * lu * lu)
-
-    @classmethod
-    @lru_cache(maxsize=1)
-    def _raw_mass(cls) -> float:
-        X = 1e8
-        edges = np.concatenate([[0.0], np.geomspace(1.0, X, 400)])
-        body = float(np.sum(gl_panel_integrals(cls._raw_dphi, edges[:-1], edges[1:], 32)))
-        tail = 1.0 / math.log(X)  # ∫_X^∞ dx/(x ln^2 x) = 1/ln X dominates the rest
-        return 2.0 * (body + tail)
-
     def dphi(self, x):
-        return self.c1 * self._raw_dphi(x)
-
-    def _phi_int(self, k: int) -> float:
-        while self._cache_hi < k:
-            j = self._cache_hi
-            step = float(gl_panel_integrals(self.dphi, [float(j)], [j + 1.0], 24)[0])
-            self._cache[j + 1] = self._cache[j] + step
-            self._cache_hi = j + 1
-        while self._cache_lo > k:
-            j = self._cache_lo
-            step = float(gl_panel_integrals(self.dphi, [j - 1.0], [float(j)], 24)[0])
-            self._cache[j - 1] = self._cache[j] - step
-            self._cache_lo = j - 1
-        return self._cache[k]
-
-    def phi(self, x):
         x = np.asarray(x, dtype=np.float64)
-        scalar = x.ndim == 0
-        x = np.atleast_1d(x)
-        base = np.floor(x).astype(np.int64)
-        if base.size:
-            self._phi_int(int(base.max()))
-            self._phi_int(int(base.min()))
-        base_phi = np.array([self._cache[int(b)] for b in base])
-        frac = gl_panel_integrals(self.dphi, base.astype(np.float64), x, 24)
-        out = base_phi + frac
-        return float(out[0]) if scalar else out
+        return np.array([self.c1 * _raw_dphi(v) for v in x.ravel().tolist()]).reshape(x.shape)[()]
 
-    def integrate_phi(self, lo, hi):
-        """∫_lo^hi phi by parts: [x phi] - ∫ x phi'(x) dx (phi only at ends).
-
-        The moment takes one 24-node panel per unit cell that [lo, hi] meets,
-        summed from the left: a single panel over [-12, 11] errs by 2e-4.
-        """
-        lo = np.atleast_1d(np.asarray(lo, dtype=np.float64))
-        hi = np.atleast_1d(np.asarray(hi, dtype=np.float64))
-        a, b = np.minimum(lo, hi), np.maximum(lo, hi)
-        moment = np.zeros(a.shape)
-        cell = np.floor(a)
-        live = a < b
-        while live.any():
-            left = np.maximum(a[live], cell[live])
-            right = np.minimum(b[live], cell[live] + 1.0)
-            moment[live] += gl_panel_integrals(lambda t: t * self.dphi(t), left, right, 24)
-            cell += 1.0
-            live = cell < b
-        moment = np.where(hi < lo, -moment, moment)
-        return hi * self.phi(hi) - lo * self.phi(lo) - moment
-
-    def cell_antiderivative(self, c: int, n: int) -> np.ndarray:
-        """∫_c^{c+m/n} phi for m = 0..n, from a Chebyshev series of phi'.
-
-        phi' at the CHEB_DEGREE + 1 Chebyshev points of [c, c+1] (math.sqrt
-        and math.log, point by point) gives the series by a cosine sum in
-        fixed order; integrated once, plus phi(c), it is phi, and once more
-        A.  A is evaluated at t = m (2/n) - 1 one block of edges at a time,
-        by elementwise steps only.
-        """
+    def _rise(self, c: int):
+        """The series of phi - phi(c) in t = 2 (x - c) - 1 on [c, c+1]: that of
+        phi' at the CHEB_DEGREE + 1 Chebyshev points, by a cosine sum in fixed
+        order (first and last terms halved), integrated from t = -1."""
         from numpy.polynomial import chebyshev  # 3-6 ms to import: only here
 
         N = CHEB_DEGREE
-        E2 = self._E * self._E
-        f = []
-        for k in range(N + 1):
-            x = c + 0.5 + 0.5 * math.cos(math.pi * k / N)
-            u = math.sqrt(x * x + E2)
-            lu = math.log(u)
-            f.append(self.c1 * (1.0 / (u * lu * lu)))  # as dphi rounds it
-        f[0] /= 2.0
-        f[N] /= 2.0
-        coef = [
-            2.0 / N * math.fsum(fk * math.cos(math.pi * j * k / N) for k, fk in enumerate(f))
-            for j in range(N + 1)
-        ]
-        coef[0] /= 2.0
-        coef[N] /= 2.0
-        phi = chebyshev.chebint(coef, lbnd=-1, scl=0.5)
-        phi[0] += self.phi(float(c))
-        anti = chebyshev.chebint(phi, lbnd=-1, scl=0.5)
+        f = [self.c1 * _raw_dphi(c + 0.5 + 0.5 * math.cos(math.pi * k / N)) / (2.0 if k % N == 0 else 1.0)
+             for k in range(N + 1)]
+        coef = [(1.0 if j % N == 0 else 2.0) / N
+                * math.fsum(fk * math.cos(math.pi * j * k / N) for k, fk in enumerate(f))
+                for j in range(N + 1)]
+        return chebyshev.chebint(coef, lbnd=-1, scl=0.5)
+
+    def _phi_int(self, k: int) -> float:
+        """phi(k), walking the cell totals out from phi(0) = 1/2."""
+        step = 1 if k > 0 else -1
+        for j in range(0, k, step):
+            if j + step not in self._cache:
+                self._cache[j + step] = self._cache[j] + step * math.fsum(self._rise(min(j, j + step)))
+        return self._cache[k]
+
+    def _cell(self, c: int):
+        """phi and A(x) = ∫_c^x phi on [c, c+1], as series in t = 2 (x - c) - 1."""
+        from numpy.polynomial.chebyshev import chebint, chebval
+
+        phi = self._rise(c)
+        phi[0] += self._phi_int(c)
+        anti = chebint(phi, lbnd=-1, scl=0.5)
+        return (lambda t: chebval(t, phi)), (lambda t: chebval(t, anti))
+
+    def phi(self, x):
+        x = np.asarray(x, dtype=np.float64)
+        base = np.floor(x)
+        out = np.empty(x.shape)
+        for c in np.unique(base).tolist():
+            at = base == c
+            out[at] = self._cell(int(c))[0](2.0 * (x[at] - c) - 1.0)
+        return out[()]
+
+    def integrate_phi(self, lo, hi):
+        """∫_lo^hi phi: A of each unit cell that [lo, hi] meets, at its ends
+        clipped to the cell, summed by one math.fsum per pair."""
+        lo, hi = (np.atleast_1d(np.asarray(v, dtype=np.float64)) for v in (lo, hi))
+        a, b = np.minimum(lo, hi), np.maximum(lo, hi)
+        terms = [np.zeros(a.size)]  # the sum when [lo, hi] meets no cell
+        for c in range(int(np.floor(a.min())), int(np.ceil(b.max()))) if a.size else ():
+            anti = self._cell(c)[1]
+            for end, sign in ((b, 1.0), (a, -1.0)):
+                terms.append(sign * anti(2.0 * (np.clip(end, c, c + 1.0) - c) - 1.0).ravel())
+        sums = np.array([math.fsum(col) for col in zip(*terms)]).reshape(a.shape)
+        return np.where(hi < lo, -sums, sums)
+
+    def cell_antiderivative(self, c: int, n: int) -> np.ndarray:
+        """∫_c^{c+m/n} phi for m = 0..n: the series of A at t = m (2/n) - 1,
+        one block of edges at a time, by elementwise steps only."""
+        anti = self._cell(c)[1]
         out = np.empty(n + 1)
         for start, stop in spans(n + 1):
             t = np.arange(start, stop, dtype=np.float64) * (2.0 / n) - 1.0
-            out[start:stop] = chebyshev.chebval(t, anti)
+            out[start:stop] = anti(t)
         return out
 
     def dphi_min(self, lo: float, hi: float) -> float:

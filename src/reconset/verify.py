@@ -83,11 +83,11 @@ class IntervalFamilyGrid:
 
     def span(self) -> tuple[Dyadic, Dyadic] | None:
         """The least and the greatest of the points x and x + L of the
-        instances [x, x + L); None for an empty grid."""
-        ends, exp = self.instances()
-        if not ends.size:
+        instances [x, x + L), in closed form as L > 0; None for an empty grid."""
+        nx, nl = self._sizes()
+        if not nx * nl:
             return None
-        return Dyadic(int(ends.min()), exp), Dyadic(int(ends.max()), exp)
+        return self.x_lo, self.x_lo + (nx - 1) * self.x_step + self.l_lo + (nl - 1) * self.l_step
 
     def describe(self) -> dict:
         return {

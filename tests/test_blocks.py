@@ -14,6 +14,7 @@ from itertools import chain
 
 import numpy as np
 import pytest
+from numpy.polynomial.legendre import leggauss
 
 from reconset.analysis import ac_diagnostic
 from reconset import blocks
@@ -40,7 +41,7 @@ from reconset.quantize import (
 )
 from reconset.shapes import Ball, Direction, radon_profile
 from reconset import targets
-from reconset.targets import LogSquaredDecay, Logistic, _gl_nodes
+from reconset.targets import LogSquaredDecay, Logistic
 
 SIZES = (1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 5)
 
@@ -143,7 +144,7 @@ def oracle_log_squared_decay_block_integrals(t, edges):
     edges = np.asarray(edges, dtype=np.float64)
     width = edges[1] - edges[0] if edges.size > 1 else 1.0
     order = 4 if width <= 2.0**-10 else (6 if width <= 2.0**-6 else 16)
-    x, w = _gl_nodes(order)
+    x, w = leggauss(order)
     lo, hi = edges[:-1], edges[1:]
     mid = (lo + hi) / 2.0
     halfw = (hi - lo) / 2.0

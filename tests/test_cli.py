@@ -232,13 +232,37 @@ def _limit_memory():
     resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
 
-def _python(*args, **kwargs):
+def _python(*args, extra_env=(), **kwargs):
     """A fresh interpreter that imports reconset from this checkout."""
     src = str(Path(reconset.__file__).parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    env.update(extra_env)
     return subprocess.run(
         [sys.executable, *args], capture_output=True, text=True, timeout=60, env=env, **kwargs
     )
+
+
+def _openblas_dynamic_arch() -> bool:
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return "openblas" in blas["name"] and "DYNAMIC_ARCH" in blas.get("openblas configuration", "")
+
+
+@pytest.mark.skipif(not _openblas_dynamic_arch(), reason="numpy's BLAS is not OpenBLAS with DYNAMIC_ARCH")
+def test_magnify_artifact_does_not_depend_on_the_cpu(tmp_path):
+    # OpenBLAS picks its kernels for the CPU at run time, and numpy its SIMD
+    # loops: the artifact comes out the same under every choice forced here
+    from numpy._core._multiarray_umath import __cpu_dispatch__
+
+    cases = [{}, *({"OPENBLAS_CORETYPE": core} for core in ("Prescott", "Haswell", "SkylakeX")),
+                {"NPY_DISABLE_CPU_FEATURES": ",".join(__cpu_dispatch__)}]
+    artifacts = []
+    for i, env in enumerate(cases):
+        out = tmp_path / f"Tm{i}.json"
+        p = _python("-m", "reconset.cli", "construct", "magnify", "--profile", "disk",
+                    "--window", "-1", "1", "-o", str(out), extra_env=env)
+        assert p.returncode == 0, (env, p.stderr)
+        artifacts.append(out.read_bytes())
+    assert all(a == artifacts[0] for a in artifacts), [hash(a) for a in artifacts]
 
 
 def _capped_cli_exits_one(*argv):

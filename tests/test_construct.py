@@ -421,6 +421,10 @@ def _last_shell_h_up(o):
     o["shells"][-1]["h"] = 10.0 * o["shells"][0]["h"]
 
 
+def _one_eps(o):
+    o["growth"]["eps_grid"] = [o["growth"]["eps_grid"][0]] * len(o["growth"]["eps_grid"])
+
+
 @pytest.mark.parametrize(
     "tamper, problem",
     [
@@ -445,6 +449,8 @@ def test_translate_recheck_names_tampered_value(tamper, problem):
     "tamper, problem",
     [
         (_scaled(("growth", "slope"), 1e9), "growth slope exceeds bound"),
+        (_scaled(("growth", "k_bounds", 2), 1.5), "growth fit does not replay"),
+        (_one_eps, "growth fit does not replay"),
         (_scaled(("h0",), 1e9), "h(0) outside (0,1)"),
         (_scaled(("C3",), 2.0), "h(0) != c2/(24 C3)"),
         (_scaled(("shells", 1, "k_bound"), 1e6), "shell 1: h*K exceeds regime-2 budget"),
@@ -452,7 +458,8 @@ def test_translate_recheck_names_tampered_value(tamper, problem):
         (_scaled(("shells", 1, "n"), 0), "shell 1: n not above 4/delta"),
         (_last_shell_h_up, "h not non-increasing"),
     ],
-    ids=["slope", "h0-range", "h0-formula", "regime-2", "delta", "n", "h-order"],
+    ids=["slope", "k-bound", "one-eps", "h0-range", "h0-formula", "regime-2", "delta", "n",
+         "h-order"],
 )
 def test_magnify_recheck_names_tampered_value(magnify_small, tamper, problem):
     _, cert = magnify_small

@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
+from numpy.polynomial.legendre import leggauss
 from hypothesis import given, settings, strategies as st
 
 from reconset.dyadic import Dyadic
@@ -18,7 +19,7 @@ from reconset.quantize import (
     quantizer_residual,
     tiled_quantizer,
 )
-from reconset.targets import AffineTarget, LogSquaredDecay, Logistic
+from reconset.targets import C1, AffineTarget, LogSquaredDecay, Logistic
 
 
 def reference_greedy_mask(block_integrals: np.ndarray, n: int) -> tuple[np.ndarray, float]:
@@ -186,6 +187,56 @@ def test_log_squared_decay_target():
     for x in (3.0, 10.0, 40.0):
         u = math.hypot(math.e, x)
         assert t.dphi(x) * u * math.log(u) ** 2 == pytest.approx(t.c1)
+
+
+def oracle_raw_mass():
+    """The quadrature C1 was computed by: 1 / (u ln^2 u) by 32-node
+    Gauss-Legendre on [0, 1] and 399 geometric panels to X = 1e8, plus the
+    tail 1 / ln X, over both half-lines."""
+    X = 1e8
+    edges = np.concatenate([[0.0], np.geomspace(1.0, X, 400)])
+    x, w = leggauss(32)
+    lo, hi = edges[:-1], edges[1:]
+    pts = ((lo + hi) / 2.0)[:, None] + ((hi - lo) / 2.0)[:, None] * x
+    u = np.sqrt(pts * pts + math.e * math.e)
+    body = float(np.sum((hi - lo) / 2.0 * ((1.0 / (u * np.log(u) ** 2)) @ w)))
+    return 2.0 * (body + 1.0 / math.log(X))
+
+
+def test_log_squared_decay_c1_normalizes_the_mass():
+    assert LogSquaredDecay().c1 == C1 == float.fromhex("0x1.511341d6a49a7p-2")
+    assert C1 == pytest.approx(1.0 / oracle_raw_mass(), rel=1e-14)
+
+
+def test_log_squared_decay_phi_at_integers_matches_gauss_legendre_walk():
+    t = LogSquaredDecay()
+    x, w = leggauss(24)
+
+    def rise(j):  # ∫_j^{j+1} phi' by one 24-node panel
+        return float(t.dphi(j + 0.5 + 0.5 * x) @ w) / 2.0
+
+    want = {0: 0.5}
+    for j in range(13):
+        want[j + 1] = want[j] + rise(j)
+        want[-j - 1] = want[-j] - rise(-j - 1)
+    ks = np.arange(-13, 14)
+    got = t.phi(ks.astype(np.float64))
+    assert np.abs(got - [want[k] for k in ks.tolist()]).max() <= 1e-15
+
+
+def test_log_squared_decay_dphi_is_libm_point_by_point():
+    t = LogSquaredDecay()
+
+    def oracle(x):
+        u = math.sqrt(x * x + math.e * math.e)
+        lu = math.log(u)
+        return t.c1 * (1.0 / (u * lu * lu))
+
+    xs = np.linspace(-40.0, 40.0, 1001).reshape(7, 143)
+    want = np.array([oracle(x) for x in xs.ravel().tolist()]).reshape(xs.shape)
+    assert t.dphi(xs).tobytes() == want.tobytes()
+    d = t.dphi(2.5)
+    assert isinstance(d, float) and d == oracle(2.5)
 
 
 def test_log_squared_decay_block_integrals_consistent():

@@ -123,6 +123,25 @@ def test_interval_family_instances_match_dyadic_oracle(x, length):
         assert grid.span() == want
 
 
+@pytest.mark.parametrize(
+    "args",
+    [(0, 0, 1, 1, 2, Dyadic(1, 2)),
+     (Dyadic(-3, 2), 1, Dyadic(1, 3), 1, 1, 1),
+     (5, 5, 1, Dyadic(3, 4), Dyadic(3, 4), 1),
+     (0, Dyadic(7, 3), Dyadic(1, 2), 1, Dyadic(5, 2), Dyadic(1, 4))],
+    ids=["one-x", "one-length", "one-instance", "ends-off-grid"],
+)
+def test_interval_family_span_is_instance_extremes(args):
+    grid = IntervalFamilyGrid.of(*args)
+    ends, exp = grid.instances()
+    assert grid.span() == (Dyadic(int(ends.min()), exp), Dyadic(int(ends.max()), exp))
+
+
+def test_interval_family_span_of_empty_grid():
+    assert IntervalFamilyGrid.of(1, 0, 1, 1, 2, 1).span() is None
+    assert IntervalFamilyGrid.of(0, 1, 1, 2, 1, 1).span() is None
+
+
 def test_interval_family_refuses_non_positive_length():
     for least in (0, -1):
         with pytest.raises(ValueError, match=f"the least length must be positive, got {least}"):
