@@ -99,6 +99,109 @@ def test_usage_error_exit_one(tmp_path):
     assert run(["no-such-command"]) == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [],
+        ["construct"],
+        ["no-such-command"],
+        ["construct", "no-such-command"],
+        ["report", "--no-such-option", "x"],
+        ["report", "--input"],
+        ["report"],
+        ["verify", "monotonicity", "--test", "T.json", "--shape", "[0,1]", "--grid", "0", "6"],
+        ["report", "--input", "missing.json"],
+        ["verify", "monotonicity", "--test", "missing.json", "--shape", "[0,1]",
+         "--grid", "0", "6", "1/16"],
+        ["verify", "injectivity", "--x", "0", "1", "1/4", "--length", "1", "2", "1/2",
+         "--tests", "T.json", "--tests", "missing.json"],
+        ["search", "two-set-counterexample", "--A", "missing.json", "--B", "T.json"],
+        ["search", "two-set-counterexample", "--A", "T.json", "--B", "missing.json"],
+        ["random", "sample", "--n", "x", "--g", "4", "--p", "0.5", "-o", "g.npz"],
+        ["report", "--input", "T.json", "extra"],
+    ],
+    ids=["no-arguments", "group-without-command", "unknown-command", "unknown-subcommand",
+         "unknown-option", "option-without-value", "missing-option", "short-nargs",
+         "missing-input", "missing-test", "missing-tests", "missing-A", "missing-B",
+         "non-integer-n", "extra-argument"],
+)
+def test_usage_errors_exit_one(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    write_json(tmp_path / "T.json", interval_set_artifact(IntervalSet([(0, 8)])))
+    assert run(argv) == 1
+    out = capsys.readouterr()
+    assert out.err.startswith("usage error: "), out.err
+    assert "Traceback" not in out.out + out.err
+    assert not (tmp_path / "g.npz").exists()
+
+
+def _parsed(monkeypatch, argv):
+    """The keyword arguments that argv hands to its command's body."""
+    cmd = cli
+    for word in argv:
+        if not hasattr(cmd, "commands"):
+            break
+        cmd = cmd.commands[word]
+    got = {}
+    monkeypatch.setattr(cmd, "callback", lambda **kwargs: got.update(kwargs))
+    assert run(argv) == 0
+    return sorted((k, repr(v)) for k, v in got.items())
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (["random", "sample", "--n=16", "--n", "64", "--g", "4", "--g=8", "--p", "0.5",
+          "--p", "1", "--box=0", "3", "--seed=7", "--output=g.npz", "--summary", "g.json"],
+         dict(n_=(16, 64), g_=(4, 8), p_=(0.5, 1.0), box=(0, 3), seed=7,
+              output="g.npz", summary="g.json")),
+        (["random", "sample", "--n", "16", "--g", "4", "--p", "0.5", "-og.npz"],
+         dict(n_=(16,), g_=(4,), p_=(0.5,), box=(0, 1), seed=0, output="g.npz", summary=None)),
+        (["construct", "interval-union", "--lengths", "1,3/2", "--lengths=2",
+          "--window", "-1/2", "1/2", "--rho", "-1/16", "-o", "T.json"],
+         dict(lengths=("1,3/2", "2"), window=("-1/2", "1/2"), rho="-1/16", output="T.json")),
+        (["construct", "translate", "--profile", "tent", "--window", "-4", "4", "-o", "Tt.json"],
+         dict(profile="tent", window=("-4", "4"), resolution=64, rate=0.5, output="Tt.json")),
+        (["construct", "magnify", "--profile", "disk", "--window", "-2", "2", "--a-max", "4",
+          "--resolution=16", "-o", "Tm.json"],
+         dict(profile="disk", window=("-2", "2"), a_max=4.0, resolution=16, output="Tm.json")),
+        (["radon", "--shape", "[0,1]", "--theta", "1", "-o", "p.json"],
+         dict(shape="[0,1]", theta="1", resolution=256, output="p.json", emit_plot_data=None)),
+        (["verify", "monotonicity", "--test", "T.json", "--shape", "[0,1]",
+          "--grid", "0", "6", "-1/16"],
+         dict(test_path="T.json", shape="[0,1]", grid=("0", "6", "-1/16"), output=None,
+              emit_plot_data=None)),
+        (["verify", "injectivity", "--x", "0", "1", "1/4", "--length=1", "2", "1/2",
+          "--tests=T.json", "--tests", "T.json", "-o", "r.json"],
+         dict(x_=("0", "1", "1/4"), l_=("1", "2", "1/2"), tests=("T.json", "T.json"),
+              output="r.json")),
+        (["search", "two-set-counterexample", "--A", "T.json", "--B=T.json", "--tol", "1"],
+         dict(a_path="T.json", b_path="T.json", min_length="1", tol=1.0, output=None)),
+        (["report", "--input=T.json", "--csv", "T.csv"],
+         dict(input_path="T.json", csv_path="T.csv")),
+    ],
+    ids=["random-sample", "random-sample-defaults", "interval-union", "translate", "magnify",
+         "radon", "monotonicity", "injectivity", "search", "report"],
+)
+def test_options_parse_as_declared(tmp_path, monkeypatch, argv, expected):
+    # values that look like options (-1/2) are taken as values; --opt=value
+    # and repeated options parse; types and defaults are the declared ones
+    monkeypatch.chdir(tmp_path)
+    write_json(tmp_path / "T.json", interval_set_artifact(IntervalSet([(0, 8)])))
+    assert _parsed(monkeypatch, argv) == sorted((k, repr(v)) for k, v in expected.items())
+
+
+def test_negative_values_reach_the_command(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert run(["construct", "interval-union", "--lengths", "1", "--window", "-1/2", "1/2",
+                "--rho", "1/16", "-o", "T.json"]) == 0
+    assert capsys.readouterr().out == "wrote T.json: 32 intervals, measure 1/2^4\n"
+    # a negative grid step is refused by the command, not by the parser
+    assert run(["verify", "monotonicity", "--test", "T.json", "--shape", "[0,1]",
+                "--grid", "0", "6", "-1/16"]) == 1
+    assert capsys.readouterr().err == "error: grid step must be positive, got -1/2^4\n"
+
+
 def test_search_counterexample(tmp_path):
     a = tmp_path / "A.json"
     b = tmp_path / "B.json"
@@ -346,13 +449,15 @@ def json_reports(tmp_path_factory):
     return reports
 
 
-HEAVY = ["numpy", "scipy"] + [f"reconset.{m}" for m in (
+HEAVY = ["click", "numpy", "scipy"] + [f"reconset.{m}" for m in (
     "analysis", "construct", "gridsets", "intervals", "profiles", "quantize", "shapes",
     "targets", "verify")]
 
 
 def test_cli_import_graph(json_reports, tmp_path):
-    # importing the CLI loads none of the computing modules
+    # importing the CLI loads none of the computing modules, nor click; no
+    # command of the benchmark (report, random sample, verify injectivity,
+    # construct magnify) loads click either
     p = _python("-c", "import sys, reconset.cli; "
                 f"print(sorted(set({HEAVY!r}) & set(sys.modules)))")
     assert p.returncode == 0, p.stderr
@@ -361,15 +466,16 @@ def test_cli_import_graph(json_reports, tmp_path):
     for path in json_reports.values():
         p = _python("-c", "import sys; from reconset.cli import main; "
                     f"code = main(['report', '--input', {str(path)!r}]); "
-                    "print(code, 'numpy' in sys.modules)")
+                    "print(code, 'numpy' in sys.modules, 'click' in sys.modules)")
         assert p.returncode == 0, p.stderr
-        assert p.stdout.splitlines()[-1] == "0 False", p.stdout
+        assert p.stdout.splitlines()[-1] == "0 False False", p.stdout
     # nor does `random sample` load the interval-set code
     argv = ["random", "sample", "--n", "16", "--g", "4", "--p", "0.5", "-o", str(tmp_path / "g.npz")]
     p = _python("-c", "import sys; from reconset.cli import main; "
-                f"code = main({argv!r}); print(code, 'reconset.intervals' in sys.modules)")
+                f"code = main({argv!r}); print(code, 'reconset.intervals' in sys.modules, "
+                "'click' in sys.modules)")
     assert p.returncode == 0, p.stderr
-    assert p.stdout.splitlines()[-1] == "0 False", p.stdout
+    assert p.stdout.splitlines()[-1] == "0 False False", p.stdout
     # `construct translate` quantizes a logistic, which needs no numpy.polynomial
     # (only the slow-decay target's antiderivative loads it); no command loads
     # numpy.ma, which np.unique's plain path imports
@@ -387,9 +493,9 @@ def test_cli_import_graph(json_reports, tmp_path):
                "-o", str(tmp_path / "Tm.json")]
     for call in (f"main({magnify!r})", f"runpy.run_path({str(ops)!r})['main']({slab!r})"):
         p = _python("-c", "import runpy, sys; from reconset.cli import main; "
-                    f"code = {call}; print(code, 'numpy.ma' in sys.modules)")
+                    f"code = {call}; print(code, sorted({{'click', 'numpy.ma'}} & set(sys.modules)))")
         assert p.returncode == 0, p.stderr
-        assert p.stdout.splitlines()[-1] == "0 False", (call, p.stdout)
+        assert p.stdout.splitlines()[-1] == "0 []", (call, p.stdout)
     # each exact interval-set command loads only the modules it computes with,
     # and no numpy.ma; `verify monotonicity` parses its 1-D shape with
     # `shapes` and `profiles`
@@ -405,7 +511,7 @@ def test_cli_import_graph(json_reports, tmp_path):
             ("analysis", "construct", "gridsets", "quantize", "targets"),
     }
     for argv, unused in exact.items():
-        unused = sorted(["numpy.ma", *(f"reconset.{m}" for m in unused)])
+        unused = sorted(["click", "numpy.ma", *(f"reconset.{m}" for m in unused)])
         p = _python("-c", "import sys; from reconset.cli import main; "
                     f"code = main({list(argv)!r}); print(code, sorted(set({unused!r}) & set(sys.modules)))")
         assert p.returncode == 0, p.stderr
