@@ -587,25 +587,27 @@ class FamilyOptions:
 
 
 def _direction_candidates(d: int, count: int, seed: int):
+    """The axes, then `count` candidates, candidate i from the Philox stream
+    keyed by (seed, i): in 2-D the dyadic angle of a word's top 12 bits; in
+    d >= 3 the first point of the lattice [-4096, 4096)^d (13 bits a word) in
+    the shell 2048 <= |v| < 4096, normalized by an exact sum and libm's sqrt."""
+    from .gridsets import check_seed, philox_uint32
     from .shapes import Direction
 
+    check_seed(seed)
     for i in range(d):
         yield Direction.axis(i, d)
-    rng = np.random.default_rng(seed)
-    produced = 0
-    while produced < count:
+    for i in range(count):
         if d == 2:
-            m = int(rng.integers(0, 4096))
-            ang = 2.0 * math.pi * m / 4096.0
+            ang = 2.0 * math.pi * int(philox_uint32(seed, i, 0)[0] >> 20) / 4096.0
             yield Direction((math.cos(ang), math.sin(ang)))
-        else:
-            v = rng.standard_normal(d)
-            v = np.round(v / np.linalg.norm(v) * 4096) / 4096.0
-            n = np.linalg.norm(v)
-            if n < 0.5:
-                continue
-            yield Direction.of(v)
-        produced += 1
+            continue
+        v, pos = [0] * d, 0
+        while not 2048**2 <= sum(x * x for x in v) < 4096**2:
+            v = [int(w >> 19) - 4096 for w in philox_uint32(seed, i, range(pos, pos + d))]
+            pos += d
+        n = math.sqrt(sum(x * x for x in v))
+        yield Direction(tuple(x / n for x in v))
 
 
 def _face_normals(shape):
@@ -693,11 +695,7 @@ def family_test_sets(
     accepted: list[SlabTestSet] = []
     accepted_dirs: list[np.ndarray] = []
     built: dict = {}  # profile bytes -> (T, cert), or None if rejected
-    tried = 0
-    for cand in _direction_candidates(d, SCREEN_CANDIDATES, options.seed):
-        if len(accepted) == d:
-            break
-        tried += 1
+    for tried, cand in enumerate(_direction_candidates(d, SCREEN_CANDIDATES, options.seed), 1):
         theta = cand
         if mode == "magnify" and _is_convex(shape) and not isinstance(shape, Ball):
             try:
@@ -730,6 +728,8 @@ def family_test_sets(
             SlabTestSet(theta, T, cert.effective_window, certificate=cert)
         )
         accepted_dirs.append(tv)
+        if len(accepted) == d:
+            break
     if len(accepted) < d:
         raise SearchBudgetError(
             f"only {len(accepted)} of {d} directions passed screening after "

@@ -8,15 +8,12 @@ fine cubes are selected inside the cell; the level sets are combined by
 symmetric difference on the finest grid, where measures are exact dyadic
 counts.
 
-Randomness is counter-based: a Philox stream keyed by (seed, level, cell)
-makes every cell independent and the whole construction reproducible and
-order-independent.  A cell draws as numpy's `Generator.integers` would on
-that stream: its count, then the Fisher-Yates draws k_j on [j, cell_size).
-One numpy pass computes Philox4x64-10 for every cell's counter blocks and
-reproduces numpy's `next_uint32` stream and Lemire bounded draws; a cell
-where numpy would reject a draw is drawn by the keyed Generator itself.  A
-numpy change to `Generator.integers` shows up as a mismatch against the
-scalar-draw oracle in the tests.
+Randomness is counter-based and owned by this module: the Philox4x64-10
+stream keyed by (seed, level, cell) makes every cell independent and the
+whole construction reproducible and order-independent.  A cell draws as
+numpy's `Generator(Philox(key=...)).integers` would: its count, then the
+Fisher-Yates draws k_j on [j, cell_size), by Lemire's rule, a rejected word
+skipped for the stream's next one.  numpy's Generator is the tests' oracle.
 
 The copy count r = floor(2 dim_P / (d - b)) + 1 gives the number of
 independent sets needed for a family with packing dimension dim_P whose
@@ -116,30 +113,6 @@ def validate_levels(n, g, p, box_lo=(0,), box_hi=(1,)) -> RandomLevels:
     return RandomLevels(n, g, p, box_lo, box_hi)
 
 
-def _philox(seed: int, level: int, cell: int, rng=None) -> np.random.Generator:
-    """The stream of Philox(key=...) for the cell's key.  That constructor
-    draws OS entropy for a seed the key then replaces; Philox(0) draws none,
-    and its state takes counter 0, the key (low word first) and an empty
-    buffer.  A Generator `rng` over a Philox is re-keyed in place instead."""
-    key = (int(seed) << 64) ^ (int(level) << 48) ^ int(cell)
-    if not 0 <= key < 1 << 128:
-        raise ValueError("key must be positive and less than 2**128.")
-    if rng is None:
-        rng = np.random.Generator(np.random.Philox(0))
-    rng.bit_generator.state = {
-        "bit_generator": "Philox",
-        "state": {
-            "counter": np.zeros(4, dtype=np.uint64),
-            "key": np.array([key & (1 << 64) - 1, key >> 64], dtype=np.uint64),
-        },
-        "buffer": np.zeros(4, dtype=np.uint64),
-        "buffer_pos": 4,
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
-    return rng
-
-
 # Philox4x64-10's multipliers and key increments (Salmon et al., SC 2011)
 _PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
 _PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
@@ -172,6 +145,22 @@ def _philox4x64(key0: np.ndarray, key1: int, ctr: np.ndarray) -> tuple:
     return x0, x1, x2, x3
 
 
+def check_seed(seed: int):
+    """A seed keys the streams' upper 64 bits: outside [0, 2**64) it raises."""
+    if not 0 <= seed < 1 << 64:
+        raise ValueError(f"seed {seed} is outside [0, 2**64)")
+
+
+def philox_uint32(seed: int, key, pos) -> np.ndarray:
+    """uint32 number `pos` of the streams keyed by (seed, key), as numpy's
+    Philox(key=seed << 64 | key) hands them out: counters from 1, four words
+    a block, each word's low half before its high half."""
+    check_seed(seed)
+    key, pos = np.array(key, dtype=np.uint64, ndmin=1), np.array(pos, dtype=np.int64, ndmin=1)
+    word = np.choose((pos >> 1) & 3, _philox4x64(key, seed, (pos >> 3).astype(np.uint64) + 1))
+    return np.where(pos & 1, word >> 32, word & _M32)
+
+
 def _lemire(x: np.ndarray, r) -> tuple:
     """numpy's draws on [0, r) from the uint32s `x` (Lemire's multiply-shift)
     and whether numpy rejects each x and draws again."""
@@ -182,11 +171,37 @@ def _lemire(x: np.ndarray, r) -> tuple:
     return prod.view(np.int64), rejected
 
 
-def _cell_draws(key: np.ndarray, seed: int, m: np.ndarray, cell_size: int) -> tuple:
-    """The draws k_j on [j, cell_size), j < m, that follow the count on each
-    keyed stream, laid end to end, and a mask of the streams on which numpy
-    would reject one of them; their draws are left out."""
-    blocks = (m + 8) // 8  # a block holds 8 uint32s: the count and m draws
+def _skip_rejected(keys, seed: int, w: np.ndarray, pos: np.ndarray, r: np.ndarray, last) -> np.ndarray:
+    """numpy's draws on [0, r) from the uint32s w at consecutive positions pos
+    of each stream `keys`, last[t] the index of the last draw on t's stream.
+    numpy redraws a rejected draw from the next uint32: it and every later
+    draw of its stream move one word on, drawn again up to the next rejection."""
+    k, rejected = _lemire(w, r)
+    end = 0
+    for t in np.flatnonzero(rejected).tolist():
+        if t < end:
+            continue  # its stream is drawn already
+        # draw j stands at position base + j on the word w[j] until moved s words on
+        end, base, s = last[t] + 1, pos[t] - t, 0
+        while t < end:  # draw t is rejected where it stands
+            s += 1
+            for u in range(t, end, 1 << 12):
+                c = min(u + (1 << 12), end)
+                pos[u:c] = np.arange(u, c) + base + s
+                tail = philox_uint32(seed, keys[t], pos[max(u, end - s) : c]) if c > end - s else w[:0]
+                k[u:c], rejected = _lemire(np.concatenate([w[u + s : min(c + s, end)], tail]), r[u:c])
+                if rejected.any():
+                    t = u + int(rejected.argmax())
+                    break
+            else:
+                t = end
+    return k
+
+
+def _cell_draws(key: np.ndarray, seed: int, at: np.ndarray, m: np.ndarray, cell_size: int) -> list:
+    """The draws k_j on [j, cell_size), j < m, that follow the count at
+    stream position `at` on each keyed stream, laid end to end."""
+    blocks = (at + m + 8) // 8  # a block holds 8 uint32s: positions 0 to at + m
     first = np.cumsum(blocks) - blocks
     ctr = (np.arange(1, blocks.sum() + 1) - np.repeat(first, blocks)).astype(np.uint64)
     words = np.stack(_philox4x64(np.repeat(key, blocks), seed, ctr), axis=1)
@@ -194,11 +209,10 @@ def _cell_draws(key: np.ndarray, seed: int, m: np.ndarray, cell_size: int) -> tu
     stream = words.astype("<u8", copy=False).view("<u4").ravel()
     end = np.cumsum(m)
     j = np.arange(m.sum()) - np.repeat(end - m, m)
-    k, rejected = _lemire(stream[np.repeat(8 * first + 1, m) + j], cell_size - j)
-    k += j
-    bad = np.zeros(m.size, dtype=bool)
-    bad[np.searchsorted(end, np.flatnonzero(rejected), side="right")] = True
-    return k[np.repeat(~bad, m)].tolist(), bad
+    pos = np.repeat(at + 1, m) + j
+    w = stream[np.repeat(8 * first, m) + pos]
+    k = _skip_rejected(np.repeat(key, m), seed, w, pos, cell_size - j, np.repeat(end - 1, m))
+    return (k + j).tolist()
 
 
 def sample_level(levels: RandomLevels, i: int, seed: int) -> np.ndarray:
@@ -207,9 +221,9 @@ def sample_level(levels: RandomLevels, i: int, seed: int) -> np.ndarray:
     Returns sorted flat indices into the box-wide fine grid at resolution
     n_i.  Per coarse cell D, m_D is uniform on {0, ..., floor(p (n/g)^d)} and
     the m_D distinct cubes are drawn by a sparse partial Fisher-Yates.  The
-    draws are those of `_philox(seed, i, D).integers(0, m_max + 1)` and then
-    `.integers(np.arange(m_D), cell_size)`, computed for every cell at once;
-    a cell where numpy would reject a draw is drawn by that Generator itself.
+    draws are those of numpy's `Generator(Philox(key=seed << 64 | i << 48 ^
+    D))`: `.integers(0, m_max + 1)`, then `.integers(np.arange(m_D),
+    cell_size)`, computed for every cell at once.
     """
     if not (0 <= i < levels.levels):
         raise IndexError(f"level {i} out of range")
@@ -220,29 +234,18 @@ def sample_level(levels: RandomLevels, i: int, seed: int) -> np.ndarray:
     m_max = int(math.floor(p * cell_size))
     coarse_counts = tuple(u * g for u in units)
     key = np.uint64(i << 48) ^ np.arange(math.prod(coarse_counts), dtype=np.uint64)
-    # a cell's count takes the first uint32 of its stream, its draws the next
-    m, redraw = _lemire(_philox4x64(key, seed, np.ones_like(key))[0] & _M32, m_max + 1)
-    # numpy rejects a draw on [j, cell_size) with chance below cell_size / 2^32:
-    # a cell likely to meet a rejection goes to numpy whole
-    redraw |= m * cell_size >= 1 << 32
-    cells = np.flatnonzero(~redraw & (m > 0))
-    draws, bad = _cell_draws(key[cells], seed, m[cells], cell_size)
-    again = [*np.flatnonzero(redraw).tolist(), *cells[bad].tolist()]
-    kept = cells[~bad]
-    cells, counts = kept.tolist(), m[kept].tolist()
-    rng = None
-    for cell in again:
-        rng = _philox(seed, i, cell, rng)
-        m_cell = int(rng.integers(0, m_max + 1))
-        if m_cell:
-            cells.append(cell)
-            counts.append(m_cell)
-            draws += rng.integers(np.arange(m_cell), cell_size).tolist()
-    if not cells:
+    # a cell's count takes the first accepted uint32 of its stream, its draws the next
+    at = np.zeros(key.size, dtype=np.int64)
+    m = _skip_rejected(key, seed, philox_uint32(seed, key, at), at,
+                       np.full(key.size, m_max + 1), np.arange(key.size))
+    cells = np.flatnonzero(m)
+    if not cells.size:
         return np.empty(0, dtype=np.int64)
+    counts = m[cells]
+    draws = _cell_draws(key[cells], seed, at[cells], counts, cell_size)
     # global fine coordinate = coarse coordinate * sub + offset inside the cell
     coarse = np.unravel_index(np.repeat(cells, counts), coarse_counts)
-    offset = np.unravel_index(_fisher_yates(draws, counts), (sub,) * levels.d)
+    offset = np.unravel_index(_fisher_yates(draws, counts.tolist()), (sub,) * levels.d)
     flat = np.ravel_multi_index(
         tuple(c * sub + o for c, o in zip(coarse, offset)), tuple(u * n for u in units)
     )
@@ -324,8 +327,6 @@ def assemble(levels: RandomLevels, selections, seed: int = -1) -> GridSet:
 def sample_grid_set(levels: RandomLevels, seed: int) -> GridSet:
     """Sample every level and assemble; fully determined by (levels, seed),
     a seed in [0, 2**64)."""
-    if not 0 <= seed < 1 << 64:
-        raise ValueError(f"seed {seed} is outside [0, 2**64)")
     selections = tuple(sample_level(levels, i, seed) for i in range(levels.levels))
     return assemble(levels, selections, seed)
 

@@ -580,24 +580,23 @@ def monte_carlo_reconstruction(
 
     A trial succeeds when no pair of family members has all its measure
     differences below the declared resolution separation (default
-    1/(4 n^d)).  Copy c of trial t samples with a 64-bit seed hashed from
-    (seed, t, c), so it does not depend on the number of copies and no two
-    (t, c) share it but by hash chance.  Per-trial seeds are logged for replay.
+    1/(4 n^d)).  Copy c of trial t samples with the 64-bit word c of the
+    Philox stream keyed by (seed, t), so it does not depend on the number of
+    copies and no two (t, c) share it but by chance.  Per-trial seeds are
+    logged for replay; a seed outside [0, 2**64) raises ValueError.
     """
     if trials < 0 or copies < 1:
         raise ValueError("need trials >= 0 and copies >= 1")
-    from .gridsets import sample_grid_set
+    from .gridsets import philox_uint32, sample_grid_set
 
     if separation is None:
         separation = 1.0 / (4.0 * float(levels.finest) ** levels.d)
     instances = grid.instances()
     per_trial = []
     successes = 0
-    for t in range(trials):
-        trial_seeds = [
-            int(np.random.SeedSequence((seed, t, c)).generate_state(1, np.uint64)[0])
-            for c in range(copies)
-        ]
+    # row t: 64-bit words 0 to copies - 1 of stream (seed, t), uint32 pairs low half first
+    words = philox_uint32(seed, np.arange(trials)[:, None], range(2 * copies))
+    for trial_seeds in words.astype("<u4").view("<u8").tolist():
         # each copy is sampled when measure_vector draws it
         tests = (sample_grid_set(levels, s) for s in trial_seeds)
         matrix, exp = measure_vector(instances, tests)

@@ -454,6 +454,24 @@ HEAVY = ["click", "numpy", "scipy"] + [f"reconset.{m}" for m in (
     "targets", "verify")]
 
 
+def test_random_draws_load_no_numpy_random():
+    # slab directions and Monte Carlo trial seeds come from the grid sampler's
+    # Philox kernel, so neither loads numpy.random
+    code = (
+        "import sys\n"
+        "from reconset.construct import _direction_candidates\n"
+        "from reconset.gridsets import validate_levels\n"
+        "from reconset.verify import IntervalFamilyGrid, monte_carlo_reconstruction\n"
+        "print(len(list(_direction_candidates(3, 64, 1))), 'numpy.random' in sys.modules)\n"
+        "monte_carlo_reconstruction(IntervalFamilyGrid.of(0, 1, 1, 1, 1, 1),\n"
+        "    validate_levels((16,), (4,), (0.5,), (0,), (3,)), copies=2, trials=2, seed=3)\n"
+        "print('numpy.random' in sys.modules)\n"
+    )
+    p = _python("-c", code)
+    assert p.returncode == 0, p.stderr
+    assert p.stdout.splitlines() == ["67 False", "False"], p.stdout
+
+
 def test_cli_import_graph(json_reports, tmp_path):
     # importing the CLI loads none of the computing modules, nor click; no
     # command of the benchmark (report, random sample, verify injectivity,
@@ -469,13 +487,14 @@ def test_cli_import_graph(json_reports, tmp_path):
                     "print(code, 'numpy' in sys.modules, 'click' in sys.modules)")
         assert p.returncode == 0, p.stderr
         assert p.stdout.splitlines()[-1] == "0 False False", p.stdout
-    # nor does `random sample` load the interval-set code
+    # nor does `random sample` load the interval-set code, or numpy.random:
+    # the sampler draws from its own Philox kernel
     argv = ["random", "sample", "--n", "16", "--g", "4", "--p", "0.5", "-o", str(tmp_path / "g.npz")]
     p = _python("-c", "import sys; from reconset.cli import main; "
                 f"code = main({argv!r}); print(code, 'reconset.intervals' in sys.modules, "
-                "'click' in sys.modules)")
+                "'click' in sys.modules, 'numpy.random' in sys.modules)")
     assert p.returncode == 0, p.stderr
-    assert p.stdout.splitlines()[-1] == "0 False False", p.stdout
+    assert p.stdout.splitlines()[-1] == "0 False False False", p.stdout
     # `construct translate` quantizes a logistic, which needs no numpy.polynomial
     # (only the slow-decay target's antiderivative loads it); no command loads
     # numpy.ma, which np.unique's plain path imports

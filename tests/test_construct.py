@@ -654,8 +654,9 @@ def test_family_matches_per_direction_builds(shape):
 
 
 # the directions translate families accept at the default resolution, as
-# float.hex of each component of θ, recorded from the 2^20-point FFT screen;
-# the 3-simplex under seed 7 rejects a direction whose screen ratio is 1.0514
+# float.hex of each component of θ: the disk takes both axes, the triangle
+# its first axis and one keyed candidate, the 3-simplex (whose axes are face
+# normals) three keyed candidates
 FAMILY_DIRECTIONS = {
     ("disk", 0): [
         ("0x1.0000000000000p+0", "0x0.0p+0"),
@@ -671,30 +672,30 @@ FAMILY_DIRECTIONS = {
     ],
     ("triangle", 0): [
         ("0x1.0000000000000p+0", "0x0.0p+0"),
-        ("0x1.2e780e3e8ea14p-1", "-0x1.9d1b1f5ea80d7p-1"),
+        ("0x1.4ad79516722f0p-1", "-0x1.86c0a1d9aa195p-1"),
     ],
     ("triangle", 1): [
         ("0x1.0000000000000p+0", "0x0.0p+0"),
-        ("0x1.07d91ff98454dp-5", "-0x1.ffbbff85f9515p-1"),
+        ("0x1.d00843c99c5fdp-3", "0x1.f2af349e17507p-1"),
     ],
     ("triangle", 7): [
         ("0x1.0000000000000p+0", "0x0.0p+0"),
-        ("0x1.e18a02fdc66d8p-1", "-0x1.5bee78b9db3bbp-2"),
+        ("0x1.820e3b04eaabdp-2", "-0x1.da383a9668989p-1"),
     ],
     ("3-simplex", 0): [
-        ("0x1.8288d6afdb4e4p-3", "-0x1.96894bc5df5e4p-3", "0x1.ec6b4282cd9c7p-1"),
-        ("0x1.48029713da9c9p-3", "-0x1.a2e34ec9d7aaep-1", "0x1.1ac23b99e53bbp-1"),
-        ("0x1.7ba32839b4f7dp-1", "0x1.13c24b1312c00p-1", "-0x1.99c3685ca1c7ap-2"),
+        ("-0x1.107c42a76bea7p-1", "-0x1.1b8caae3e2a3bp-2", "-0x1.99a0ef712b898p-1"),
+        ("-0x1.16c9c45f89d35p-3", "-0x1.4a0935a5ce748p-1", "0x1.812dbacb86e48p-1"),
+        ("-0x1.86679b45bdc32p-4", "-0x1.9be7bf475b228p-6", "0x1.fd81a618ca935p-1"),
     ],
     ("3-simplex", 1): [
-        ("0x1.74420ac42d2ecp-2", "0x1.ba826d6bdcfeap-1", "0x1.6401f3f21d1cbp-2"),
-        ("-0x1.94c096fdf47dap-1", "0x1.194068eb9ab5ep-1", "0x1.1540676d99e02p-2"),
-        ("0x1.e4c3643afc883p-2", "0x1.76029dde079f5p-5", "0x1.c26326a967202p-1"),
+        ("0x1.321a8320bc335p-1", "0x1.cf873b97f86b0p-2", "-0x1.52b7d9eff4d30p-1"),
+        ("0x1.c5bcfa83f5219p-1", "0x1.37a7caea3bcd6p-2", "0x1.65ad8ac033617p-2"),
+        ("-0x1.756a97bc7c7d9p-3", "-0x1.a3b456cfd9c9fp-1", "0x1.15fcdd0c514c7p-1"),
     ],
     ("3-simplex", 7): [
-        ("0x1.800410508352ap-9", "0x1.7943fe071903bp-1", "-0x1.5a23a9b4925ebp-1"),
-        ("0x1.580900e279c8dp-5", "0x1.e02c90f4a72f8p-1", "-0x1.60c93b8306edcp-2"),
-        ("-0x1.6e48b9940db4cp-1", "0x1.2126e33b1f9d5p-1", "0x1.a54a08ff09a60p-2"),
+        ("0x1.394e14d9ebf50p-1", "0x1.4bfdbe8e5cc40p-2", "-0x1.715d11f73e620p-1"),
+        ("0x1.3510f902b1116p-4", "-0x1.d50b5e69ab37dp-2", "-0x1.c57cc4fe2699cp-1"),
+        ("0x1.6bab198511f12p-2", "-0x1.35afb3bb51476p-1", "0x1.6cee5c466bc83p-1"),
     ],
 }
 
@@ -718,6 +719,45 @@ def test_family_screen_keeps_accepted_directions(monkeypatch, name, seed):
     )
     slabs = family_test_sets(shape, "translate", FamilyOptions(seed=seed))
     assert [tuple(c.hex() for c in s.theta.theta) for s in slabs] == FAMILY_DIRECTIONS[name, seed]
+
+
+def test_direction_candidates_are_keyed_philox_draws():
+    # candidate i reads the stream numpy's Philox(key=seed << 64 | i) yields
+    seed = 2**64 - 5
+    cands = list(construct._direction_candidates(2, 8, seed))
+    assert cands[:2] == [Direction.axis(0, 2), Direction.axis(1, 2)]
+    for i, c in enumerate(cands[2:]):
+        word = int(np.random.Philox(key=(seed << 64) | i).random_raw()) & 0xFFFFFFFF
+        ang = 2.0 * math.pi * (word >> 20) / 4096.0
+        assert c.theta == (math.cos(ang), math.sin(ang))
+    # in d >= 3, the first lattice point in the shell, normalized
+    for d in (3, 4):
+        for i, c in enumerate(list(construct._direction_candidates(d, 16, seed))[d:]):
+            words = np.random.Philox(key=(seed << 64) | i).random_raw(32 * d).astype("<u8").view("<u4")
+            points = ((words.astype(np.int64) >> 19) - 4096).reshape(-1, d).tolist()
+            v = next(p for p in points if 2048**2 <= sum(x * x for x in p) < 4096**2)
+            assert c.theta == tuple(x / math.sqrt(sum(x * x for x in v)) for x in v)
+
+
+@pytest.mark.parametrize("seed", [-1, 1 << 64])
+def test_family_refuses_seed_outside_64_bits(seed):
+    # also when the axes alone would pass
+    with pytest.raises(ValueError, match=rf"seed {seed} is outside \[0, 2\*\*64\)"):
+        family_test_sets(Ball((0.0, 0.0), 1.0), "translate", FamilyOptions(resolution=16, seed=seed))
+
+
+def test_family_draws_no_candidate_after_the_last_accepted(monkeypatch):
+    drawn = []
+    candidates = construct._direction_candidates
+
+    def counted(*args):
+        for c in candidates(*args):
+            drawn.append(c)
+            yield c
+
+    monkeypatch.setattr(construct, "_direction_candidates", counted)
+    slabs = family_test_sets(Ball((0.0, 0.0), 1.0), "translate", FamilyOptions(resolution=16))
+    assert [s.theta for s in slabs] == drawn == [Direction.axis(0, 2), Direction.axis(1, 2)]
 
 
 def test_family_growth_rejection_recorded_once(monkeypatch):

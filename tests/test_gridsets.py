@@ -1,5 +1,4 @@
 import math
-import random
 
 import numpy as np
 import pytest
@@ -12,17 +11,29 @@ from reconset.gridsets import (
     CopyCount,
     GridSet,
     RandomLevels,
-    _philox,
     _fisher_yates,
     assemble,
     grid_summary,
     load_grid_set,
+    philox_uint32,
     required_copies,
     sample_grid_set,
     sample_level,
     save_grid_set,
     validate_levels,
 )
+
+
+def _numpy_philox(seed, level, cell):
+    """The oracle of a cell's stream: numpy's Generator over Philox keyed as
+    sample_level keys the cell."""
+    return np.random.Generator(np.random.Philox(key=(seed << 64) ^ (level << 48) ^ cell))
+
+
+def _uint32s_used(rng):
+    """How many uint32s of its stream a Generator over a Philox has read."""
+    state = rng.bit_generator.state
+    return 2 * (4 * (int(state["state"]["counter"][0]) - 1) + state["buffer_pos"]) - state["has_uint32"]
 
 
 def test_validate_levels_examples():
@@ -44,9 +55,11 @@ def test_validate_levels_bounds_the_finest_cubes():
 
 
 def test_validate_levels_bounds_the_level_count():
-    # a level index keys 16 bits: level 2**16 would share the streams of seed + 1
-    assert _philox(5, 1 << 16, 7).integers(0, 1 << 62, 4).tolist() == (
-        _philox(4, 0, 7).integers(0, 1 << 62, 4).tolist())
+    # a level index keys 16 bits: level 2**16 would carry into the seed's
+    # bits, and seed 5's level 2**16 would read the words of seed 4's level 0
+    key = (5 << 64) ^ (MAX_LEVELS << 48) ^ 7
+    assert philox_uint32(key >> 64, key & ((1 << 64) - 1), range(8)).tolist() == (
+        philox_uint32(4, 7, range(8)).tolist())
     p = [(MAX_LEVELS + 1 - k) * 1e-11 for k in range(MAX_LEVELS + 1)]
     assert validate_levels((4,) * MAX_LEVELS, (4,) * MAX_LEVELS, p[1:]).levels == MAX_LEVELS
     with pytest.raises(ValueError, match="65537 levels, more than 65536"):
@@ -113,7 +126,7 @@ def _sample_level_oracle(levels, i, seed):
     fine_counts = tuple(u * n for u in levels.box_units())
     picks = []
     for cell in range(int(np.prod(coarse_counts))):
-        rng = _philox(seed, i, cell)
+        rng = _numpy_philox(seed, i, cell)
         m = int(rng.integers(0, m_max + 1))
         if m == 0:
             continue
@@ -191,22 +204,10 @@ def test_sample_level_matches_scalar_oracle_on_random_levels(case, seed):
     assert np.array_equal(sample_level(levels, i, seed), _sample_level_oracle(levels, i, seed))
 
 
-def _counting_philox(monkeypatch):
-    calls = []
-    keyed = gridsets._philox
-
-    def counting(seed, level, cell, rng=None):
-        calls.append(cell)
-        return keyed(seed, level, cell, rng)
-
-    monkeypatch.setattr(gridsets, "_philox", counting)
-    return calls
-
-
 @pytest.mark.parametrize(
     "args, seed, cell",
     [
-        # m_D * cell_size >= 2**32 expects a rejection: the cell goes to numpy whole
+        # numpy rejects draws of the one cell of 2**20 cubes
         (((1 << 20,), (1,), (0.5,), (0,), (1,)), 3, 0),
         # numpy rejects one of cell 1's 1,750 draws on [j, 2**16)
         (((1 << 16,), (1,), (0.125,), (0,), (16,)), 1, 1),
@@ -215,24 +216,29 @@ def _counting_philox(monkeypatch):
     ],
     ids=["one-cell-of-2^20", "draw-rejected", "count-rejected"],
 )
-def test_rejecting_cells_are_drawn_by_the_keyed_generator(monkeypatch, args, seed, cell):
+def test_rejected_words_are_skipped_as_numpy_skips_them(args, seed, cell):
     levels = validate_levels(*args)
-    calls = _counting_philox(monkeypatch)
-    got = sample_level(levels, 0, seed)
-    assert calls == [cell]
-    monkeypatch.undo()
-    assert np.array_equal(got, _sample_level_oracle(levels, 0, seed))
+    # the oracle reads more uint32s than the count and the draws: a rejection
+    cell_size = levels.n[0] // levels.g[0]
+    rng = _numpy_philox(seed, 0, cell)
+    m = int(rng.integers(0, math.floor(levels.p[0] * cell_size) + 1))
+    rng.integers(np.arange(m), cell_size)
+    assert _uint32s_used(rng) > 1 + m
+    assert np.array_equal(sample_level(levels, 0, seed), _sample_level_oracle(levels, 0, seed))
 
 
-def test_benchmark_levels_key_no_generator(monkeypatch):
-    # the levels and the five seeds of perfbench's small-queries workload at seed 1
-    levels = validate_levels((512, 65536), (64, 1024), (0.5, 0.25), (0,), (3,))
-    rng = random.Random(1)
-    seeds = [rng.randrange(2**32) for _ in range(5)]
-    calls = _counting_philox(monkeypatch)
-    for s in seeds:
-        sample_grid_set(levels, s)
-    assert calls == []
+def test_rejected_words_are_skipped_on_every_stream():
+    # 16 streams of 30,000 draws on [j, 2**16), after a count at uint32 0 or 2:
+    # several meet rejections, so their last draws read words read by no draw before
+    seed, at, m = 9, np.array([0, 2] * 8), np.full(16, 30_000)
+    want, rejecting = [], 0
+    for cell in range(16):
+        rng = _numpy_philox(seed, 0, cell)
+        rng.integers(0, 2**32, size=at[cell] + 1, dtype=np.uint32)
+        want += rng.integers(np.arange(30_000), 1 << 16).tolist()
+        rejecting += _uint32s_used(rng) > at[cell] + 1 + 30_000
+    assert rejecting >= 3
+    assert gridsets._cell_draws(np.arange(16, dtype=np.uint64), seed, at, m, 1 << 16) == want
 
 
 @pytest.mark.parametrize("seed", [-1, 1 << 64])
@@ -247,7 +253,7 @@ def test_seed_outside_64_bits_refused(seed):
 @pytest.mark.parametrize("n", [8, 4096, 2**40])
 def test_fisher_yates_leaves_stream_where_scalar_draws_would(n):
     for m in sorted({1, min(n, 8), min(n, 300)}):
-        a, b = _philox(5, 1, m), _philox(5, 1, m)
+        a, b = _numpy_philox(5, 1, m), _numpy_philox(5, 1, m)
         draws = a.integers(np.arange(m), n).tolist()
         assert _fisher_yates(draws, [m]) == _fisher_yates_oracle(b, n, m)
         assert a.integers(0, 2**62) == b.integers(0, 2**62)
@@ -348,20 +354,16 @@ def test_near_tie_rate_single_level():
     ids=["zero", "two-to-64-plus-1", "two-to-128-minus-1", "benchmark-style"],
 )
 def test_philox_matches_keyed_constructor(key):
-    # fresh, and re-keyed after draws that leave a buffered 32-bit half
+    # numpy's next_uint32 reads each 64-bit word low half first; positions
+    # read out of order give the same words
     seed, rest = key >> 64, key & ((1 << 64) - 1)
-    used = _philox(7, 1, 2)
-    used.integers(0, 1 << 62, 5), used.integers(0, 2, 3, dtype=np.uint32)
-    for got in (_philox(seed, 0, rest), _philox(seed, 0, rest, used)):
-        want = np.random.Generator(np.random.Philox(key=key))
-        assert np.array_equal(got.integers(0, 1 << 62, 257), want.integers(0, 1 << 62, 257))
-        assert got.integers(0, 5, 3, dtype=np.uint32).tolist() == want.integers(
-            0, 5, 3, dtype=np.uint32).tolist()
-        assert got.random() == want.random()
+    want = np.random.Philox(key=key).random_raw(257).astype("<u8").view("<u4")
+    assert philox_uint32(seed, rest, range(514)).tolist() == want.tolist()
+    pos = np.array([513, 0, 8, 7, 300, 1, 1])
+    assert philox_uint32(seed, rest, pos).tolist() == want[pos].tolist()
 
 
 def test_philox_refuses_key_out_of_range():
-    with pytest.raises(ValueError, match="less than 2"):
-        _philox(-1, 0, 0)
-    with pytest.raises(ValueError, match="less than 2"):
-        _philox(1 << 64, 0, 0)
+    for seed in (-1, 1 << 64):
+        with pytest.raises(ValueError, match=rf"seed {seed} is outside \[0, 2\*\*64\)"):
+            philox_uint32(seed, 0, 0)

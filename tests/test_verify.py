@@ -626,6 +626,23 @@ def test_monte_carlo_off_grid_family():
         assert trial["min_separation"] == pairwise_min_linf(matrix * 2.0**-exp)[0]
 
 
+def test_monte_carlo_trial_seeds_are_keyed_philox_words():
+    # copy c of trial t takes the 64-bit word c of Philox(key=seed << 64 | t)
+    rep = monte_carlo_reconstruction(
+        IntervalFamilyGrid.of(0, 0, 1, 1, 1, 1), validate_levels((2,), (1,), (0.5,)),
+        copies=3, trials=2, seed=2**64 - 1)
+    assert [t["seeds"] for t in rep.per_trial] == [
+        np.random.Philox(key=((2**64 - 1) << 64) | t).random_raw(3).tolist() for t in range(2)]
+
+
+@pytest.mark.parametrize("seed", [-1, 1 << 64])
+@pytest.mark.parametrize("trials", [0, 1])
+def test_monte_carlo_refuses_seed_outside_64_bits(seed, trials):
+    grid = IntervalFamilyGrid.of(0, 0, 1, 1, 1, 1)
+    with pytest.raises(ValueError, match=rf"seed {seed} is outside \[0, 2\*\*64\)"):
+        monte_carlo_reconstruction(grid, small_levels(), copies=1, trials=trials, seed=seed)
+
+
 def test_monte_carlo_trial_seeds_distinct():
     # 1,010 copies: with seeds (seed*1_000_003 + t)*1_009 + c, trial 0 copy
     # 1009 and trial 1 copy 0 would share a seed
