@@ -294,18 +294,11 @@ def sliding_integral(
         return np.zeros(b.shape)
     xs = p.xs
     slopes = p.slopes()
-    # interior and edge jumps of p: d/dx contributes J_k * delta at knot k
-    jumps_x = [xs[0]]
-    jumps_v = [float(p.vl[0])]
-    for k in range(1, p.piece_count):
-        j = float(p.vl[k] - p.vr[k - 1])
-        if j != 0.0:
-            jumps_x.append(xs[k])
-            jumps_v.append(j)
-    jumps_x.append(xs[-1])
-    jumps_v.append(-float(p.vr[-1]))
-    jx = np.array(jumps_x)
-    jv = np.array(jumps_v)
+    # both edges and the interior jumps of p: d/dx contributes J_k * delta at knot k
+    J = p.value_jumps()
+    keep = J != 0.0
+    keep[[0, -1]] = True
+    jx, jv = xs[keep], J[keep]
 
     knots = b[:, None] + a * xs[None, :]
     jump_pts = b[:, None] + a * jx[None, :]
@@ -341,9 +334,8 @@ def ac_diagnostic(p: Profile, power: float, cutoffs) -> np.ndarray:
     last = _last_bins(span, cutoffs)
     x = p.xs - (s0 + s1) / 2.0
     # the value jumps J and the slope jumps S at the knots, support edges included
-    value_jumps = np.concatenate(([p.vl[0]], p.vl[1:] - p.vr[:-1], [-p.vr[-1]]))
     slope_jumps = np.diff(np.concatenate(([0.0], p.slopes(), [0.0])))
-    jumps = np.column_stack([value_jumps, slope_jumps])
+    jumps = np.column_stack([p.value_jumps(), slope_jumps])
     n = last[-1] + 1
     density = np.empty(n)
     density[0] = p.integral() ** 2 * 0.0**power  # 0**0 = 1: the bin r = 0 counts only at power 0

@@ -126,15 +126,14 @@ class Profile:
         the profile is continuous)."""
         return StepProfile(self.xs.copy(), self.slopes())
 
+    def value_jumps(self) -> np.ndarray:
+        """The jump J_k at each boundary xs[k]: up from 0 at the left edge,
+        vl[k] - vr[k-1] between pieces, down to 0 at the right edge."""
+        return np.concatenate(([self.vl[0]], self.vl[1:] - self.vr[:-1], [-self.vr[-1]]))
+
     def total_variation(self) -> float:
         """Exact total variation on the line, including support-edge jumps."""
-        terms = [abs(float(self.vl[0]))]  # jump up from 0 at the left edge
-        for i in range(self.piece_count):
-            terms.append(abs(float(self.vr[i] - self.vl[i])))
-            if i + 1 < self.piece_count:
-                terms.append(abs(float(self.vl[i + 1] - self.vr[i])))
-        terms.append(abs(float(self.vr[-1])))  # jump down to 0 at the right edge
-        return math.fsum(terms)
+        return math.fsum(np.abs(np.concatenate([self.value_jumps(), self.vr - self.vl])))
 
     # -- geometry ----------------------------------------------------------------
 

@@ -11,6 +11,7 @@ profiles.
 The d-dimensional measure of a posed body against a slab test set
 V = {a : <a,theta> in T} reduces to a 1-D integral of the profile:
 lambda^d((rE+v) ∩ V) = r^(d-1) ∫_T profile((t - <v,theta>)/r) dt.
+Every inner product with a direction is `project`'s fixed-order sum.
 """
 
 from __future__ import annotations
@@ -27,6 +28,9 @@ from .intervals import IntervalSet, Window
 from .profiles import Profile
 
 _UNIT_TOL = 1e-12
+# far above every sampled profile in use (2,048 samples at most), far below
+# one whose sample arrays exhaust memory
+MAX_RESOLUTION = 1 << 20
 
 
 def _finite(what: str, values: tuple) -> tuple:
@@ -34,6 +38,17 @@ def _finite(what: str, values: tuple) -> tuple:
     if not all(map(math.isfinite, values)):
         raise ValueError(f"{what} must be finite, got {values}")
     return values
+
+
+def project(points, v) -> np.ndarray:
+    """<x, v> over the last axis of `points`, summed in coordinate order with
+    one rounding per product and one per sum: no BLAS kernel, and so no
+    CPU-dependent fused multiply-add or summation order, decides the bits."""
+    x = np.asarray(points, dtype=np.float64)
+    acc = x[..., 0] * v[0]
+    for i in range(1, len(v)):
+        acc = acc + x[..., i] * v[i]
+    return acc
 
 
 @dataclass(frozen=True)
@@ -51,11 +66,11 @@ class Direction:
 
     @staticmethod
     def of(vector) -> "Direction":
-        v = np.asarray(vector, dtype=np.float64)
-        n = float(np.linalg.norm(v))
+        v = tuple(map(float, vector))
+        n = math.sqrt(math.fsum(x * x for x in v))
         if n == 0:
             raise ValueError("zero vector has no direction")
-        return Direction(tuple(v / n))
+        return Direction(tuple(x / n for x in v))
 
     @staticmethod
     def axis(i: int, d: int) -> "Direction":
@@ -69,25 +84,6 @@ class Direction:
 
     def as_array(self) -> np.ndarray:
         return np.asarray(self.theta)
-
-    def dot(self, point) -> float:
-        return float(np.dot(self.as_array(), np.asarray(point, dtype=np.float64)))
-
-
-@dataclass(frozen=True)
-class Pose:
-    """Translation and magnification of a body: the posed set is r*E + x."""
-
-    translation: tuple
-    magnification: float = 1.0
-
-    def __post_init__(self):
-        x = _finite("translation components", tuple(map(float, self.translation)))
-        object.__setattr__(self, "translation", x)
-        if not 1.0 <= self.magnification < math.inf:
-            raise ValueError(
-                "magnification must be finite and >= 1 (translate-only uses r = 1)"
-            )
 
 
 # -- shape variants -----------------------------------------------------------
@@ -346,8 +342,8 @@ def radon_profile(shape, theta: Direction, resolution: int = 256) -> Profile:
     """
     if theta.d != shape.d:
         raise ValueError(f"direction in R^{theta.d} vs shape in R^{shape.d}")
-    if resolution < 2:
-        raise ValueError("resolution must be at least 2")
+    if not 2 <= resolution <= MAX_RESOLUTION:
+        raise ValueError(f"resolution must lie in [2, {MAX_RESOLUTION}], got {resolution}")
     if isinstance(shape, Ball):
         return _ball_profile(shape, theta, resolution)
     if isinstance(shape, Box):
@@ -380,7 +376,7 @@ def _mass_corrected(xs, ys, exact_mass, value_fn) -> Profile:
 
 
 def _ball_profile(ball: Ball, theta: Direction, resolution: int) -> Profile:
-    m = theta.dot(ball.center)
+    m = float(project(ball.center, theta.theta))
     R = ball.radius
     d = ball.d
     if d == 1:
@@ -402,7 +398,7 @@ def _ball_profile(ball: Ball, theta: Direction, resolution: int) -> Profile:
 def _box_profile(box: Box, theta: Direction, resolution: int) -> Profile:
     widths = np.asarray(box.hi) - np.asarray(box.lo)
     th = theta.as_array()
-    base = theta.dot(box.lo)
+    base = float(project(box.lo, theta.theta))
     spans = th * widths  # projection spread per axis, sign carried
     # piecewise-polynomial density of sum of uniforms; corners are breakpoints
     shifts = [0.0]
@@ -459,11 +455,10 @@ def _refined_grid(breaks: np.ndarray, resolution: int) -> np.ndarray:
 
 def _chord_length(poly: Polygon, theta: Direction, t: float) -> float:
     """Total length of the chord {<x,theta> = t} ∩ polygon (t off vertices)."""
-    th = theta.as_array()
-    perp = np.array([-th[1], th[0]])
+    th = theta.theta
     v = np.asarray(poly.vertices)
-    proj = v @ th
-    u = v @ perp
+    proj = project(v, th)
+    u = project(v, (-th[1], th[0]))
     n = len(v)
     hits = []
     for i in range(n):
@@ -479,8 +474,7 @@ def _chord_length(poly: Polygon, theta: Direction, t: float) -> float:
 
 def _polygon_profile(poly: Polygon, theta: Direction) -> Profile:
     v = np.asarray(poly.vertices)
-    proj = unique(v @ theta.as_array())
-    xs = proj
+    xs = unique(project(v, theta.theta))
     vals = np.zeros(xs.size)
     # chord length is affine strictly between projected vertices: two interior
     # samples per gap recover each piece exactly and sidestep vertex hits
@@ -507,7 +501,7 @@ def _simplex_profile(simplex: Simplex, theta: Direction, resolution: int) -> Pro
         return _polygon_profile(_triangle_as_polygon(simplex), theta)
     if d == 3:
         v = np.asarray(simplex.vertices)
-        proj = unique(v @ theta.as_array())
+        proj = unique(project(v, theta.theta))
 
         def section(t):
             t = np.atleast_1d(np.asarray(t, dtype=np.float64))
@@ -529,7 +523,7 @@ def _triangle_as_polygon(simplex: Simplex) -> Polygon:
 
 
 def _tetra_section_area(v: np.ndarray, th: np.ndarray, t: float) -> float:
-    proj = v @ th
+    proj = project(v, th)
     pts = []
     for i in range(4):
         for j in range(i + 1, 4):
@@ -545,9 +539,9 @@ def _tetra_section_area(v: np.ndarray, th: np.ndarray, t: float) -> float:
     k = int(np.argmin(np.abs(th)))
     e1[k] = 1.0
     e1 = e1 - th * th[k]
-    e1 /= np.linalg.norm(e1)
+    e1 /= math.sqrt(project(e1, e1))
     e2 = np.cross(th, e1)
-    uv = np.stack([pts @ e1, pts @ e2], axis=1)
+    uv = np.stack([project(pts, e1), project(pts, e2)], axis=1)
     c = uv.mean(axis=0)
     ang = np.arctan2(uv[:, 1] - c[1], uv[:, 0] - c[0])
     order = np.argsort(ang)
@@ -605,33 +599,34 @@ def _grid_profile(shape: GridShape, theta: Direction) -> Profile:
 
 
 def intersection_measures(
-    shape, poses, V: SlabTestSet, resolution: int = 256
+    shape, translations, V: SlabTestSet, resolution: int = 256, r: float = 1.0
 ) -> tuple[np.ndarray, np.ndarray]:
-    """lambda^d((rE+x) ∩ V) for each pose, with quadrature error bounds.
+    """lambda^d((rE+x) ∩ V) for each row x of the (N, d) array `translations`,
+    with quadrature error bounds; r = 1 is the translate-only family.
 
     The measure depends on x only through the offset <x, theta>, so one
-    sliding integral per distinct (magnification, offset) covers all poses
-    sharing it.  Exact (error 0) for the full-space sentinel: r^d * lambda^d(E).
+    sliding integral per distinct offset covers all rows sharing it.  Exact
+    (error 0) for the full-space sentinel: r^d * lambda^d(E).
     """
     from .analysis import sliding_integral
 
-    rs = [pose.magnification for pose in poses]
+    x = np.asarray(translations, dtype=np.float64)
+    if x.ndim != 2 or x.shape[1] != shape.d:
+        raise ValueError(f"translations must be an (N, {shape.d}) array, got shape {x.shape}")
+    if not np.all(np.isfinite(x)):
+        raise ValueError("translation components must be finite")
+    if not 1.0 <= r < math.inf:
+        raise ValueError("magnification must be finite and >= 1 (translate-only uses r = 1)")
     if V.full_space:
-        return np.array([r**shape.d * shape.volume() for r in rs]), np.zeros(len(rs))
+        return np.full(len(x), r**shape.d * shape.volume()), np.zeros(len(x))
     profile = radon_profile(shape, V.theta, resolution)
-    values = np.empty(len(rs))
-    errors = np.empty(len(rs))
-    for r in dict.fromkeys(rs):
-        idx = [i for i, ri in enumerate(rs) if ri == r]
-        b = np.array([V.theta.dot(poses[i].translation) for i in idx])
-        # F(b) is computed for each b alone, so each distinct offset is integrated
-        # once; 0.0 and -0.0 merge at equal bits, and a NaN stays to be refused
-        offsets, where = np.unique(b, return_inverse=True)
-        vals = sliding_integral(profile, V.T, r, offsets, V.window)[where]
-        values[idx] = np.maximum(r ** (shape.d - 1) * vals, 0.0)
-        # |error| = r^(d-1) |∫_T Δ((t-b)/r) dt| <= r^d ||Δ||_1
-        errors[idx] = r**shape.d * profile.l1_error
-    return values, errors
+    # F(b) is computed for each b alone, so each distinct offset is integrated
+    # once; 0.0 and -0.0 merge at equal bits, and a NaN stays to be refused
+    offsets, where = np.unique(project(x, V.theta.theta), return_inverse=True)
+    vals = sliding_integral(profile, V.T, r, offsets, V.window)[where]
+    values = np.maximum(r ** (shape.d - 1) * vals, 0.0)
+    # |error| = r^(d-1) |∫_T Δ((t-b)/r) dt| <= r^d ||Δ||_1
+    return values, np.full(len(x), r**shape.d * profile.l1_error)
 
 
 # -- diameter directions under anisotropic squeeze ------------------------------------

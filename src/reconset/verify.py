@@ -165,15 +165,13 @@ class TranslateFamilyGrid:
     hi: tuple
     steps: tuple  # points per axis
 
-    def instances(self) -> list:
-        from .shapes import Pose
-
+    def instances(self) -> np.ndarray:
+        """The (N, d) translations, the last coordinate varying fastest."""
         axes = [
             np.linspace(a, b, int(k)) for a, b, k in zip(self.lo, self.hi, self.steps)
         ]
         mesh = np.meshgrid(*axes, indexing="ij")
-        pts = np.stack([m.ravel() for m in mesh], axis=1)
-        return [Pose(tuple(float(c) for c in row), 1.0) for row in pts]
+        return np.stack([m.ravel() for m in mesh], axis=1)
 
     def describe(self) -> dict:
         return {

@@ -350,22 +350,63 @@ def _openblas_dynamic_arch() -> bool:
     return "openblas" in blas["name"] and "DYNAMIC_ARCH" in blas.get("openblas configuration", "")
 
 
-@pytest.mark.skipif(not _openblas_dynamic_arch(), reason="numpy's BLAS is not OpenBLAS with DYNAMIC_ARCH")
-def test_magnify_artifact_does_not_depend_on_the_cpu(tmp_path):
-    # OpenBLAS picks its kernels for the CPU at run time, and numpy its SIMD
-    # loops: the artifact comes out the same under every choice forced here
+def _cpu_settings() -> list[dict]:
+    """OpenBLAS picks its kernels for the CPU at run time, and numpy its SIMD
+    loops: the default choice, three forced OpenBLAS cores, and every
+    dispatched SIMD target masked."""
     from numpy._core._multiarray_umath import __cpu_dispatch__
 
-    cases = [{}, *({"OPENBLAS_CORETYPE": core} for core in ("Prescott", "Haswell", "SkylakeX")),
-                {"NPY_DISABLE_CPU_FEATURES": ",".join(__cpu_dispatch__)}]
+    return [{}, *({"OPENBLAS_CORETYPE": core} for core in ("Prescott", "Haswell", "SkylakeX")),
+            {"NPY_DISABLE_CPU_FEATURES": ",".join(__cpu_dispatch__)}]
+
+
+@pytest.mark.skipif(not _openblas_dynamic_arch(), reason="numpy's BLAS is not OpenBLAS with DYNAMIC_ARCH")
+def test_magnify_artifact_does_not_depend_on_the_cpu(tmp_path):
+    # the artifact comes out the same under every setting
     artifacts = []
-    for i, env in enumerate(cases):
+    for i, env in enumerate(_cpu_settings()):
         out = tmp_path / f"Tm{i}.json"
         p = _python("-m", "reconset.cli", "construct", "magnify", "--profile", "disk",
                     "--window", "-1", "1", "-o", str(out), extra_env=env)
         assert p.returncode == 0, (env, p.stderr)
         artifacts.append(out.read_bytes())
     assert all(a == artifacts[0] for a in artifacts), [hash(a) for a in artifacts]
+
+
+# `reconset radon` of the polygon and the box, then the slab measures of the
+# three shapes over a 5 x 5 grid of translations, printed as raw bytes
+_OBLIQUE_SCRIPT = """
+import json, sys
+import numpy as np
+from reconset.cli import main
+from reconset.intervals import IntervalSet, Window
+from reconset.shapes import Direction, SlabTestSet, intersection_measures, shape_from_json
+theta, *specs = sys.argv[1:]
+for i, spec in enumerate(specs[1:]):
+    assert main(["radon", "--shape", spec, "--theta", theta, "-o", f"p{i}.json"]) == 0
+V = SlabTestSet(Direction.of([float(t) for t in theta.split(",")]), IntervalSet([(0, 1)]), Window.of(-8, 8))
+axis = np.linspace(-0.5, 0.5, 5)
+x = np.stack([np.repeat(axis, 5), np.tile(axis, 5)], 1)
+for spec in specs:
+    v, e = intersection_measures(shape_from_json(json.loads(spec)), x, V)
+    print(v.tobytes().hex(), e.tobytes().hex())
+"""
+
+
+@pytest.mark.skipif(not _openblas_dynamic_arch(), reason="numpy's BLAS is not OpenBLAS with DYNAMIC_ARCH")
+def test_oblique_projections_do_not_depend_on_the_cpu(tmp_path):
+    # <x, theta> off the axes decides profile knots and slab offsets; where a
+    # BLAS kernel computed it, fused multiply-adds changed their bits
+    specs = ['{"variant":"ball","center":[0.3,-0.2],"radius":1}',
+             '{"variant":"polygon","vertices":[[0.47,-0.12],[1.77,0.05],[1.57,0.81],[0.68,0.59]]}',
+             '{"variant":"box","lo":[0.3,-0.2],"hi":[1.3,0.9]}']
+    outputs = []
+    for i, env in enumerate(_cpu_settings()):
+        (out := tmp_path / str(i)).mkdir()
+        p = _python("-c", _OBLIQUE_SCRIPT, f"1,{math.sqrt(2.0)!r}", *specs, extra_env=env, cwd=out)
+        assert p.returncode == 0, (env, p.stderr)
+        outputs.append([p.stdout, *((out / f"p{k}.json").read_bytes() for k in range(2))])
+    assert all(o == outputs[0] for o in outputs), [[hash(x) for x in o] for o in outputs]
 
 
 def _capped_cli_exits_one(*argv):
@@ -408,12 +449,17 @@ def test_oversized_grid_exits_one(tmp_path, grid):
         ["construct", "interval-union", "--lengths", "1", "--window", "0", "1e999999999",
          "--rho", "1/16"],
         ["random", "sample", "--n", "1073741824", "--g", "64", "--p", "0.5", "--box", "0", "3"],
+        ["radon", "--shape", '{"variant":"ball","center":[0,0],"radius":1}', "--theta", "1,0",
+         "--resolution", "2000000000"],
+        ["construct", "translate", "--profile", "disk", "--resolution", "2000000000",
+         "--window", "-2", "2"],
     ],
-    ids=["cell-shifts", "decimal-exponent", "grid-cubes"],
+    ids=["cell-shifts", "decimal-exponent", "grid-cubes", "radon-samples", "disk-samples"],
 )
 def test_unbounded_work_refused_under_memory_cap(tmp_path, argv):
-    # 16,777,216 cells, Fraction("1e999999999") and a 3 * 2**30-cube grid: the
-    # parent ran for over a minute on the first two and died on the third
+    # 16,777,216 cells, Fraction("1e999999999"), a 3 * 2**30-cube grid and
+    # 2e9 profile samples: unchecked, the first two ran for over a minute and
+    # the others ran out of memory
     _capped_cli_exits_one(*argv, "-o", str(tmp_path / "out"))
 
 

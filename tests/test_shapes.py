@@ -13,11 +13,11 @@ from reconset.shapes import (
     GridShape,
     IntervalUnion,
     Polygon,
-    Pose,
     Simplex,
     SlabTestSet,
     diameter_direction,
     intersection_measures,
+    project,
     radon_profile,
     shape_from_json,
 )
@@ -121,7 +121,7 @@ def test_translation_covariance():
     p0 = radon_profile(DISK, th, resolution=64)
     moved = Ball(tuple(c + w for c, w in zip(DISK.center, v)), DISK.radius)
     p1 = radon_profile(moved, th, resolution=64)
-    shift = th.dot(v)
+    shift = project(v, th.theta)
     assert np.allclose(p1.xs, p0.xs + shift, atol=1e-12)
     assert np.allclose(p1.vl, p0.vl, atol=1e-12)
 
@@ -139,7 +139,7 @@ def test_polygon_profile_breakpoints_at_projected_vertices():
     poly = Polygon(((0, 0), (3, 0), (3, 1), (1, 2)))
     th = Direction.of((1.0, 0.5))
     p = radon_profile(poly, th)
-    projs = sorted({round(th.dot(v), 12) for v in poly.vertices})
+    projs = sorted({round(float(project(v, th.theta)), 12) for v in poly.vertices})
     assert np.allclose(p.xs, projs)
     assert p.integral() == pytest.approx(poly.volume(), rel=1e-12)
 
@@ -178,27 +178,25 @@ def test_slab_lift_and_validation():
 def test_intersection_measure_square_examples():
     T = IntervalSet([(0, 1)])
     V = SlabTestSet(E1, T, Window.of(-8, 8))
-    v1 = intersection_measures(SQUARE, [Pose((0.0, 0.0))], V)[0][0]
+    v1 = intersection_measures(SQUARE, [(0.0, 0.0)], V)[0][0]
     assert v1 == pytest.approx(1.0, abs=1e-12)
-    v2 = intersection_measures(SQUARE, [Pose((0.0, 0.0), 2.0)], V)[0][0]
+    v2 = intersection_measures(SQUARE, [(0.0, 0.0)], V, r=2.0)[0][0]
     assert v2 == pytest.approx(2.0, abs=1e-12)
 
 
 def test_intersection_measure_full_space():
     F = SlabTestSet.full()
-    assert intersection_measures(DISK, [Pose((0.3, 0.4), 2.0)], F)[0][0] == pytest.approx(
+    assert intersection_measures(DISK, [(0.3, 0.4)], F, r=2.0)[0][0] == pytest.approx(
         4.0 * math.pi
     )
-    assert intersection_measures(SQUARE, [Pose((5.0, 5.0), 3.0)], F)[0][0] == pytest.approx(9.0)
+    assert intersection_measures(SQUARE, [(5.0, 5.0)], F, r=3.0)[0][0] == pytest.approx(9.0)
 
 
 def test_intersection_measure_halfplane_offset_disk():
     # disk at (1/2, 0), slab x in [0, 4): covers all but the cap x < 0
     T = IntervalSet([(0, 4)])
     V = SlabTestSet(E1, T, Window.of(-8, 8))
-    (val,), (err,) = intersection_measures(
-        DISK, [Pose((0.5, 0.0), 1.0)], V, resolution=2048
-    )
+    (val,), (err,) = intersection_measures(DISK, [(0.5, 0.0)], V, resolution=2048)
     # quadrature oracle: area of unit disk right of x = -1/2
     xs = np.linspace(-0.5, 1.0, 300_001)
     chords = 2.0 * np.sqrt(np.maximum(0.0, 1.0 - xs**2))
@@ -211,14 +209,14 @@ def test_intersection_measure_window_exceeded():
     T = IntervalSet([(0, 1)])
     V = SlabTestSet(E1, T, Window.of(-2, 2))
     with pytest.raises(WindowExceededError) as ei:
-        intersection_measures(SQUARE, [Pose((5.0, 0.0), 1.0)], V)
+        intersection_measures(SQUARE, [(5.0, 0.0)], V)
     assert ei.value.required_hi > 2
 
 
 def test_intersection_measure_scaling_identity():
     # r^d * vol scaling for the full-space sentinel at several r
     for r in (1.0, 1.5, 3.0):
-        got = intersection_measures(DISK, [Pose((0.0, 0.0), r)], SlabTestSet.full())[0][0]
+        got = intersection_measures(DISK, [(0.0, 0.0)], SlabTestSet.full(), r=r)[0][0]
         assert got == pytest.approx(r**2 * math.pi, rel=1e-12)
 
 
@@ -227,12 +225,12 @@ def test_intersection_measure_against_grid_mc():
     th = Direction.of((1.0, 1.0))
     T = IntervalSet([(0, 1)])
     V = SlabTestSet(th, T, Window.of(-6, 6))
-    pose = Pose((0.25, -0.125), 1.0)
-    val = intersection_measures(DISK, [pose], V, resolution=1024)[0][0]
+    x = (0.25, -0.125)
+    val = intersection_measures(DISK, [x], V, resolution=1024)[0][0]
     rng = np.random.default_rng(42)
     pts = rng.uniform(-1, 1, size=(2_000_000, 2))
     inside = np.sum(pts**2, axis=1) <= 1.0
-    shifted = pts + np.asarray(pose.translation)
+    shifted = pts + np.asarray(x)
     proj = shifted @ th.as_array()
     hit = inside & (proj >= 0.0) & (proj < 1.0)
     mc = 4.0 * np.mean(hit)
@@ -311,24 +309,30 @@ def test_volumes():
 
 
 def test_pose_validation():
-    with pytest.raises(ValueError):
-        Pose((0.0, 0.0), 0.5)
-    p = Pose((0.0, 0.0, 0.0))
-    assert p.magnification == 1.0 and p.translation == (0.0, 0.0, 0.0)
-    for bad in (math.nan, math.inf, -math.inf):
-        with pytest.raises(ValueError, match="translation"):
-            Pose((0.0, bad), 1.0)
+    # the translations are (N, d) rows of finite numbers and the one
+    # magnification r lies in [1, inf), for the slab and the full space alike
+    V = SlabTestSet(E1, IntervalSet([(0, 1)]), Window.of(-8, 8))
+    for W in (V, SlabTestSet.full()):
         with pytest.raises(ValueError, match="magnification"):
-            Pose((0.0, 0.0), bad)
+            intersection_measures(SQUARE, [(0.0, 0.0)], W, r=0.5)
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="translation"):
+                intersection_measures(SQUARE, [(0.0, 0.0), (0.0, bad)], W)
+            with pytest.raises(ValueError, match="magnification"):
+                intersection_measures(SQUARE, [(0.0, 0.0)], W, r=bad)
+        # a (4, 1) array is not two planar translations, nor a flat pair one
+        for wrong in (np.zeros((4, 1)), np.zeros(2), np.zeros((1, 3))):
+            with pytest.raises(ValueError, match="translations"):
+                intersection_measures(SQUARE, wrong, W)
+    assert intersection_measures(SQUARE, np.zeros((3, 2)), V)[0].shape == (3,)
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered in dot")
 def test_overflowing_offset_refused():
-    # finite poses whose offset <x, theta> overflows to inf are refused, not
-    # reported as a window overrun
+    # finite translations whose offset <x, theta> overflows to inf are
+    # refused, not reported as a window overrun
     V = SlabTestSet(Direction.of((1.0, 1.0)), IntervalSet([(0, 1)]), Window.of(-4, 4))
-    with pytest.raises(ValueError, match="offsets"):
-        intersection_measures(SQUARE, [Pose((1.5e308, 1.5e308), 1.0)], V)
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="offsets"):
+        intersection_measures(SQUARE, [(1.5e308, 1.5e308)], V)
 
 
 def test_polygon_validation():
@@ -342,7 +346,7 @@ def test_polygon_validation():
 
 def test_empty_slab_measures_zero():
     V = SlabTestSet(E2, IntervalSet([]), Window.of(-4, 4))
-    assert intersection_measures(SQUARE, [Pose((0.0, 0.0))], V)[0][0] == 0.0
+    assert intersection_measures(SQUARE, [(0.0, 0.0)], V)[0][0] == 0.0
 
 
 @pytest.mark.parametrize(

@@ -18,9 +18,9 @@ from reconset.shapes import (
     Ball,
     Direction,
     IntervalUnion,
-    Pose,
     SlabTestSet,
     intersection_measures,
+    project,
 )
 from reconset.verify import (
     MAX_GRID_POINTS,
@@ -431,34 +431,34 @@ def _long_slab_set(n=5000):
 
 
 def test_slab_measure_vector_matches_per_pose():
-    # one sliding integral per (test, magnification, offset) equals one per
-    # pose, bit for bit, against a one-interval slab set and a long one: axis
+    # one sliding integral per (test, offset) equals one per translation,
+    # bit for bit, against a one-interval slab set and a long one: axis
     # directions, where offsets repeat; a non-axis direction, where none
-    # does; magnified copies sharing every translation; and, in 1-D, the
+    # does; each magnification in a call of its own; and, in 1-D, the
     # offsets 0.0 and -0.0 (<x, theta> for x = 0.0 against theta = -1),
     # which np.unique merges
     disk = Ball((0.0, 0.0), 1.0)
     oblique = Direction.of((1.0, math.sqrt(2.0)))
-    poses = TranslateFamilyGrid(disk, (-0.5, -0.5), (0.5, 0.5), (5, 5)).instances()
-    assert len({oblique.dot(p.translation) for p in poses}) == len(poses)
-    poses += [Pose(p.translation, 1.5) for p in poses]
+    grid = TranslateFamilyGrid(disk, (-0.5, -0.5), (0.5, 0.5), (5, 5)).instances()
+    assert len(set(project(grid, oblique.theta).tolist())) == len(grid)
     segment = IntervalUnion(IntervalSet([(Dyadic(-1, 1), Dyadic(1, 1))]))
-    line_poses = [Pose((0.0,)), Pose((-0.0,)), Pose((0.25,)), Pose((0.0,), 2.0)]
+    line = np.array([[0.0], [-0.0], [0.25]])
     cases = [
-        (disk, poses, [Direction((1.0, 0.0)), Direction((0.0, 1.0)), oblique]),
-        (segment, line_poses, [Direction((1.0,)), Direction((-1.0,))]),
+        (disk, grid, (1.0, 1.5), [Direction((1.0, 0.0)), Direction((0.0, 1.0)), oblique]),
+        (segment, line, (1.0, 2.0), [Direction((1.0,)), Direction((-1.0,))]),
     ]
-    for theta in cases[1][2]:
-        signs = [math.copysign(1.0, theta.dot(p.translation)) for p in line_poses[:2]]
+    for theta in cases[1][3]:
+        signs = [math.copysign(1.0, b) for b in project(line[:2], theta.theta)]
         assert sorted(signs) == [-1.0, 1.0]
     for T in (IntervalSet([(Dyadic(-3), Dyadic(0))]), _long_slab_set()):
-        for shape, family, thetas in cases:
+        for shape, family, magnifications, thetas in cases:
             for theta in thetas:
                 V = SlabTestSet(theta, T, Window.of(-6, 6))
-                values, errors = intersection_measures(shape, family, V, 128)
-                for i, pose in enumerate(family):
-                    (v,), (e,) = intersection_measures(shape, [pose], V, 128)
-                    assert _bits(values[i]) == _bits(v) and errors[i] == e
+                for r in magnifications:
+                    values, errors = intersection_measures(shape, family, V, 128, r)
+                    for i in range(len(family)):
+                        (v,), (e,) = intersection_measures(shape, family[i : i + 1], V, 128, r)
+                        assert _bits(values[i]) == _bits(v) and errors[i] == e
 
 
 def test_axis_grid_takes_one_sliding_integral_per_distinct_offset(monkeypatch):
